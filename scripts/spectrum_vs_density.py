@@ -40,8 +40,7 @@ def run(kind, densities_cm3, n_samples, seed, out_dir):
         ensembles.append(ens)
         prov = ens.provenance
         print(f"density {dens:.1e} cm^-3: retained {len(ens)}/{n_samples} "
-              f"(core rej {prov.n_core_rejections}, "
-              f"range rej {prov.n_range_rejections})")
+              f"(range rej {prov.n_range_rejections})")
 
     # one grid wide enough for the broadest ensemble, shared by all
     all_shifts = np.concatenate([e.shifts_mev for e in ensembles])

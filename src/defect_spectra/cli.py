@@ -453,7 +453,8 @@ def cmd_simulate_spectrum(args) -> int:
     emitter = _emitter_from(cfg)
     table = _table_from(cfg)
     mode = args.mode or cfg.get("sampler", "mode", "uniform")
-    n = args.samples or cfg.get("sampler", "samples", 10000)
+    n = (args.samples if args.samples is not None
+         else cfg.get("sampler", "samples", 10000))
     low = cfg.get("sampler", "strain_low", -0.01)
     high = cfg.get("sampler", "strain_high", 0.01)
 

@@ -27,8 +27,9 @@ from .core import (
 from .strainfield import (
     DEFAULT_RELAXATION_VOLUMES,
     ElasticParams,
+    dipole_strain,
 )
-from .zplmap import ResponseTable, shift_for_strain
+from .zplmap import ResponseTable, component_ranges, shift_for_strain
 
 CHUNK = 4096
 _MODE_IDS = {"uniform": 1, "biased-z": 2, "defect-field": 3}
@@ -135,7 +136,6 @@ class EnsembleProvenance:
     n_requested: int
     n_retained: int
     n_raw_draws: int = 0
-    n_core_rejections: int = 0
     n_range_rejections: int = 0
     spec: object = None
 
@@ -250,27 +250,63 @@ def sample_biased_z(spec: BiasedZSpec, n_samples: int, seed: int,
     return ShiftEnsemble(shifts_mev=shifts, strains=strains, provenance=prov)
 
 
-def _shell_positions(gen, k, r_min, r_max):
-    u = gen.random(k)
-    radii = (u * (r_max ** 3 - r_min ** 3) + r_min ** 3) ** (1.0 / 3.0)
+def _directions(gen, k):
     vec = gen.normal(size=(k, 3))
-    vec /= np.linalg.norm(vec, axis=1, keepdims=True)
-    return vec * radii[:, None]
+    return vec / np.linalg.norm(vec, axis=1, keepdims=True)
 
 
-def _dipole_strain(amplitudes, positions):
-    """Summed dilatation strain at the origin from defects at positions."""
-    r = np.linalg.norm(positions, axis=-1)
-    n = positions / r[:, None]
-    a = amplitudes / r ** 3
-    s = np.empty((len(r), 6))
-    s[:, 0] = a * (1 - 3 * n[:, 0] ** 2)
-    s[:, 1] = a * (1 - 3 * n[:, 1] ** 2)
-    s[:, 2] = a * (1 - 3 * n[:, 2] ** 2)
-    s[:, 3] = -3 * a * n[:, 0] * n[:, 1]
-    s[:, 4] = -3 * a * n[:, 0] * n[:, 2]
-    s[:, 5] = -3 * a * n[:, 1] * n[:, 2]
-    return s.sum(axis=0)
+def _volume(override, kind):
+    return DEFAULT_RELAXATION_VOLUMES[kind] if override is None else override
+
+
+def _single_defect_draws(spec: SingleDefectSpec, gen, size):
+    """One defect per sample at the fixed separation."""
+    return (np.arange(size), np.full(size, spec.kind == "vacancy"),
+            np.full(size, _volume(spec.relaxation_volume_omega0, spec.kind)),
+            _directions(gen, size) * spec.separation_nm)
+
+
+def _density_draws(spec: DefectDensitySpec, gen, size):
+    """Poisson vacancy and interstitial counts per sample, then the radii
+    and directions of all of them, uniform in the shell volume."""
+    shell_cm3 = (4.0 / 3.0) * np.pi * (spec.r_max_nm ** 3
+                                       - spec.r_min_nm ** 3) * 1e-21
+    counts_v = gen.poisson(spec.vacancy_density_cm3 * shell_cm3, size)
+    counts_i = gen.poisson(spec.interstitial_density_cm3 * shell_cm3, size)
+    samples = np.arange(size)
+    owner = np.concatenate([np.repeat(samples, counts_v),
+                            np.repeat(samples, counts_i)])
+    is_vacancy = np.arange(len(owner)) < counts_v.sum()
+    volume = np.where(is_vacancy,
+                      _volume(spec.vacancy_volume_omega0, "vacancy"),
+                      _volume(spec.interstitial_volume_omega0, "interstitial"))
+    u = gen.random(len(owner))
+    radii = (u * (spec.r_max_nm ** 3 - spec.r_min_nm ** 3)
+             + spec.r_min_nm ** 3) ** (1.0 / 3.0)
+    return owner, is_vacancy, volume, _directions(gen, len(owner)) * radii[:, None]
+
+
+def _defect_field_chunk(size, owner, is_vacancy, amplitude, positions):
+    """Strain at each of ``size`` emitters from the defects around them,
+    with the kind and separation of the defect of largest |A|/r^3 (the
+    first on ties; "none" and NaN for an emitter without defects).
+
+    Defect ``k`` of amplitude ``amplitude[k]`` sits at ``positions[k]``
+    relative to emitter ``owner[k]``.
+    """
+    per_defect = dipole_strain(amplitude, positions)
+    strains = np.stack([np.bincount(owner, per_defect[:, c], minlength=size)
+                        for c in range(6)], axis=1)
+    r = np.linalg.norm(positions, axis=1)
+    # stable sort by owner, strongest first, so ties keep draw order
+    order = np.lexsort((-np.abs(amplitude) / r ** 3, owner))
+    dominant = order[np.diff(owner[order], prepend=-1) != 0]
+    kinds = np.full(size, "none", dtype=object)
+    kinds[owner[dominant]] = np.where(is_vacancy[dominant], "vacancy",
+                                      "interstitial")
+    separations = np.full(size, np.nan)
+    separations[owner[dominant]] = r[dominant]
+    return strains, kinds, separations
 
 
 def sample_defect_field(spec, n_samples: int, seed: int,
@@ -278,117 +314,48 @@ def sample_defect_field(spec, n_samples: int, seed: int,
                         elastic: ElasticParams = ElasticParams()) -> ShiftEnsemble:
     """Ensemble of emitters embedded in random point-defect environments.
 
-    ``spec`` is a SingleDefectSpec or a DefectDensitySpec. Samples whose
-    strain leaves the response-table range are discarded and counted in
-    the provenance next to core-region rejections; neither is resampled,
-    so the returned ensemble can be shorter than requested.
+    ``spec`` is a SingleDefectSpec or a DefectDensitySpec. No defect is
+    placed inside the core cutoff: a separation or inner shell radius below
+    it is refused up front. Samples with a strain component outside its
+    response-table axis range are discarded and counted in the provenance,
+    not resampled, so the returned ensemble can be shorter than requested.
     """
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be >= 1")
-    mode_id = _MODE_IDS["defect-field"]
-    omega0 = elastic.atomic_volume_nm3
-
     if isinstance(spec, SingleDefectSpec):
-        if spec.separation_nm < elastic.core_cutoff_nm:
-            raise InvalidArgumentError(
-                f"separation {spec.separation_nm} nm is inside the core "
-                f"cutoff {elastic.core_cutoff_nm} nm")
-        dv = (spec.relaxation_volume_omega0
-              if spec.relaxation_volume_omega0 is not None
-              else DEFAULT_RELAXATION_VOLUMES[spec.kind])
-        amp = dv * omega0 / (4.0 * np.pi)
-        n_chunks = -(-n_samples // CHUNK)
-
-        def worker(j):
-            gen = make_stream(seed, mode_id, j)
-            vec = gen.normal(size=(CHUNK, 3))
-            vec /= np.linalg.norm(vec, axis=1, keepdims=True)
-            a = amp / spec.separation_nm ** 3
-            s = np.empty((CHUNK, 6))
-            s[:, 0] = a * (1 - 3 * vec[:, 0] ** 2)
-            s[:, 1] = a * (1 - 3 * vec[:, 1] ** 2)
-            s[:, 2] = a * (1 - 3 * vec[:, 2] ** 2)
-            s[:, 3] = -3 * a * vec[:, 0] * vec[:, 1]
-            s[:, 4] = -3 * a * vec[:, 0] * vec[:, 2]
-            s[:, 5] = -3 * a * vec[:, 1] * vec[:, 2]
-            return s
-
-        strains = np.vstack(_run_chunks(n_chunks, worker))[:n_samples]
-        lo, hi = table.strain_range("x")
-        in_range = np.all((strains >= lo) & (strains <= hi), axis=1)
-        n_range = int((~in_range).sum())
-        strains = strains[in_range]
-        shifts = np.asarray(shift_for_strain(table, strains))
-        prov = EnsembleProvenance(
-            mode="defect-field", seed=seed, n_requested=n_samples,
-            n_retained=len(strains), n_raw_draws=n_samples,
-            n_range_rejections=n_range, spec=spec)
-        return ShiftEnsemble(
-            shifts_mev=shifts, strains=strains, provenance=prov,
-            dominant_kind=[spec.kind] * len(strains),
-            dominant_separation_nm=np.full(len(strains), spec.separation_nm))
-
-    if not isinstance(spec, DefectDensitySpec):
+        draws, inner_nm = _single_defect_draws, spec.separation_nm
+    elif isinstance(spec, DefectDensitySpec):
+        draws, inner_nm = _density_draws, spec.r_min_nm
+    else:
         raise InvalidArgumentError(
             "spec must be SingleDefectSpec or DefectDensitySpec")
-    if spec.r_min_nm < elastic.core_cutoff_nm:
+    if inner_nm < elastic.core_cutoff_nm:
         raise InvalidArgumentError(
-            f"shell inner radius {spec.r_min_nm} nm is inside the core "
-            f"cutoff {elastic.core_cutoff_nm} nm")
-
-    shell_cm3 = (4.0 / 3.0) * np.pi * (spec.r_max_nm ** 3 - spec.r_min_nm ** 3) * 1e-21
-    lam_v = spec.vacancy_density_cm3 * shell_cm3
-    lam_i = spec.interstitial_density_cm3 * shell_cm3
-    dv_v = (spec.vacancy_volume_omega0 if spec.vacancy_volume_omega0 is not None
-            else DEFAULT_RELAXATION_VOLUMES["vacancy"])
-    dv_i = (spec.interstitial_volume_omega0
-            if spec.interstitial_volume_omega0 is not None
-            else DEFAULT_RELAXATION_VOLUMES["interstitial"])
-    amp_v = dv_v * omega0 / (4.0 * np.pi)
-    amp_i = dv_i * omega0 / (4.0 * np.pi)
-    lo, hi = table.strain_range("x")
-    n_chunks = -(-n_samples // CHUNK)
+            f"defects at {inner_nm} nm would sit inside the core cutoff "
+            f"{elastic.core_cutoff_nm} nm")
+    amplitude_per_omega0 = elastic.atomic_volume_nm3 / (4.0 * np.pi)
 
     def worker(j):
-        gen = make_stream(seed, mode_id, j)
+        gen = make_stream(seed, _MODE_IDS["defect-field"], j)
         size = min(CHUNK, n_samples - j * CHUNK)
-        counts_v = gen.poisson(lam_v, size)
-        counts_i = gen.poisson(lam_i, size)
-        strains = np.zeros((size, 6))
-        kinds = ["none"] * size
-        seps = np.full(size, np.nan)
-        ok = np.ones(size, dtype=bool)
-        n_range = 0
-        for i in range(size):
-            kv, ki = int(counts_v[i]), int(counts_i[i])
-            if kv + ki == 0:
-                continue
-            pos = _shell_positions(gen, kv + ki, spec.r_min_nm, spec.r_max_nm)
-            amps = np.concatenate([np.full(kv, amp_v), np.full(ki, amp_i)])
-            strains[i] = _dipole_strain(amps, pos)
-            if np.any(strains[i] < lo) or np.any(strains[i] > hi):
-                ok[i] = False
-                n_range += 1
-                continue
-            r = np.linalg.norm(pos, axis=1)
-            dom = int(np.argmax(np.abs(amps) / r ** 3))
-            kinds[i] = "vacancy" if dom < kv else "interstitial"
-            seps[i] = r[dom]
-        return strains[ok], [k for k, o in zip(kinds, ok) if o], seps[ok], n_range
+        owner, is_vacancy, volume, positions = draws(spec, gen, size)
+        return _defect_field_chunk(size, owner, is_vacancy,
+                                   volume * amplitude_per_omega0, positions)
 
-    parts = _run_chunks(n_chunks, worker)
-    strains = np.vstack([p[0] for p in parts])
-    kinds = [k for p in parts for k in p[1]]
-    seps = np.concatenate([p[2] for p in parts])
-    n_range = sum(p[3] for p in parts)
+    parts = _run_chunks(-(-n_samples // CHUNK), worker)
+    strains, kinds, separations = (np.concatenate(p) for p in zip(*parts))
+    low, high = component_ranges(table)
+    in_range = np.all((strains >= low) & (strains <= high), axis=1)
+    strains = strains[in_range]
     shifts = np.asarray(shift_for_strain(table, strains)) if len(strains) \
         else np.zeros(0)
     prov = EnsembleProvenance(
         mode="defect-field", seed=seed, n_requested=n_samples,
         n_retained=len(strains), n_raw_draws=n_samples,
-        n_range_rejections=n_range, spec=spec)
+        n_range_rejections=int((~in_range).sum()), spec=spec)
     return ShiftEnsemble(shifts_mev=shifts, strains=strains, provenance=prov,
-                         dominant_kind=kinds, dominant_separation_nm=seps)
+                         dominant_kind=list(kinds[in_range]),
+                         dominant_separation_nm=separations[in_range])
 
 
 # ---------------------------------------------------------------------------

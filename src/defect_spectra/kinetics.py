@@ -376,10 +376,13 @@ class DamageHistory:
 
 
 def _linear_update(value, source, loss_rate, dt):
-    """Advance dy/dt = source - loss_rate*y exactly over dt."""
+    """Advance dy/dt = source - loss_rate*y exactly over dt.
+
+    Written with expm1 so that a step with loss_rate*dt far below one
+    (a ns pulse against a slow loss) keeps full double precision.
+    """
     if loss_rate > 0:
-        equilibrium = source / loss_rate
-        return equilibrium + (value - equilibrium) * np.exp(-loss_rate * dt)
+        return value - (source / loss_rate - value) * np.expm1(-loss_rate * dt)
     return value + source * dt
 
 

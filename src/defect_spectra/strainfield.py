@@ -62,6 +62,27 @@ class PointDefect:
         return DEFAULT_RELAXATION_VOLUMES[self.kind]
 
 
+# Cartesian index pairs (i, j) of the strain 6-vector components
+_I = np.array([0, 1, 2, 0, 0, 1])
+_J = np.array([0, 1, 2, 1, 2, 2])
+_DELTA = (_I == _J).astype(float)
+
+
+def dipole_strain(amplitudes, displacements) -> np.ndarray:
+    """Strain 6-vectors (e_xx, e_yy, e_zz, e_xy, e_xz, e_yz) of dilatation
+    centers of strength ``amplitudes`` (A = dV / (4 pi), nm^3), each at
+    ``displacements`` (..., 3) nm from its field point.
+
+    The field is even in the displacement, so its sign does not matter.
+    There is no core check: every displacement must be nonzero.
+    """
+    d = np.asarray(displacements, dtype=float)
+    r = np.linalg.norm(d, axis=-1)
+    n = d / r[..., None]
+    a = np.asarray(amplitudes, dtype=float) / r ** 3
+    return a[..., None] * (_DELTA - 3.0 * n[..., _I] * n[..., _J])
+
+
 def dilatation_strain(defect: PointDefect, points_nm,
                       params: ElasticParams = ElasticParams(),
                       defect_index: int | None = None) -> np.ndarray:
@@ -74,23 +95,14 @@ def dilatation_strain(defect: PointDefect, points_nm,
     if pts.shape[-1] != 3:
         raise InvalidArgumentError("points must have 3 Cartesian components")
     rvec = pts - np.asarray(defect.position_nm, dtype=float)
-    r = np.linalg.norm(rvec, axis=-1)
-    if np.any(r < params.core_cutoff_nm):
+    if np.any(np.linalg.norm(rvec, axis=-1) < params.core_cutoff_nm):
         raise CoreRegionError(
             f"field point within core cutoff ({params.core_cutoff_nm} nm) of "
             f"{defect.kind} at {tuple(defect.position_nm)}",
             defect_index=defect_index)
 
     amp = defect.relaxation_volume() * params.atomic_volume_nm3 / (4.0 * np.pi)
-    n = rvec / r[..., None]
-    a = amp / r ** 3
-    out = np.empty(pts.shape[:-1] + (6,))
-    out[..., 0] = a * (1.0 - 3.0 * n[..., 0] * n[..., 0])
-    out[..., 1] = a * (1.0 - 3.0 * n[..., 1] * n[..., 1])
-    out[..., 2] = a * (1.0 - 3.0 * n[..., 2] * n[..., 2])
-    out[..., 3] = a * (-3.0 * n[..., 0] * n[..., 1])
-    out[..., 4] = a * (-3.0 * n[..., 0] * n[..., 2])
-    out[..., 5] = a * (-3.0 * n[..., 1] * n[..., 2])
+    out = dipole_strain(amp, rvec)
     if np.asarray(points_nm).ndim == 1:
         return out[0]
     return out

@@ -51,6 +51,14 @@ class ResponseTable:
         return float(grid[0]), float(grid[-1])
 
 
+def component_ranges(table: ResponseTable):
+    """(low, high) arrays of the strain range of each 6-vector component,
+    each taken from the table axis that component maps to."""
+    low, high = zip(*(table.strain_range(axis)
+                      for _, axis in _COMPONENT_AXIS))
+    return np.array(low), np.array(high)
+
+
 def _validate_curve(axis: str, grid: np.ndarray, shifts: np.ndarray):
     if len(grid) < 3:
         raise ValidationError(f"axis {axis!r}: needs at least 3 grid points")

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from defect_spectra.cli import main
+
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -55,6 +57,15 @@ def test_simulate_spectrum_requires_seed(tmp_path):
     res = run_cli("simulate-spectrum", "--out", str(tmp_path / "x"))
     assert res.returncode == 2
     assert "--seed" in res.stderr
+
+
+def test_simulate_spectrum_zero_samples_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["simulate-spectrum", "--samples", "0", "--seed", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert "n_samples" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_spectrum_deterministic_across_threads(tmp_path):

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from defect_spectra.core import (
     EmitterParams,
@@ -15,6 +16,7 @@ from defect_spectra.ensemble import (
     DefectDensitySpec,
     SingleDefectSpec,
     UniformSpec,
+    _defect_field_chunk,
     biased_z_retention,
     default_wavelength_grid,
     histogram_shifts,
@@ -24,7 +26,13 @@ from defect_spectra.ensemble import (
     synthesize_spectrum,
 )
 from defect_spectra.fitting import numerical_fwhm
-from defect_spectra.zplmap import default_table, shift_for_strain
+from defect_spectra.strainfield import PointDefect, superpose
+from defect_spectra.zplmap import (
+    ResponseTable,
+    component_ranges,
+    default_table,
+    shift_for_strain,
+)
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +263,67 @@ def test_defect_field_range_rejections_counted(table):
     assert rej > 0
     assert len(ens) == 2000 - rej
     assert np.max(np.abs(ens.strains)) <= 0.01
+
+
+def test_defect_field_range_checked_per_axis(table):
+    # the xz curve (which e_yz follows) stops at +-0.003 while x spans
+    # +-0.01: shear strains beyond 0.003 are range rejections, not errors
+    grid, shifts = table.curves["xz"]
+    keep = np.abs(grid) <= 0.003
+    narrow = ResponseTable({**table.curves, "xz": (grid[keep], shifts[keep])})
+    low, high = component_ranges(narrow)
+    assert np.array_equal(high, [0.01, 0.01, 0.01, 0.01, 0.003, 0.003])
+    assert np.array_equal(low, -high)
+    for spec in (SingleDefectSpec("interstitial", 0.6),
+                 DefectDensitySpec(vacancy_density_cm3=1e21,
+                                   interstitial_density_cm3=1e21)):
+        ens = sample_defect_field(spec, 4000, seed=3, table=narrow)
+        rej = ens.provenance.n_range_rejections
+        assert 0 < rej < 4000
+        assert len(ens) == 4000 - rej
+        assert len(ens.dominant_kind) == len(ens.dominant_separation_nm) \
+            == len(ens)
+        assert np.all((ens.strains >= low) & (ens.strains <= high))
+
+
+_defect = st.tuples(
+    st.integers(0, 4), st.booleans(), st.floats(0.9, 1.4),
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_defect, max_size=20))
+def test_defect_field_chunk_matches_superpose(defects):
+    size = 5
+    directions = np.array([d[3] for d in defects]).reshape(-1, 3)
+    norms = np.linalg.norm(directions, axis=1)
+    assume(np.all(norms > 1e-3))
+    owner = np.array([d[0] for d in defects], dtype=int)
+    is_vacancy = np.array([d[1] for d in defects], dtype=bool)
+    kinds = np.where(is_vacancy, "vacancy", "interstitial")
+    radii = np.array([d[2] for d in defects])
+    positions = directions / norms[:, None] * radii[:, None]
+    volume = np.where(is_vacancy, -0.25, 0.60)
+    amplitude = volume * 0.0200 / (4 * np.pi)
+
+    strains, dom_kind, dom_sep = _defect_field_chunk(
+        size, owner, is_vacancy, amplitude, positions)
+
+    r = np.linalg.norm(positions, axis=1)
+    score = np.abs(amplitude) / r ** 3
+    for i in range(size):
+        mine = np.flatnonzero(owner == i)
+        want = superpose([PointDefect(str(kinds[k]), tuple(positions[k]))
+                          for k in mine], [0.0, 0.0, 0.0])
+        scale = np.abs(amplitude[mine]).max() / 0.9 ** 3 if len(mine) else 0
+        np.testing.assert_allclose(strains[i], want, rtol=1e-12,
+                                   atol=1e-12 * scale)
+        if len(mine) == 0:
+            assert dom_kind[i] == "none" and np.isnan(dom_sep[i])
+            continue
+        dom = mine[np.argmax(score[mine])]
+        assert dom_kind[i] == kinds[dom]
+        assert dom_sep[i] == r[dom]
 
 
 # ---------------------------------------------------------------------------

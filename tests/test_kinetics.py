@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,30 @@ def test_damage_against_step_integration():
 
     assert hist.n_g_cm2[-1] == pytest.approx(n_g, rel=1e-4)
     assert hist.n_trap_cm2[-1] == pytest.approx(n_trap, rel=1e-4)
+
+
+def test_damage_single_short_pulse_keeps_precision():
+    """One 1 ns pulse from a pristine sample against the exact solution
+    y = S*dt*(1 - e^-x)/x, x = k*dt, summed as its Taylor series in x.
+
+    With k*dt ~ 3e-12 on the trap channel, a form that subtracts
+    exp(-k*dt) from one loses about five digits."""
+    def relaxed(source, rate, dt):
+        x = rate * dt
+        return source * dt * sum((-x) ** m / factorial(m + 1)
+                                 for m in range(8))
+
+    params = DamageParams()
+    flux, dt = 1e17, 1e-9
+    hist = integrate_damage(
+        IrradiationSchedule((ScheduleSegment(flux, dt, 0.0),)), params)
+    form = params.formation_rate_s(flux)
+    n_g = relaxed(form * params.carbon_areal_density_cm2,
+                  form + params.destruction_rate_s(flux), dt)
+    n_trap = relaxed(params.trap_source_cm2_s(flux),
+                     params.dynamic_annealing_rate_s, dt)
+    assert hist.n_g_cm2[-1] == pytest.approx(n_g, rel=1e-12, abs=0)
+    assert hist.n_trap_cm2[-1] == pytest.approx(n_trap, rel=1e-12, abs=0)
 
 
 def test_damage_history_bookkeeping():

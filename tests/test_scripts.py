@@ -1,0 +1,33 @@
+import csv
+import importlib.util
+import os
+
+import pytest
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "scripts")
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_spectrum_vs_density_smoke(tmp_path, capsys):
+    script = load_script("spectrum_vs_density")
+    script.run("vacancy", (3e20,), 500, 7, str(tmp_path))
+    assert "retained 500/500 (range rej 0)" in capsys.readouterr().out
+    for name in ("spectra_vs_density.csv", "fwhm_vs_density.csv",
+                 "fwhm_vs_density.svg"):
+        assert (tmp_path / name).exists()
+    with open(tmp_path / "fwhm_vs_density.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["density_cm3", "fwhm_nm"]
+    (_, pristine), (dens, broadened) = [(float(a), float(b))
+                                        for a, b in rows[1:]]
+    assert pristine == pytest.approx(0.073, abs=1e-3)
+    assert dens == 3e20
+    assert float(broadened) > 2 * pristine

@@ -37,10 +37,10 @@ def endpoint(schedule, params):
     return hist.n_g_cm2[-1], hist.tau_eff_ns[-1], hist.n_g_cm2[-1] * lifetimes.qe
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/fluence_exponent_scan")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
     params = DamageParams()

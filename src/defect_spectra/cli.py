@@ -146,7 +146,6 @@ _SCHEMA = {
         "background_tau_nr_ns": float,
     },
     "schedule": {
-        "file": str,
         "template": str,
         "fluences": str,
     },
@@ -207,8 +206,7 @@ def load_config(path=None) -> RunConfig:
                 raise ValidationError(
                     f"config key [{section}] {key} has invalid value {raw!r}")
     cfg = RunConfig(values, base_dir=os.path.dirname(os.path.abspath(path)))
-    for section, key in (("response", "table"), ("schedule", "file"),
-                         ("schedule", "template")):
+    for section, key in (("response", "table"), ("schedule", "template")):
         ref = cfg.path(section, key)
         if ref is not None and not os.path.exists(ref):
             raise ValidationError(
@@ -363,7 +361,16 @@ def _damage_params_from(cfg: RunConfig) -> DamageParams:
     return DamageParams(**kw)
 
 
-def _read_schedule_rows(path):
+def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedule:
+    """Instantiate a schedule template at a target fluence.
+
+    Placeholder cells: {duration} (duration = fluence share / flux),
+    {flux} (flux = share / duration), or {pulses} in the repeat column
+    (the row becomes a pulse train delivering the share). The target
+    fluence minus any fixed rows is split equally across placeholder
+    rows. A {duration} row with zero flux gets duration zero: it cannot
+    deliver fluence.
+    """
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     rows = [r for r in rows if r and not r[0].lstrip().startswith("#")]
@@ -376,55 +383,32 @@ def _read_schedule_rows(path):
             f"schedule file {path} must start with header "
             "flux_cm2_s,duration_s,gap_s with optional repeat column, "
             f"got {','.join(header)}")
-    return [[c.strip() for c in r] for r in rows[1:]], len(header) == 4
-
-
-def read_schedule(path) -> IrradiationSchedule:
-    rows, has_repeat = _read_schedule_rows(path)
-    segments = []
-    for row in rows:
-        flux, duration, gap = (float(row[0]), float(row[1]), float(row[2]))
-        repeat = int(row[3]) if has_repeat and len(row) > 3 and row[3] else 1
-        segments.extend([ScheduleSegment(flux, duration, gap)] * repeat)
-    return IrradiationSchedule(tuple(segments))
-
-
-def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedule:
-    """Instantiate a schedule template at a target fluence.
-
-    Placeholder cells: {duration} (duration = fluence share / flux),
-    {flux} (flux = share / duration), or {pulses} in the repeat column
-    (the row becomes a pulse train delivering the share). The target
-    fluence minus any fixed rows is split equally across placeholder
-    rows. A {duration} row with zero flux gets duration zero: it cannot
-    deliver fluence.
-    """
-    rows, has_repeat = _read_schedule_rows(path)
-    placeholder_rows = []
-    fixed_fluence = 0.0
-    for i, row in enumerate(rows):
-        cells = row + [""] * (4 - len(row))
+    has_repeat = len(header) == 4
+    parsed = []
+    for row in rows[1:]:
+        cells = [c.strip() for c in row] + [""] * (4 - len(row))
         if "{duration}" in cells or "{flux}" in cells or "{pulses}" in cells:
-            placeholder_rows.append(i)
+            parsed.append(cells)
         else:
             repeat = int(cells[3]) if has_repeat and cells[3] else 1
-            fixed_fluence += float(cells[0]) * float(cells[1]) * repeat
-    if not placeholder_rows:
+            parsed.append(ScheduleSegment(float(cells[0]), float(cells[1]),
+                                          float(cells[2]), repeat))
+    fixed = [run for run in parsed if isinstance(run, ScheduleSegment)]
+    if len(fixed) == len(parsed):
         raise ValidationError(
             f"schedule template {path} has no {{flux}}, {{duration}}, or "
             "{pulses} placeholder to absorb the target fluence")
-    share = (target_fluence_cm2 - fixed_fluence) / len(placeholder_rows)
+    fixed_fluence = sum(run.flux_cm2_s * run.duration_s * run.repeat
+                        for run in fixed)
+    share = (target_fluence_cm2 - fixed_fluence) / (len(parsed) - len(fixed))
     if share < 0:
         raise ValidationError(
             f"fixed rows of {path} already exceed the target fluence "
             f"{target_fluence_cm2:g} cm^-2")
     segments = []
-    for i, row in enumerate(rows):
-        cells = row + [""] * (4 - len(row))
-        if i not in placeholder_rows:
-            repeat = int(cells[3]) if has_repeat and cells[3] else 1
-            segments.extend([ScheduleSegment(float(cells[0]), float(cells[1]),
-                                             float(cells[2]))] * repeat)
+    for cells in parsed:
+        if isinstance(cells, ScheduleSegment):
+            segments.append(cells)
             continue
         gap = float(cells[2])
         if cells[3] == "{pulses}":
@@ -750,8 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "effective lifetime")
     dec.add_argument("--config", help="INI config file")
     dec.add_argument("--seed", type=int, required=True,
-                     help="recorded for reproducibility; the decay model "
-                          "itself is deterministic")
+                     help="unused until runs write a manifest; the decay "
+                          "model itself is deterministic")
     dec.add_argument("--out", help="output directory")
     dec.set_defaults(func=cmd_simulate_decay)
 

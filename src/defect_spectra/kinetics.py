@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import (
     KB_EV_K,
@@ -154,6 +153,7 @@ def simulate_decay(params: DecayModelParams) -> DecayTrace:
     Conservation (carriers + excited + filled traps + emitted photons =
     initial carriers) is checked to integrator tolerance.
     """
+    from scipy.integrate import solve_ivp   # slow import, needed only here
     n0 = params.pump_power_mw * params.carrier_density_per_mw_cm3
     grid = params.time_grid_ns
     k_g = params.capture_coefficient_g_cm3_ns * params.g_center_density_cm3
@@ -228,13 +228,18 @@ def rise_time(trace, intensity=None) -> float:
 
 @dataclass(frozen=True)
 class ScheduleSegment:
+    """``repeat`` back-to-back copies of (exposure at flux, gap)."""
+
     flux_cm2_s: float
     duration_s: float
     gap_s: float = 0.0
+    repeat: int = 1
 
     def __post_init__(self):
         if self.flux_cm2_s < 0 or self.duration_s < 0 or self.gap_s < 0:
             raise ValidationError("flux, duration, and gap must be nonnegative")
+        if self.repeat < 1:
+            raise ValidationError(f"repeat must be >= 1, got {self.repeat}")
 
 
 @dataclass(frozen=True)
@@ -248,29 +253,32 @@ class IrradiationSchedule:
 
     @property
     def total_fluence_cm2(self) -> float:
-        return sum(s.flux_cm2_s * s.duration_s for s in self.segments)
+        return sum(s.flux_cm2_s * s.duration_s * s.repeat
+                   for s in self.segments)
 
 
 def pulsed_schedule(fluence_cm2: float, flux_cm2_s: float,
                     pulse_duration_s: float,
                     repetition_period_s: float) -> IrradiationSchedule:
-    """Pulse train reaching the requested fluence; the last pulse is
-    shortened if the fluence is not an integer number of pulses."""
+    """Pulse train reaching the requested fluence as at most two runs:
+    the full pulses, then a last pulse with no gap, shortened if the
+    fluence is not an integer number of pulses."""
     if fluence_cm2 <= 0 or flux_cm2_s <= 0 or pulse_duration_s <= 0:
         raise InvalidArgumentError("fluence, flux, and pulse must be positive")
     if repetition_period_s < pulse_duration_s:
         raise InvalidArgumentError("repetition period shorter than the pulse")
     per_pulse = flux_cm2_s * pulse_duration_s
     n_full = int(fluence_cm2 / per_pulse)
-    gap = repetition_period_s - pulse_duration_s
-    segments = [ScheduleSegment(flux_cm2_s, pulse_duration_s, gap)
-                for _ in range(n_full)]
     remainder = fluence_cm2 - n_full * per_pulse
-    if remainder > 1e-9 * fluence_cm2:
-        segments.append(ScheduleSegment(flux_cm2_s, remainder / flux_cm2_s, 0.0))
-    elif segments:
-        segments[-1] = ScheduleSegment(flux_cm2_s, pulse_duration_s, 0.0)
-    return IrradiationSchedule(tuple(segments))
+    tail_s = remainder / flux_cm2_s
+    if remainder <= 1e-9 * fluence_cm2:     # the last full pulse is the tail
+        n_full, tail_s = n_full - 1, pulse_duration_s
+    tail = ScheduleSegment(flux_cm2_s, tail_s, 0.0)
+    if n_full == 0:
+        return IrradiationSchedule((tail,))
+    gap = repetition_period_s - pulse_duration_s
+    return IrradiationSchedule(
+        (ScheduleSegment(flux_cm2_s, pulse_duration_s, gap, n_full), tail))
 
 
 def cw_schedule(fluence_cm2: float, flux_cm2_s: float) -> IrradiationSchedule:
@@ -363,8 +371,8 @@ class DamageParams:
 
 @dataclass
 class DamageHistory:
-    """Densities at segment boundaries, with the flux that produced each
-    boundary (zero for rows that close an annealing gap)."""
+    """Densities after the exposure and the gap of each run's last copy,
+    with the flux that produced each row (zero for gap rows)."""
 
     time_s: np.ndarray
     fluence_cm2: np.ndarray
@@ -378,11 +386,13 @@ class DamageHistory:
 def _linear_update(value, source, loss_rate, dt):
     """Advance dy/dt = source - loss_rate*y exactly over dt.
 
-    Written with expm1 so that a step with loss_rate*dt far below one
-    (a ns pulse against a slow loss) keeps full double precision.
+    A sum of two nonnegative terms, with expm1 for the relaxed part, so
+    both a tiny loss_rate*dt (a ns pulse) and a decay over many loss
+    times (a long train) keep full double precision.
     """
     if loss_rate > 0:
-        return value - (source / loss_rate - value) * np.expm1(-loss_rate * dt)
+        return (value * np.exp(-loss_rate * dt)
+                - source / loss_rate * np.expm1(-loss_rate * dt))
     return value + source * dt
 
 
@@ -392,22 +402,34 @@ def integrate_damage(schedule: IrradiationSchedule,
 
     Each constant-flux stretch advances by the closed-form solution of
     the linear rate equations, so pulse (ns) and gap (tens of s) scales
-    coexist without step-size trouble.
+    coexist without step-size trouble. All periods T of a run but the
+    last advance at once: traps map y -> q*y + c per period, and n such
+    maps are one linear update over n*T with the source scaled by
+    r = expm1(-a*tau)*exp(-a*gap)/expm1(-a*T), or tau/T when a*T = 0.
     """
     rows = [(0.0, 0.0, 0.0, 0.0, 0.0)]
     t = fluence = n_g = n_trap = 0.0
     c0 = params.carbon_areal_density_cm2
     anneal = params.dynamic_annealing_rate_s
     for seg in schedule.segments:
+        form = params.formation_rate_s(seg.flux_cm2_s)
+        destr = params.destruction_rate_s(seg.flux_cm2_s)
+        source = params.trap_source_cm2_s(seg.flux_cm2_s)
+        copies, period = seg.repeat - 1, seg.duration_s + seg.gap_s
+        if copies and period > 0:
+            x = anneal * period
+            r = (np.expm1(-anneal * seg.duration_s) / np.expm1(-x)
+                 * np.exp(-anneal * seg.gap_s) if x > 0
+                 else seg.duration_s / period)
+            n_trap = _linear_update(n_trap, source * r, anneal, copies * period)
+            t += copies * period
         if seg.duration_s > 0:
-            form = params.formation_rate_s(seg.flux_cm2_s)
-            destr = params.destruction_rate_s(seg.flux_cm2_s)
-            n_g = _linear_update(n_g, form * c0, form + destr, seg.duration_s)
-            n_trap = _linear_update(n_trap,
-                                    params.trap_source_cm2_s(seg.flux_cm2_s),
-                                    anneal, seg.duration_s)
+            # emitters change only under the beam
+            n_g = _linear_update(n_g, form * c0, form + destr,
+                                 seg.repeat * seg.duration_s)
+            n_trap = _linear_update(n_trap, source, anneal, seg.duration_s)
             t += seg.duration_s
-            fluence += seg.flux_cm2_s * seg.duration_s
+            fluence += seg.repeat * seg.flux_cm2_s * seg.duration_s
             rows.append((t, fluence, seg.flux_cm2_s, n_g, n_trap))
         if seg.gap_s > 0:
             n_trap = _linear_update(n_trap, 0.0, anneal, seg.gap_s)

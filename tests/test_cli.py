@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from defect_spectra.cli import main
+from defect_spectra.cli import main, schedule_from_template
+from defect_spectra.core import ValidationError
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -183,7 +184,7 @@ def test_simulate_decay_no_traps_recovers_radiative(tmp_path):
 
 def test_simulate_decay_missing_schedule_file(tmp_path):
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[schedule]\nfile = does_not_exist.csv\n")
+    cfg.write_text("[schedule]\ntemplate = does_not_exist.csv\n")
     res = run_cli("simulate-decay", "--config", str(cfg), "--seed", "1",
                   "--out", str(tmp_path / "x"))
     assert res.returncode == 2
@@ -265,6 +266,32 @@ def test_sweep_no_placeholder_template(tmp_path):
                   "--fluences", "1e11,1e12", "--out", str(tmp_path / "x"))
     assert res.returncode == 2
     assert "placeholder" in res.stderr
+
+
+def test_schedule_from_template_runs(tmp_path, capsys):
+    template = tmp_path / "mixed.csv"
+    template.write_text("flux_cm2_s,duration_s,gap_s,repeat\n"
+                        "1e12,2.0,1.0,1000\n"
+                        "7.9e18,1e-8,1.0,{pulses}\n")
+    sched = schedule_from_template(str(template), 1e16)
+    fixed, *train = sched.segments
+    assert (fixed.flux_cm2_s, fixed.duration_s, fixed.gap_s,
+            fixed.repeat) == (1e12, 2.0, 1.0, 1000)
+    assert [run.repeat for run in train] == [int(8e15 / 7.9e10), 1]
+    assert sched.total_fluence_cm2 == pytest.approx(1e16, rel=1e-12, abs=0)
+    with pytest.raises(ValidationError, match="exceed"):
+        schedule_from_template(str(template), 1e15)
+    for repeat in ("0", "-3"):
+        template.write_text("flux_cm2_s,duration_s,gap_s,repeat\n"
+                            f"1e12,2.0,1.0,{repeat}\n"
+                            "8e11,{duration},0,\n")
+        with pytest.raises(ValidationError, match="repeat"):
+            schedule_from_template(str(template), 1e16)
+        assert main(["sweep-fluence", "--template", str(template),
+                     "--fluences", "1e13,1e14",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "repeat must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import math
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defect_spectra.core import (
     InvalidArgumentError,
@@ -214,7 +216,8 @@ def test_pulsed_schedule_fluence_accounting():
     assert sched.total_fluence_cm2 == pytest.approx(1e12, rel=1e-12)
     per_pulse = 7.9e18 * 1e-8
     n_full = int(1e12 // per_pulse)
-    assert len(sched.segments) == n_full + 1     # fractional tail pulse
+    # full pulses, then the fractional tail pulse
+    assert [run.repeat for run in sched.segments] == [n_full, 1]
     assert sched.segments[0].gap_s == pytest.approx(45.0 - 1e-8)
     assert sched.segments[-1].gap_s == 0.0
     assert sched.segments[-1].duration_s < 1e-8
@@ -223,10 +226,42 @@ def test_pulsed_schedule_fluence_accounting():
 def test_pulsed_schedule_exact_multiple():
     per_pulse = 7.9e18 * 1e-8
     sched = pulsed_schedule(10 * per_pulse, 7.9e18, 1e-8, 45.0)
-    assert len(sched.segments) == 10
+    assert [run.repeat for run in sched.segments] == [9, 1]
     assert sched.total_fluence_cm2 == pytest.approx(10 * per_pulse)
     # no dangling gap after the last pulse
     assert sched.segments[-1].gap_s == 0.0
+
+
+def test_pulsed_schedule_1e8_pulses_is_two_runs():
+    """1e8 pulses as two runs, against the closed form of n pulses:
+    n_G = -(s/k) expm1(-k t_on) with t_on the total beam-on time. Traps
+    gain c = -(S/a) expm1(-a tau) per pulse and decay by q = exp(-a T)
+    per period, so after n - 1 pulses and their gaps they hold
+    c (1 - q^(n-1))/(1 - q) exp(-a gap); the tail pulse then adds its
+    own linear update."""
+    flux, tau, period = 1e17, 1e-9, 1e-3
+    sched = pulsed_schedule(1e16, flux, tau, period)
+    assert len(sched.segments) == 2
+    params = DamageParams()
+    hist = integrate_damage(sched, params)
+    n = sum(run.repeat for run in sched.segments)
+    assert n == pytest.approx(1e8, abs=1)
+    tail = sched.segments[-1].duration_s
+    assert tail == pytest.approx(tau, rel=1e-6)
+
+    form = params.formation_rate_s(flux)
+    k = form + params.destruction_rate_s(flux)
+    s_g = form * params.carbon_areal_density_cm2
+    n_g = -(s_g / k) * math.expm1(-k * ((n - 1) * tau + tail))
+    a, s_t = params.dynamic_annealing_rate_s, params.trap_source_cm2_s(flux)
+    c = -(s_t / a) * math.expm1(-a * tau)
+    before_tail = (c * math.expm1(-a * (n - 1) * period)
+                   / math.expm1(-a * period) * math.exp(-a * (period - tau)))
+    n_trap = before_tail * math.exp(-a * tail) - s_t / a * math.expm1(-a * tail)
+    assert hist.n_g_cm2[-1] == pytest.approx(n_g, rel=1e-12, abs=0)
+    assert hist.n_trap_cm2[-1] == pytest.approx(n_trap, rel=1e-12, abs=0)
+    assert hist.fluence_cm2[-1] == pytest.approx(1e16, rel=1e-12, abs=0)
+    assert len(hist.time_s) == 4
 
 
 def test_cw_schedule():
@@ -241,6 +276,9 @@ def test_schedule_validation():
         ScheduleSegment(-1.0, 1.0, 0.0)
     with pytest.raises(ValidationError):
         ScheduleSegment(1.0, -1.0, 0.0)
+    for repeat in (0, -3):
+        with pytest.raises(ValidationError):
+            ScheduleSegment(1.0, 1.0, 0.0, repeat)
     with pytest.raises(InvalidArgumentError):
         pulsed_schedule(1e12, 0.0, 1e-8, 45.0)
     with pytest.raises(InvalidArgumentError):
@@ -342,6 +380,42 @@ def test_gaps_anneal_traps_between_pulses():
     with_gaps = integrate_damage(pulsed, params).n_trap_cm2[-1]
     without = integrate_damage(squeezed, params).n_trap_cm2[-1]
     assert with_gaps < without
+
+
+_run = st.builds(
+    ScheduleSegment,
+    flux_cm2_s=st.one_of(st.just(0.0), st.floats(1e10, 1e19)),
+    duration_s=st.one_of(st.just(0.0), st.floats(1e-9, 10.0)),
+    gap_s=st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+    repeat=st.integers(1, 40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_run, min_size=1, max_size=4),
+       st.one_of(st.just(0.0), st.floats(1e-4, 0.1)))
+def test_runs_match_expanded_copies(runs, anneal):
+    """A run of n copies ends where n single copies stepped in turn end,
+    and its rows are those of its last copy."""
+    params = DamageParams(dynamic_annealing_rate_s=anneal)
+    expanded = [ScheduleSegment(run.flux_cm2_s, run.duration_s, run.gap_s)
+                for run in runs for _ in range(run.repeat)]
+
+    def table(hist):
+        return np.column_stack([hist.time_s, hist.fluence_cm2,
+                                hist.flux_cm2_s, hist.n_g_cm2,
+                                hist.n_trap_cm2])
+
+    got = table(integrate_damage(IrradiationSchedule(runs), params))
+    want = table(integrate_damage(IrradiationSchedule(expanded), params))
+    np.testing.assert_allclose(got[-1], want[-1], rtol=1e-12, atol=0)
+    i = j = 1
+    for run in runs:
+        rows = (run.duration_s > 0) + (run.gap_s > 0)
+        i += rows
+        j += rows * run.repeat
+        np.testing.assert_allclose(got[i - rows:i], want[j - rows:j],
+                                   rtol=1e-12, atol=0)
+    assert (len(got), len(want)) == (i, j)
 
 
 def test_tau_eff_monotone_in_accumulated_traps():

@@ -31,3 +31,17 @@ def test_spectrum_vs_density_smoke(tmp_path, capsys):
     assert pristine == pytest.approx(0.073, abs=1e-3)
     assert dens == 3e20
     assert float(broadened) > 2 * pristine
+
+
+def test_fluence_exponent_scan_smoke(tmp_path, capsys):
+    load_script("fluence_exponent_scan").main(["--out", str(tmp_path)])
+    exponents = {}
+    for line in capsys.readouterr().out.splitlines():
+        label, _, rest = line.partition(":")
+        if rest.split()[:1] == ["exponent"]:
+            exponents[label] = float(rest.split()[1])
+    assert exponents["pulsed"] > exponents["cw"]
+    with open(tmp_path / "fluence_scan.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][:2] == ["fluence_cm2", "n_G_pulsed"]
+    assert len(rows) == 1 + 9

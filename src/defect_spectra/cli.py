@@ -1,11 +1,14 @@
 """Command-line interface: config-driven simulation, fitting, and export.
 
-Configs are INI files ([section] key = value). Every key is validated
-against the schema below; unknown sections or keys are hard errors so a
-typo cannot silently fall back to a default. All file outputs are
-written atomically (temp file in the target directory, then rename)
-with fixed number formatting, so a command repeated with the same seed
-produces byte-identical files.
+Configs are INI files ([section] key = value). [emitter], [elastic],
+[damage] and most of [kinetics] take their keys and defaults from the
+fields of EmitterParams, ElasticParams, DamageParams and
+DecayModelParams; [sampler] keys fill the ensemble spec of the chosen
+mode, whose class holds their defaults. Unknown sections or keys and
+unparsable values are hard errors, so a typo cannot silently fall back
+to a default. All file outputs are written atomically (temp file in the
+target directory, then rename) with fixed number formatting, so a
+command repeated with the same seed produces byte-identical files.
 
 Exit codes: 0 success, 2 validation or config error, 3 numerical
 failure (fit or integration).
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import io
 import os
 import sys
@@ -53,6 +57,8 @@ from .fitting import (
     fit_single_exponential,
 )
 from .kinetics import (
+    DECAY_GRID_POINTS,
+    DECAY_T_MAX_NS,
     DamageParams,
     DecayModelParams,
     IrradiationSchedule,
@@ -85,12 +91,27 @@ def _float_or_none(text):
     return float(text)
 
 
+def _number(field, text, cast=float):
+    """Cast a user-supplied value; on failure name its field in the error."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValidationError(f"{field} has invalid value {text!r}") from None
+
+
+# Config casts of the scalar dataclass field types; other fields, such as
+# DecayModelParams.time_grid_ns, are not config keys.
+_FIELD_CASTS = {"float": float, "float | None": _float_or_none}
+
+
+def _field_keys(cls, exclude=()):
+    """Config keys and casts of the scalar fields of a params dataclass."""
+    return {f.name: _FIELD_CASTS[f.type] for f in dataclasses.fields(cls)
+            if f.type in _FIELD_CASTS and f.name not in exclude}
+
+
 _SCHEMA = {
-    "emitter": {
-        "zpl_wavelength_nm": float,
-        "homogeneous_fwhm_nm": float,
-        "radiative_lifetime_ns": float,
-    },
+    "emitter": _field_keys(EmitterParams),
     "sampler": {
         "mode": str,
         "samples": int,
@@ -106,45 +127,21 @@ _SCHEMA = {
         "r_max_nm": float,
         "bin_width_mev": float,
     },
-    "elastic": {
-        "atomic_volume_nm3": float,
-        "core_cutoff_nm": float,
-    },
+    "elastic": _field_keys(ElasticParams),
     "response": {
         "table": str,
     },
     "kinetics": {
-        "tau_r_ns": float,
-        "g_center_density_cm3": float,
-        "capture_coefficient_g_cm3_ns": float,
-        "trap_density_cm3": float,
-        "capture_coefficient_trap_cm3_ns": float,
-        "trap_saturation_density_cm3": _float_or_none,
-        "pump_power_mw": float,
-        "carrier_density_per_mw_cm3": float,
+        **_field_keys(DecayModelParams),
         "t_max_ns": float,
         "n_points": int,
         "fit_window_start_ns": float,
         "fit_window_stop_ns": float,
     },
-    "damage": {
-        "damage_rate_per_proton_nm": float,
-        "active_depth_nm": float,
-        "carbon_areal_density_cm2": float,
-        "formation_coefficient_cm2": float,
-        "formation_enhancement_flux": float,
-        "formation_enhancement_exponent": float,
-        "destruction_coefficient_cm2": float,
-        "destruction_activation_energy_ev": float,
-        "destruction_suppression_flux": float,
-        "temperature_k": float,
-        "trap_formation_per_proton": _float_or_none,
-        "dynamic_annealing_rate_s": float,
-        "clustering_threshold_flux": float,
-        "trap_clustering_exponent": float,
-        "trap_lifetime_coupling_cm2_ns": float,
-        "background_tau_nr_ns": float,
-    },
+    # DamageParams.tau_r_ns has never been a [damage] key (the radiative
+    # lifetime already has keys under [emitter] and [kinetics]), so
+    # sweep-fluence always uses its default.
+    "damage": _field_keys(DamageParams, exclude=("tau_r_ns",)),
     "schedule": {
         "template": str,
         "fluences": str,
@@ -156,7 +153,7 @@ _SCHEMA = {
 
 
 class RunConfig:
-    """Validated config: typed values from the file over schema defaults."""
+    """Validated config: the typed values the file sets, and no defaults."""
 
     def __init__(self, values, base_dir="."):
         self.values = values
@@ -164,9 +161,6 @@ class RunConfig:
 
     def get(self, section, key, fallback=None):
         return self.values.get(section, {}).get(key, fallback)
-
-    def has_section(self, section):
-        return section in self.values
 
     def path(self, section, key):
         """Resolve a configured path relative to the config file."""
@@ -199,12 +193,8 @@ def load_config(path=None) -> RunConfig:
                 raise ValidationError(
                     f"unknown config key [{section}] {key} in {path}; known "
                     f"keys: {', '.join(sorted(_SCHEMA[section]))}")
-            caster = _SCHEMA[section][key]
-            try:
-                values[section][key] = caster(raw)
-            except ValueError:
-                raise ValidationError(
-                    f"config key [{section}] {key} has invalid value {raw!r}")
+            values[section][key] = _number(f"config key [{section}] {key}",
+                                           raw, _SCHEMA[section][key])
     cfg = RunConfig(values, base_dir=os.path.dirname(os.path.abspath(path)))
     for section, key in (("response", "table"), ("schedule", "template")):
         ref = cfg.path(section, key)
@@ -313,12 +303,15 @@ def _write_fit_report(path, entries):
 # builders from config
 # ---------------------------------------------------------------------------
 
-def _emitter_from(cfg: RunConfig) -> EmitterParams:
-    return EmitterParams(
-        zpl_wavelength_nm=cfg.get("emitter", "zpl_wavelength_nm",
-                                  ZPL_WAVELENGTH_NM),
-        homogeneous_fwhm_nm=cfg.get("emitter", "homogeneous_fwhm_nm", 0.073),
-        radiative_lifetime_ns=cfg.get("emitter", "radiative_lifetime_ns", 45.0))
+def _build(cls, cfg: RunConfig, section, renames=None, **given):
+    """A params dataclass from the [section] keys named like its fields (or
+    mapped to one by ``renames``); left-out keys keep the class default."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key, value in cfg.values.get(section, {}).items():
+        name = (renames or {}).get(key, key)
+        if name in names:
+            given[name] = value
+    return cls(**given)
 
 
 def _table_from(cfg: RunConfig):
@@ -328,37 +321,10 @@ def _table_from(cfg: RunConfig):
     return load_response_table(path)
 
 
-def _elastic_from(cfg: RunConfig) -> ElasticParams:
-    return ElasticParams(
-        atomic_volume_nm3=cfg.get("elastic", "atomic_volume_nm3", 0.0200),
-        core_cutoff_nm=cfg.get("elastic", "core_cutoff_nm", 0.25))
-
-
 def _decay_params_from(cfg: RunConfig) -> DecayModelParams:
-    kw = {}
-    for key in ("tau_r_ns", "g_center_density_cm3",
-                "capture_coefficient_g_cm3_ns", "trap_density_cm3",
-                "capture_coefficient_trap_cm3_ns", "pump_power_mw",
-                "carrier_density_per_mw_cm3"):
-        val = cfg.get("kinetics", key)
-        if val is not None:
-            kw[key] = val
-    if "kinetics" in cfg.values and "trap_saturation_density_cm3" in \
-            cfg.values["kinetics"]:
-        kw["trap_saturation_density_cm3"] = \
-            cfg.values["kinetics"]["trap_saturation_density_cm3"]
-    t_max = cfg.get("kinetics", "t_max_ns", 100.0)
-    n_points = cfg.get("kinetics", "n_points", 4001)
-    kw["time_grid_ns"] = np.linspace(0.0, t_max, n_points)
-    return DecayModelParams(**kw)
-
-
-def _damage_params_from(cfg: RunConfig) -> DamageParams:
-    kw = {}
-    for key in _SCHEMA["damage"]:
-        if cfg.get("damage", key) is not None:
-            kw[key] = cfg.values["damage"][key]
-    return DamageParams(**kw)
+    grid = np.linspace(0.0, cfg.get("kinetics", "t_max_ns", DECAY_T_MAX_NS),
+                       cfg.get("kinetics", "n_points", DECAY_GRID_POINTS))
+    return _build(DecayModelParams, cfg, "kinetics", time_grid_ns=grid)
 
 
 def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedule:
@@ -384,15 +350,20 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
             "flux_cm2_s,duration_s,gap_s with optional repeat column, "
             f"got {','.join(header)}")
     has_repeat = len(header) == 4
+
+    def cell(cells, column, cast=float):
+        return _number(f"{header[column]} cell of schedule {path}",
+                       cells[column], cast)
+
     parsed = []
     for row in rows[1:]:
         cells = [c.strip() for c in row] + [""] * (4 - len(row))
         if "{duration}" in cells or "{flux}" in cells or "{pulses}" in cells:
             parsed.append(cells)
         else:
-            repeat = int(cells[3]) if has_repeat and cells[3] else 1
-            parsed.append(ScheduleSegment(float(cells[0]), float(cells[1]),
-                                          float(cells[2]), repeat))
+            repeat = cell(cells, 3, int) if has_repeat and cells[3] else 1
+            parsed.append(ScheduleSegment(cell(cells, 0), cell(cells, 1),
+                                          cell(cells, 2), repeat))
     fixed = [run for run in parsed if isinstance(run, ScheduleSegment)]
     if len(fixed) == len(parsed):
         raise ValidationError(
@@ -410,21 +381,20 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
         if isinstance(cells, ScheduleSegment):
             segments.append(cells)
             continue
-        gap = float(cells[2])
+        gap = cell(cells, 2)
         if cells[3] == "{pulses}":
-            flux, duration = float(cells[0]), float(cells[1])
+            flux, duration = cell(cells, 0), cell(cells, 1)
             if share > 0:
                 train = pulsed_schedule(share, flux, duration, duration + gap)
                 segments.extend(train.segments)
             continue
         if "{duration}" in cells:
-            flux = float(cells[0])
+            flux = cell(cells, 0)
             duration = share / flux if flux > 0 else 0.0
-            segments.append(ScheduleSegment(flux, duration, gap))
         else:
-            duration = float(cells[1])
+            duration = cell(cells, 1)
             flux = share / duration if duration > 0 else 0.0
-            segments.append(ScheduleSegment(flux, duration, gap))
+        segments.append(ScheduleSegment(flux, duration, gap))
     return IrradiationSchedule(tuple(segments))
 
 
@@ -434,39 +404,31 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
 
 def cmd_simulate_spectrum(args) -> int:
     cfg = load_config(args.config)
-    emitter = _emitter_from(cfg)
+    emitter = _build(EmitterParams, cfg, "emitter")
     table = _table_from(cfg)
     mode = args.mode or cfg.get("sampler", "mode", "uniform")
     n = (args.samples if args.samples is not None
          else cfg.get("sampler", "samples", 10000))
-    low = cfg.get("sampler", "strain_low", -0.01)
-    high = cfg.get("sampler", "strain_high", 0.01)
 
     if mode == "uniform":
-        ens = sample_uniform(UniformSpec(low, high), n, args.seed, table)
+        spec = _build(UniformSpec, cfg, "sampler")
+        ens = sample_uniform(spec, n, args.seed, table)
     elif mode == "biased-z":
-        spec = BiasedZSpec(low, high,
-                           cfg.get("sampler", "xy_threshold", 0.001),
-                           cfg.get("sampler", "keep_fraction", 0.1))
+        spec = _build(BiasedZSpec, cfg, "sampler")
         ens = sample_biased_z(spec, n, args.seed, table)
     elif mode == "defect-field":
-        if not cfg.has_section("elastic"):
+        if "elastic" not in cfg.values:
             raise ValidationError(
                 "sampler mode defect-field needs an [elastic] config "
                 "section (atomic_volume_nm3, core_cutoff_nm)")
-        elastic = _elastic_from(cfg)
-        v_dens = cfg.get("sampler", "vacancy_density_cm3")
-        i_dens = cfg.get("sampler", "interstitial_density_cm3")
-        if v_dens is not None or i_dens is not None:
-            spec = DefectDensitySpec(
-                vacancy_density_cm3=v_dens or 0.0,
-                interstitial_density_cm3=i_dens or 0.0,
-                r_min_nm=cfg.get("sampler", "r_min_nm", 0.9),
-                r_max_nm=cfg.get("sampler", "r_max_nm", 1.4))
+        elastic = _build(ElasticParams, cfg, "elastic")
+        sampler = cfg.values.get("sampler", {})
+        if ("vacancy_density_cm3" in sampler
+                or "interstitial_density_cm3" in sampler):
+            spec = _build(DefectDensitySpec, cfg, "sampler")
         else:
-            spec = SingleDefectSpec(
-                kind=cfg.get("sampler", "defect_kind", "vacancy"),
-                separation_nm=cfg.get("sampler", "separation_nm", 0.9))
+            spec = _build(SingleDefectSpec, cfg, "sampler",
+                          renames={"defect_kind": "kind"})
         ens = sample_defect_field(spec, n, args.seed, table, elastic)
     else:
         raise ValidationError(
@@ -501,6 +463,13 @@ def cmd_simulate_spectrum(args) -> int:
 
 def cmd_simulate_decay(args) -> int:
     cfg = load_config(args.config)
+    start = cfg.get("kinetics", "fit_window_start_ns")
+    stop = cfg.get("kinetics", "fit_window_stop_ns")
+    if (start is None) != (stop is None):
+        missing = "start" if start is None else "stop"
+        raise ValidationError(
+            f"config key [kinetics] fit_window_{missing}_ns is missing; a "
+            "fit window needs both ends")
     params = _decay_params_from(cfg)
     trace = simulate_decay(params)
     out = args.out or cfg.get("output", "directory", "out")
@@ -509,11 +478,7 @@ def cmd_simulate_decay(args) -> int:
     write_atomic(os.path.join(out, "trace.svg"),
                  svg_line_plot(trace.time_ns, trace.intensity, "time (ns)",
                                "photon rate"))
-    window = None
-    start = cfg.get("kinetics", "fit_window_start_ns")
-    stop = cfg.get("kinetics", "fit_window_stop_ns")
-    if start is not None and stop is not None:
-        window = (start, stop)
+    window = None if start is None else (start, stop)
     fit = fit_single_exponential(trace.time_ns, trace.intensity,
                                  window_ns=window)
     tau_fit = fit.parameters["tau_ns"]
@@ -544,14 +509,15 @@ def cmd_sweep_fluence(args) -> int:
     if not os.path.exists(template):
         raise ValidationError(f"schedule template not found: {template}")
     if args.fluences:
-        fluences = [float(tok) for tok in args.fluences.split(",") if tok]
+        field, raw = "--fluences", args.fluences
     else:
+        field = "config key [schedule] fluences"
         raw = cfg.get("schedule", "fluences",
                       "1e11,3.16e11,1e12,3.16e12,1e13,3.16e13,1e14")
-        fluences = [float(tok) for tok in raw.split(",") if tok]
+    fluences = [_number(field, tok) for tok in raw.split(",") if tok]
     if len(fluences) < 2:
         raise ValidationError("fluence sweep needs at least 2 points")
-    params = _damage_params_from(cfg)
+    params = _build(DamageParams, cfg, "damage")
 
     rows = []
     for fluence in fluences:
@@ -604,16 +570,12 @@ def cmd_fit(args) -> int:
     if not rows:
         raise ValidationError(f"{args.input} is empty")
     header = tuple(c.strip() for c in rows[0])
-    model = args.model or _FIT_HEADERS.get(header)
-    if model is None:
+    if header not in _FIT_HEADERS:
         known = " | ".join(",".join(h) for h in _FIT_HEADERS)
         raise ValidationError(
             f"unrecognized CSV header {','.join(header)!r}; expected one "
             f"of: {known}")
-    if header not in _FIT_HEADERS:
-        raise ValidationError(
-            f"CSV header {','.join(header)!r} does not match the "
-            f"documented input formats")
+    model = args.model or _FIT_HEADERS[header]
     try:
         data = np.array([[float(c) for c in row] for row in rows[1:]])
     except ValueError:
@@ -627,7 +589,8 @@ def cmd_fit(args) -> int:
         window = None
         if args.window:
             lo, _, hi = args.window.partition(":")
-            window = (float(lo), float(hi))
+            window = (_number("--window start", lo),
+                      _number("--window stop", hi))
         fit = fit_single_exponential(x, y, window_ns=window)
         entries = [(k, fit.parameters[k], fit.stderr[k])
                    for k in ("amplitude", "tau_ns", "baseline")]
@@ -791,10 +754,7 @@ def main(argv=None) -> int:
     except (FitError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except DefectSpectraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DefectSpectraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -100,8 +100,8 @@ class BiasedZSpec:
 class SingleDefectSpec:
     """One defect of fixed kind at fixed separation, direction uniform."""
 
-    kind: str
-    separation_nm: float
+    kind: str = "vacancy"
+    separation_nm: float = 0.9
     relaxation_volume_omega0: float | None = None
 
     def __post_init__(self):

@@ -28,7 +28,6 @@ class FitResult:
     parameters: dict
     stderr: dict
     residual_norm: float
-    converged: bool
     n_iterations: int
 
 
@@ -44,7 +43,6 @@ class PeakModel:
     peaks: list
     baseline: float
     residual_norm: float = 0.0
-    converged: bool = True
     stderr: dict = field(default_factory=dict)
 
 
@@ -190,8 +188,7 @@ def fit_single_exponential(time_ns, counts, window_ns=None,
     return FitResult(
         parameters={"amplitude": p[0], "tau_ns": p[1], "baseline": p[2]},
         stderr={"amplitude": err[0], "tau_ns": err[1], "baseline": err[2]},
-        residual_norm=float(np.sqrt(cost)), converged=True,
-        n_iterations=n_iter)
+        residual_norm=float(np.sqrt(cost)), n_iterations=n_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +306,7 @@ def fit_peaks(wavelength_nm, intensity, n_peaks: int,
         stderr[f"amplitude_{rank}"] = float(err[3 * i + 2])
     stderr["baseline"] = float(err[-1])
     return PeakModel(peaks=peaks, baseline=float(b),
-                     residual_norm=float(np.sqrt(cost)), converged=True,
-                     stderr=stderr)
+                     residual_norm=float(np.sqrt(cost)), stderr=stderr)
 
 
 def numerical_fwhm(wavelength_nm, intensity) -> float:
@@ -386,7 +382,7 @@ def fit_power_law(fluence_cm2, intensity) -> FitResult:
         parameters={"exponent": float(slope), "prefactor": prefactor},
         stderr={"exponent": float(slope_err),
                 "prefactor": prefactor * float(inter_err)},
-        residual_norm=float(np.sqrt(ssr)), converged=True, n_iterations=1)
+        residual_norm=float(np.sqrt(ssr)), n_iterations=1)
 
 
 def transient_initial_intensity(time_ns, counts, window_ns=0.1,

@@ -78,8 +78,12 @@ def compose_lifetimes(tau_r_ns: float, tau_nr_ns: float) -> LifetimeSet:
 # pump-decay model
 # ---------------------------------------------------------------------------
 
+DECAY_T_MAX_NS = 100.0
+DECAY_GRID_POINTS = 4001
+
+
 def _default_grid():
-    return np.linspace(0.0, 100.0, 4001)
+    return np.linspace(0.0, DECAY_T_MAX_NS, DECAY_GRID_POINTS)
 
 
 @dataclass

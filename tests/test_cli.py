@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,8 +7,17 @@ import sys
 import numpy as np
 import pytest
 
-from defect_spectra.cli import main, schedule_from_template
-from defect_spectra.core import ValidationError
+from defect_spectra import cli
+from defect_spectra.cli import load_config, main, schedule_from_template
+from defect_spectra.core import EmitterParams, ValidationError
+from defect_spectra.ensemble import (
+    BiasedZSpec,
+    DefectDensitySpec,
+    SingleDefectSpec,
+    UniformSpec,
+)
+from defect_spectra.kinetics import DamageParams, DecayModelParams
+from defect_spectra.strainfield import ElasticParams
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -135,12 +145,136 @@ def test_unknown_config_section_is_fatal(tmp_path):
     assert "sampelr" in res.stderr
 
 
+CONFIG_KEYS = (
+    ("emitter", "zpl_wavelength_nm"),
+    ("emitter", "homogeneous_fwhm_nm"),
+    ("emitter", "radiative_lifetime_ns"),
+    ("sampler", "mode"),
+    ("sampler", "samples"),
+    ("sampler", "strain_low"),
+    ("sampler", "strain_high"),
+    ("sampler", "xy_threshold"),
+    ("sampler", "keep_fraction"),
+    ("sampler", "defect_kind"),
+    ("sampler", "separation_nm"),
+    ("sampler", "vacancy_density_cm3"),
+    ("sampler", "interstitial_density_cm3"),
+    ("sampler", "r_min_nm"),
+    ("sampler", "r_max_nm"),
+    ("sampler", "bin_width_mev"),
+    ("elastic", "atomic_volume_nm3"),
+    ("elastic", "core_cutoff_nm"),
+    ("response", "table"),
+    ("kinetics", "tau_r_ns"),
+    ("kinetics", "g_center_density_cm3"),
+    ("kinetics", "capture_coefficient_g_cm3_ns"),
+    ("kinetics", "trap_density_cm3"),
+    ("kinetics", "capture_coefficient_trap_cm3_ns"),
+    ("kinetics", "trap_saturation_density_cm3"),
+    ("kinetics", "pump_power_mw"),
+    ("kinetics", "carrier_density_per_mw_cm3"),
+    ("kinetics", "t_max_ns"),
+    ("kinetics", "n_points"),
+    ("kinetics", "fit_window_start_ns"),
+    ("kinetics", "fit_window_stop_ns"),
+    ("damage", "damage_rate_per_proton_nm"),
+    ("damage", "active_depth_nm"),
+    ("damage", "carbon_areal_density_cm2"),
+    ("damage", "formation_coefficient_cm2"),
+    ("damage", "formation_enhancement_flux"),
+    ("damage", "formation_enhancement_exponent"),
+    ("damage", "destruction_coefficient_cm2"),
+    ("damage", "destruction_activation_energy_ev"),
+    ("damage", "destruction_suppression_flux"),
+    ("damage", "temperature_k"),
+    ("damage", "trap_formation_per_proton"),
+    ("damage", "dynamic_annealing_rate_s"),
+    ("damage", "clustering_threshold_flux"),
+    ("damage", "trap_clustering_exponent"),
+    ("damage", "trap_lifetime_coupling_cm2_ns"),
+    ("damage", "background_tau_nr_ns"),
+    ("schedule", "template"),
+    ("schedule", "fluences"),
+    ("output", "directory"),
+)
+
+
 def test_help_documents_config_keys():
     res = run_cli("--help")
     assert res.returncode == 0
-    for key in ("zpl_wavelength_nm", "keep_fraction", "trap_density_cm3",
-                "destruction_suppression_flux", "directory", "fluences"):
-        assert key in res.stdout
+    listed, section = [], None
+    epilog = res.stdout.split("config file keys (INI sections):\n")[1]
+    for line in epilog.splitlines():
+        if line.startswith("  ["):
+            section = line.strip()[1:-1]
+        else:
+            listed.append((section, line.strip()))
+    assert listed == list(CONFIG_KEYS)
+
+
+def test_empty_config_builds_dataclass_defaults():
+    cfg = load_config(None)
+    for cls, section in ((EmitterParams, "emitter"),
+                         (ElasticParams, "elastic"),
+                         (DamageParams, "damage"),
+                         (UniformSpec, "sampler"),
+                         (BiasedZSpec, "sampler"),
+                         (DefectDensitySpec, "sampler"),
+                         (SingleDefectSpec, "sampler")):
+        assert cli._build(cls, cfg, section) == cls()
+    built, default = cli._decay_params_from(cfg), DecayModelParams()
+    for field in dataclasses.fields(DecayModelParams):
+        np.testing.assert_array_equal(getattr(built, field.name),
+                                      getattr(default, field.name))
+
+
+def test_readme_config_block_loads(tmp_path):
+    with open(os.path.join(PKG_ROOT, "README.md")) as fh:
+        readme = fh.read()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "readme.ini"
+    config.write_text(block)
+    assert load_config(str(config)).values
+
+
+CW_TEMPLATE = "flux_cm2_s,duration_s,gap_s\n8e11,{duration},0\n"
+TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
+
+
+@pytest.mark.parametrize("files, argv, field", [
+    ({"t.csv": "flux_cm2_s,duration_s,gap_s,repeat\n"
+               "1e12,2.0,1.0,abc\n8e11,{duration},0,\n"},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "1e13,1e14",
+      "--out", "out"], "repeat cell"),
+    ({"t.csv": "flux_cm2_s,duration_s,gap_s\nxyz,{duration},0\n"},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "1e13,1e14",
+      "--out", "out"], "flux_cm2_s cell"),
+    ({"t.csv": CW_TEMPLATE},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "2e14,abc",
+      "--out", "out"], "--fluences"),
+    ({"d.csv": TRACE},
+     ["fit", "--input", "d.csv", "--window", "0:abc", "--report", "r.csv"],
+     "--window stop"),
+    ({"d.csv": TRACE},
+     ["fit", "--input", "d.csv", "--window", "5", "--report", "r.csv"],
+     "--window stop"),
+    ({"k.ini": "[kinetics]\nfit_window_start_ns = 20\n"},
+     ["simulate-decay", "--config", "k.ini", "--seed", "1", "--out", "out"],
+     "fit_window_stop_ns"),
+    ({"k.ini": "[kinetics]\nfit_window_stop_ns = 90\n"},
+     ["simulate-decay", "--config", "k.ini", "--seed", "1", "--out", "out"],
+     "fit_window_start_ns"),
+], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
+        "window-one-end", "window-no-stop", "window-no-start"])
+def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
+                                       argv, field):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err
+    # nothing was written
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import os
 
 import numpy as np
 
-from defect_spectra.cli import svg_line_plot, write_atomic, write_csv
 from defect_spectra.fitting import fit_power_law
 from defect_spectra.kinetics import (
     DamageParams,
@@ -23,6 +22,7 @@ from defect_spectra.kinetics import (
     integrate_damage,
     pulsed_schedule,
 )
+from defect_spectra.output import svg_line_plot, write_atomic, write_csv
 
 FLUENCES_CM2 = np.logspace(11, 14, 9)
 PULSE_FLUX = 7.9e18         # cm^-2 s^-1 during the pulse
@@ -44,30 +44,29 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
 
     params = DamageParams()
-    rows = []
-    for fluence in FLUENCES_CM2:
-        n_p, tau_p, i_p = endpoint(
-            pulsed_schedule(fluence, PULSE_FLUX, PULSE_DURATION_S,
-                            PULSE_PERIOD_S), params)
-        n_c, tau_c, i_c = endpoint(cw_schedule(fluence, CW_FLUX), params)
-        rows.append([fluence, n_p, tau_p, i_p, n_c, tau_c, i_c])
+    # n_G, tau_eff and intensity over FLUENCES_CM2, one array each
+    pulsed = np.array([
+        endpoint(pulsed_schedule(fluence, PULSE_FLUX, PULSE_DURATION_S,
+                                 PULSE_PERIOD_S), params)
+        for fluence in FLUENCES_CM2]).T
+    cw = np.array([endpoint(cw_schedule(fluence, CW_FLUX), params)
+                   for fluence in FLUENCES_CM2]).T
 
     write_csv(os.path.join(args.out, "fluence_scan.csv"),
               ["fluence_cm2", "n_G_pulsed", "tau_eff_pulsed_ns",
                "intensity_pulsed", "n_G_cw", "tau_eff_cw_ns",
-               "intensity_cw"], rows)
+               "intensity_cw"], [FLUENCES_CM2, *pulsed, *cw])
 
-    arr = np.array(rows)
-    fit_p = fit_power_law(arr[:, 0], arr[:, 3])
-    fit_c = fit_power_law(arr[:, 0], arr[:, 6])
+    fit_p = fit_power_law(FLUENCES_CM2, pulsed[2])
+    fit_c = fit_power_law(FLUENCES_CM2, cw[2])
     print(f"pulsed: exponent {fit_p.parameters['exponent']:.3f} "
           f"+- {fit_p.stderr['exponent']:.3f}")
     print(f"cw:     exponent {fit_c.parameters['exponent']:.3f} "
           f"+- {fit_c.stderr['exponent']:.3f}")
-    print(f"cw tau_eff over the sweep: {arr[0, 5]:.2f} -> {arr[-1, 5]:.2f} ns")
+    print(f"cw tau_eff over the sweep: {cw[1, 0]:.2f} -> {cw[1, -1]:.2f} ns")
 
-    for label, col in (("pulsed", 3), ("cw", 6)):
-        svg = svg_line_plot(np.log10(arr[:, 0]), np.log10(arr[:, col]),
+    for label, ends in (("pulsed", pulsed), ("cw", cw)):
+        svg = svg_line_plot(np.log10(FLUENCES_CM2), np.log10(ends[2]),
                             "log10 fluence (cm^-2)", "log10 intensity (arb)")
         write_atomic(os.path.join(args.out, f"scaling_{label}.svg"), svg)
     print(f"wrote fluence_scan.csv, scaling_pulsed.svg, scaling_cw.svg "

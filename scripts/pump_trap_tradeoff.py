@@ -11,13 +11,13 @@ import os
 
 import numpy as np
 
-from defect_spectra.cli import write_csv
 from defect_spectra.fitting import fit_single_exponential
 from defect_spectra.kinetics import (
     DecayModelParams,
     decompose_lifetimes,
     simulate_decay,
 )
+from defect_spectra.output import write_csv
 
 PUMPS_MW = (0.03, 0.1, 0.3, 1.0, 3.0)
 TRAPS_CM3 = (0.0, 1e16, 1e17, 3e17, 1e18)
@@ -40,13 +40,12 @@ def time_grid_for(trap_density_cm3):
     return np.linspace(0.0, T_MAX_NS, n)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/pump_trap_tradeoff")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
-    rows = []
     taus = {}
     for n_trap in TRAPS_CM3:
         grid = time_grid_for(n_trap)
@@ -56,15 +55,16 @@ def main():
                                       time_grid_ns=grid)
             trace = simulate_decay(params)
             fit = fit_single_exponential(trace.time_ns, trace.intensity)
-            tau = fit.parameters["tau_ns"]
-            # tail fits can land a hair above tau_r on trap-free traces;
-            # clamp before decomposing so qe stays <= 1
-            lifetimes = decompose_lifetimes(min(tau, TAU_R_NS), TAU_R_NS)
-            taus[(n_trap, pump)] = tau
-            rows.append([pump, n_trap, tau, lifetimes.qe])
+            taus[(n_trap, pump)] = fit.parameters["tau_ns"]
+    # tail fits can land a hair above tau_r on trap-free traces; clamp
+    # before decomposing so qe stays <= 1
+    qe = [decompose_lifetimes(min(tau, TAU_R_NS), TAU_R_NS).qe
+          for tau in taus.values()]
+    traps, pumps = np.array(list(taus)).T
 
     write_csv(os.path.join(args.out, "pump_trap_tradeoff.csv"),
-              ["pump_mw", "trap_density_cm3", "tau_ns", "qe"], rows)
+              ["pump_mw", "trap_density_cm3", "tau_ns", "qe"],
+              [pumps, traps, list(taus.values()), qe])
 
     header = "trap cm^-3 \\ pump mW"
     print(f"{header:>22}" + "".join(f"{p:>9}" for p in PUMPS_MW))

@@ -12,7 +12,6 @@ import os
 
 import numpy as np
 
-from defect_spectra.cli import svg_line_plot, write_atomic, write_csv
 from defect_spectra.core import EmitterParams
 from defect_spectra.ensemble import (
     DefectDensitySpec,
@@ -21,6 +20,7 @@ from defect_spectra.ensemble import (
     synthesize_spectrum,
 )
 from defect_spectra.fitting import numerical_fwhm
+from defect_spectra.output import svg_line_plot, write_atomic, write_csv
 from defect_spectra.zplmap import default_table
 
 DENSITIES_CM3 = (3e19, 1e20, 3e20, 1e21)
@@ -46,30 +46,24 @@ def run(kind, densities_cm3, n_samples, seed, out_dir):
     all_shifts = np.concatenate([e.shifts_mev for e in ensembles])
     grid = default_wavelength_grid(all_shifts, emitter)
 
-    columns = [("pristine", synthesize_spectrum([0.0], emitter, grid)[1])]
-    for dens, ens in zip(densities_cm3, ensembles):
-        _, intensity = synthesize_spectrum(ens.shifts_mev, emitter, grid)
-        columns.append((f"{dens:.1e}", intensity))
+    # the pristine line first, then one spectrum per density
+    intensities = [synthesize_spectrum(shifts, emitter, grid)[1]
+                   for shifts in [[0.0], *(e.shifts_mev for e in ensembles)]]
+    header = ["wavelength_nm", "intensity_pristine",
+              *(f"intensity_{dens:.1e}" for dens in densities_cm3)]
+    write_csv(os.path.join(out_dir, "spectra_vs_density.csv"), header,
+              [grid, *intensities])
 
-    header = ["wavelength_nm"] + [f"intensity_{label}" for label, _ in columns]
-    rows = [[grid[i]] + [col[i] for _, col in columns]
-            for i in range(len(grid))]
-    write_csv(os.path.join(out_dir, "spectra_vs_density.csv"), header, rows)
-
-    fwhm_rows = []
+    densities = [0.0, *densities_cm3]
+    widths = [numerical_fwhm(grid, intensity) for intensity in intensities]
     print()
     print(f"{'density_cm3':>12}  {'fwhm_nm':>8}")
-    for label, intensity in columns:
-        dens = 0.0 if label == "pristine" else float(label)
-        width = numerical_fwhm(grid, intensity)
-        fwhm_rows.append([dens, width])
+    for dens, width in zip(densities, widths):
         print(f"{dens:12.3e}  {width:8.4f}")
     write_csv(os.path.join(out_dir, "fwhm_vs_density.csv"),
-              ["density_cm3", "fwhm_nm"], fwhm_rows)
+              ["density_cm3", "fwhm_nm"], [densities, widths])
 
-    dens_nonzero = [r[0] for r in fwhm_rows[1:]]
-    widths = [r[1] for r in fwhm_rows[1:]]
-    svg = svg_line_plot(np.log10(dens_nonzero), widths,
+    svg = svg_line_plot(np.log10(densities_cm3), widths[1:],
                         f"log10 {kind} density (cm^-3)", "FWHM (nm)")
     write_atomic(os.path.join(out_dir, "fwhm_vs_density.svg"), svg)
     print(f"\nwrote spectra_vs_density.csv, fwhm_vs_density.csv, "

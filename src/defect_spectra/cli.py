@@ -6,9 +6,10 @@ fields of EmitterParams, ElasticParams, DamageParams and
 DecayModelParams; [sampler] keys fill the ensemble spec of the chosen
 mode, whose class holds their defaults. Unknown sections or keys and
 unparsable values are hard errors, so a typo cannot silently fall back
-to a default. All file outputs are written atomically (temp file in the
-target directory, then rename) with fixed number formatting, so a
-command repeated with the same seed produces byte-identical files.
+to a default. Every file goes through defect_spectra.output (atomic
+writes, fixed number formatting), so a command repeated with the same
+seed produces byte-identical files. A run rejected for a bad input
+(exit 2) writes nothing.
 
 Exit codes: 0 success, 2 validation or config error, 3 numerical
 failure (fit or integration).
@@ -23,7 +24,6 @@ import dataclasses
 import io
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -78,6 +78,7 @@ from .lattice import (
     place_gcenter,
     write_xyz,
 )
+from .output import svg_line_plot, write_atomic, write_csv
 from .strainfield import ElasticParams
 from .zplmap import default_table, load_response_table
 
@@ -214,92 +215,6 @@ def config_help_text() -> str:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
-# ---------------------------------------------------------------------------
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.10g}"
-
-
-def write_atomic(path: str, text: str):
-    """Write text to path via a temp file and rename, never partially."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_csv(path: str, header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, (int, float, np.floating,
-                                                   np.integer)) else str(v)
-                         for v in row])
-    write_atomic(path, buf.getvalue())
-
-
-def svg_line_plot(x, y, xlabel: str, ylabel: str) -> str:
-    """Minimal self-contained SVG polyline plot."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    width, height = 800, 500
-    ml, mr, mt, mb = 70, 20, 20, 50
-    pw, ph = width - ml - mr, height - mt - mb
-    x0, x1 = float(x.min()), float(x.max())
-    y0, y1 = float(y.min()), float(y.max())
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
-    px = ml + (x - x0) / (x1 - x0) * pw
-    py = mt + (1.0 - (y - y0) / (y1 - y0)) * ph
-    pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-    ticks = []
-    for i in range(6):
-        fx = x0 + (x1 - x0) * i / 5
-        cx = ml + pw * i / 5
-        ticks.append(f'<line x1="{cx:.1f}" y1="{mt + ph}" x2="{cx:.1f}" '
-                     f'y2="{mt + ph + 5}" stroke="black"/>')
-        ticks.append(f'<text x="{cx:.1f}" y="{mt + ph + 18}" '
-                     f'text-anchor="middle" font-size="11">{fx:.4g}</text>')
-        fy = y0 + (y1 - y0) * i / 5
-        cy = mt + ph - ph * i / 5
-        ticks.append(f'<line x1="{ml - 5}" y1="{cy:.1f}" x2="{ml}" '
-                     f'y2="{cy:.1f}" stroke="black"/>')
-        ticks.append(f'<text x="{ml - 8}" y="{cy + 4:.1f}" '
-                     f'text-anchor="end" font-size="11">{fy:.4g}</text>')
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n'
-        f'<rect width="{width}" height="{height}" fill="white"/>\n'
-        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
-        f'stroke="black"/>\n'
-        + "\n".join(ticks) + "\n"
-        + f'<text x="{ml + pw / 2}" y="{height - 12}" text-anchor="middle" '
-          f'font-size="13">{xlabel}</text>\n'
-        f'<text x="16" y="{mt + ph / 2}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 16 {mt + ph / 2})">{ylabel}</text>\n'
-        f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" '
-        f'stroke-width="1.5"/>\n</svg>\n')
-
-
-def _write_fit_report(path, entries):
-    """entries: list of (parameter, value, stderr)."""
-    write_csv(path, ["parameter", "value", "stderr"], entries)
-
-
-# ---------------------------------------------------------------------------
 # builders from config
 # ---------------------------------------------------------------------------
 
@@ -402,6 +317,17 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
 # subcommands
 # ---------------------------------------------------------------------------
 
+_REPORT_HEADER = ["parameter", "value", "stderr"]
+
+
+def _report_columns(fit, **extra):
+    """Fit report columns: the fit's parameters with their stderrs, then
+    the derived ``extra`` values with stderr 0."""
+    return [[*fit.parameters, *extra],
+            [*fit.parameters.values(), *extra.values()],
+            [*(fit.stderr[k] for k in fit.parameters), *[0.0] * len(extra)]]
+
+
 def cmd_simulate_spectrum(args) -> int:
     cfg = load_config(args.config)
     emitter = _build(EmitterParams, cfg, "emitter")
@@ -436,23 +362,21 @@ def cmd_simulate_spectrum(args) -> int:
             "defect-field")
 
     out = args.out or cfg.get("output", "directory", "out")
-    grid, intensity = synthesize_spectrum(ens.shifts_mev, emitter)
-    write_csv(os.path.join(out, "spectrum.csv"),
-              ["wavelength_nm", "intensity"], zip(grid, intensity))
     edges, counts = histogram_shifts(
         ens.shifts_mev, cfg.get("sampler", "bin_width_mev", 0.25))
-    centers = 0.5 * (edges[:-1] + edges[1:])
+    grid, intensity = synthesize_spectrum(ens.shifts_mev, emitter)
+    write_csv(os.path.join(out, "spectrum.csv"),
+              ["wavelength_nm", "intensity"], [grid, intensity])
     write_csv(os.path.join(out, "histogram.csv"), ["shift_mev", "count"],
-              zip(centers, counts))
+              [0.5 * (edges[:-1] + edges[1:]), counts])
     write_atomic(os.path.join(out, "spectrum.svg"),
                  svg_line_plot(grid, intensity, "wavelength (nm)",
                                "intensity (peak-normalized)"))
     if args.dump_samples:
         header = ["sample_id", "e_xx", "e_yy", "e_zz", "e_xy", "e_xz",
                   "e_yz", "shift_mev"]
-        rows = ([i, *ens.strains[i], ens.shifts_mev[i]]
-                for i in range(len(ens)))
-        write_csv(os.path.join(out, "samples.csv"), header, rows)
+        write_csv(os.path.join(out, "samples.csv"), header,
+                  [np.arange(len(ens)), *ens.strains.T, ens.shifts_mev])
     prov = ens.provenance
     print(f"{mode}: {prov.n_retained} samples "
           f"({prov.n_raw_draws} raw draws, "
@@ -472,28 +396,22 @@ def cmd_simulate_decay(args) -> int:
             "fit window needs both ends")
     params = _decay_params_from(cfg)
     trace = simulate_decay(params)
-    out = args.out or cfg.get("output", "directory", "out")
-    write_csv(os.path.join(out, "trace.csv"), ["time_ns", "counts"],
-              zip(trace.time_ns, trace.intensity))
-    write_atomic(os.path.join(out, "trace.svg"),
-                 svg_line_plot(trace.time_ns, trace.intensity, "time (ns)",
-                               "photon rate"))
     window = None if start is None else (start, stop)
     fit = fit_single_exponential(trace.time_ns, trace.intensity,
                                  window_ns=window)
     tau_fit = fit.parameters["tau_ns"]
     lifetimes = decompose_lifetimes(min(tau_fit, params.tau_r_ns),
                                     params.tau_r_ns)
-    entries = [
-        ("amplitude", fit.parameters["amplitude"], fit.stderr["amplitude"]),
-        ("tau_ns", tau_fit, fit.stderr["tau_ns"]),
-        ("baseline", fit.parameters["baseline"], fit.stderr["baseline"]),
-        ("tau_eff_ns", lifetimes.tau_eff_ns, 0.0),
-        ("tau_nr_ns", lifetimes.tau_nr_ns, 0.0),
-        ("qe", lifetimes.qe, 0.0),
-        ("rise_time_ns", rise_time(trace), 0.0),
-    ]
-    _write_fit_report(os.path.join(out, "fit_report.csv"), entries)
+    report = _report_columns(fit, tau_eff_ns=lifetimes.tau_eff_ns,
+                             tau_nr_ns=lifetimes.tau_nr_ns, qe=lifetimes.qe,
+                             rise_time_ns=rise_time(trace))
+    out = args.out or cfg.get("output", "directory", "out")
+    write_csv(os.path.join(out, "trace.csv"), ["time_ns", "counts"],
+              [trace.time_ns, trace.intensity])
+    write_atomic(os.path.join(out, "trace.svg"),
+                 svg_line_plot(trace.time_ns, trace.intensity, "time (ns)",
+                               "photon rate"))
+    write_csv(os.path.join(out, "fit_report.csv"), _REPORT_HEADER, report)
     print(f"decay: tau_eff {lifetimes.tau_eff_ns:.3f} ns, "
           f"qe {lifetimes.qe:.3f}, outputs in {out}")
     return 0
@@ -519,36 +437,33 @@ def cmd_sweep_fluence(args) -> int:
         raise ValidationError("fluence sweep needs at least 2 points")
     params = _build(DamageParams, cfg, "damage")
 
-    rows = []
-    for fluence in fluences:
-        schedule = schedule_from_template(template, fluence)
-        history = integrate_damage(schedule, params)
-        n_g = history.n_g_cm2[-1]
-        n_trap = history.n_trap_cm2[-1]
-        tau_eff = history.tau_eff_ns[-1]
-        lifetimes = decompose_lifetimes(tau_eff, params.tau_r_ns)
-        intensity = pl_proxy(n_g, lifetimes)["integrated_intensity"]
-        rows.append((fluence, n_g, n_trap, tau_eff, intensity))
+    n_g, n_trap, tau_eff, intensity = np.empty((4, len(fluences)))
+    for i, fluence in enumerate(fluences):
+        history = integrate_damage(schedule_from_template(template, fluence),
+                                   params)
+        n_g[i] = history.n_g_cm2[-1]
+        n_trap[i] = history.n_trap_cm2[-1]
+        tau_eff[i] = history.tau_eff_ns[-1]
+        lifetimes = decompose_lifetimes(tau_eff[i], params.tau_r_ns)
+        intensity[i] = pl_proxy(n_g[i], lifetimes)["integrated_intensity"]
 
     out = args.out or cfg.get("output", "directory", "out")
     write_csv(os.path.join(out, "sweep.csv"),
               ["fluence_cm2", "n_G", "n_trap", "tau_eff_ns", "intensity"],
-              rows)
+              [fluences, n_g, n_trap, tau_eff, intensity])
     try:
-        fit = fit_power_law([r[0] for r in rows], [r[4] for r in rows])
+        fit = fit_power_law(fluences, intensity)
     except InvalidArgumentError as exc:
         # data-driven failure of the scaling fit is a numerical error,
         # not a config problem
         raise FitError(f"power-law fit of the sweep failed: {exc}")
-    _write_fit_report(os.path.join(out, "scaling_fit.csv"), [
-        ("exponent", fit.parameters["exponent"], fit.stderr["exponent"]),
-        ("prefactor", fit.parameters["prefactor"], fit.stderr["prefactor"]),
-    ])
+    write_csv(os.path.join(out, "scaling_fit.csv"), _REPORT_HEADER,
+              _report_columns(fit))
     write_atomic(os.path.join(out, "sweep.svg"),
-                 svg_line_plot(np.log10([r[0] for r in rows]),
-                               np.log10([max(r[4], 1e-300) for r in rows]),
+                 svg_line_plot(np.log10(fluences),
+                               np.log10(np.maximum(intensity, 1e-300)),
                                "log10 fluence (cm^-2)", "log10 intensity"))
-    print(f"sweep: {len(rows)} fluences, exponent "
+    print(f"sweep: {len(fluences)} fluences, exponent "
           f"{fit.parameters['exponent']:.3f} "
           f"+- {fit.stderr['exponent']:.3f}, outputs in {out}")
     return 0
@@ -576,15 +491,14 @@ def cmd_fit(args) -> int:
             f"unrecognized CSV header {','.join(header)!r}; expected one "
             f"of: {known}")
     model = args.model or _FIT_HEADERS[header]
+    if len(rows) < 2 or any(len(row) != 2 for row in rows[1:]):
+        raise ValidationError(f"{args.input} must have exactly 2 columns")
     try:
         data = np.array([[float(c) for c in row] for row in rows[1:]])
     except ValueError:
         raise ValidationError(f"non-numeric data row in {args.input}")
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValidationError(f"{args.input} must have exactly 2 columns")
     x, y = data[:, 0], data[:, 1]
 
-    entries = []
     if model == "exponential":
         window = None
         if args.window:
@@ -592,30 +506,26 @@ def cmd_fit(args) -> int:
             window = (_number("--window start", lo),
                       _number("--window stop", hi))
         fit = fit_single_exponential(x, y, window_ns=window)
-        entries = [(k, fit.parameters[k], fit.stderr[k])
-                   for k in ("amplitude", "tau_ns", "baseline")]
+        report = _report_columns(fit)
         summary = f"tau = {fit.parameters['tau_ns']:.4g} ns"
     elif model == "peaks":
         peaks = fit_peaks(x, y, args.peaks)
+        names, values = [], []
         for i, peak in enumerate(peaks.peaks):
-            entries.append((f"center_{i}_nm", peak.center_nm,
-                            peaks.stderr.get(f"center_{i}", 0.0)))
-            entries.append((f"fwhm_{i}_nm", peak.fwhm_nm,
-                            peaks.stderr.get(f"fwhm_{i}", 0.0)))
-            entries.append((f"amplitude_{i}", peak.amplitude,
-                            peaks.stderr.get(f"amplitude_{i}", 0.0)))
-        entries.append(("baseline", peaks.baseline,
-                        peaks.stderr.get("baseline", 0.0)))
+            names += [f"center_{i}_nm", f"fwhm_{i}_nm", f"amplitude_{i}"]
+            values += [peak.center_nm, peak.fwhm_nm, peak.amplitude]
+        # peaks.stderr is keyed and ordered like these rows, baseline last
+        report = [names + ["baseline"], values + [peaks.baseline],
+                  list(peaks.stderr.values())]
         summary = ", ".join(f"{p.center_nm:.4f} nm" for p in peaks.peaks)
     else:
         fit = fit_power_law(x, y)
-        entries = [(k, fit.parameters[k], fit.stderr[k])
-                   for k in ("exponent", "prefactor")]
+        report = _report_columns(fit)
         summary = f"exponent = {fit.parameters['exponent']:.4g}"
 
-    report = args.report or "fit_report.csv"
-    _write_fit_report(report, entries)
-    print(f"fit ({model}): {summary}; report written to {report}")
+    path = args.report or "fit_report.csv"
+    write_csv(path, _REPORT_HEADER, report)
+    print(f"fit ({model}): {summary}; report written to {path}")
     return 0
 
 
@@ -623,22 +533,21 @@ def cmd_enumerate_sites(args) -> int:
     spec = SupercellSpec(repeats=args.repeats)
     geom = build_supercell(spec)
     geom = place_gcenter(geom)
-    rows = []
     kinds = (["vacancy", "interstitial-void"] if args.kind == "both"
              else [args.kind])
-    for kind in kinds:
-        cands = enumerate_candidates(geom, kind)
-        for pos, sep in zip(cands.positions_frac, cands.separation_nm):
-            rows.append((kind, pos[0], pos[1], pos[2], sep))
+    cands = [enumerate_candidates(geom, kind) for kind in kinds]
+    counts = [len(c.separation_nm) for c in cands]
     out = args.out or "out"
     write_csv(os.path.join(out, "sites.csv"),
-              ["kind", "frac_x", "frac_y", "frac_z", "separation_nm"], rows)
+              ["kind", "frac_x", "frac_y", "frac_z", "separation_nm"],
+              [np.repeat(kinds, counts),
+               *np.concatenate([c.positions_frac for c in cands]).T,
+               np.concatenate([c.separation_nm for c in cands])])
     if args.xyz:
         buf = io.StringIO()
         write_xyz(geom, buf)
         write_atomic(os.path.join(out, "supercell.xyz"), buf.getvalue())
-    counts = {k: sum(1 for r in rows if r[0] == k) for k in kinds}
-    print("sites: " + ", ".join(f"{v} {k}" for k, v in counts.items())
+    print("sites: " + ", ".join(f"{n} {k}" for k, n in zip(kinds, counts))
           + f", written to {out}")
     return 0
 
@@ -652,6 +561,8 @@ def cmd_convert(args) -> int:
             "--shift-mev, --shift-nm")
     ref = args.reference_nm
     if args.wavelength_nm is not None:
+        if args.wavelength_nm <= 0:
+            raise InvalidArgumentError("wavelength must be positive")
         print(f"energy_ev = {HC_EV_NM / args.wavelength_nm:.10g}")
     elif args.energy_ev is not None:
         if args.energy_ev <= 0:

@@ -264,8 +264,19 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"k.ini": "[kinetics]\nfit_window_stop_ns = 90\n"},
      ["simulate-decay", "--config", "k.ini", "--seed", "1", "--out", "out"],
      "fit_window_start_ns"),
+    ({"k.ini": "[kinetics]\nfit_window_start_ns = 50\n"
+               "fit_window_stop_ns = 10\n"},
+     ["simulate-decay", "--config", "k.ini", "--seed", "1", "--out", "out"],
+     "fit window [50, 10] ns holds 0 points"),
+    ({"s.ini": "[sampler]\nbin_width_mev = 0\n"},
+     ["simulate-spectrum", "--config", "s.ini", "--seed", "1", "--samples",
+      "200", "--out", "out"], "bin_width_mev"),
+    ({"d.csv": "time_ns,counts\n0,1.0\n1,0.5,7\n2,0.25\n"},
+     ["fit", "--input", "d.csv", "--report", "r.csv"],
+     "must have exactly 2 columns"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
-        "window-one-end", "window-no-stop", "window-no-start"])
+        "window-one-end", "window-no-stop", "window-no-start",
+        "window-reversed", "bin-width-zero", "fit-ragged-row"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)
@@ -526,6 +537,12 @@ def test_convert_wavelength_energy():
     assert float(res.stdout.split("=")[1]) == pytest.approx(0.96991, abs=1e-4)
     res = run_cli("convert", "--energy-ev", "0.9699147305")
     assert float(res.stdout.split("=")[1]) == pytest.approx(1278.3, abs=1e-4)
+
+
+@pytest.mark.parametrize("wavelength", ["0", "-3"])
+def test_convert_non_positive_wavelength_is_usage_error(wavelength, capsys):
+    assert main(["convert", "--wavelength-nm", wavelength]) == 2
+    assert "wavelength must be positive" in capsys.readouterr().err
 
 
 def test_convert_needs_exactly_one_quantity():

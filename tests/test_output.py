@@ -1,0 +1,54 @@
+import numpy as np
+import pytest
+
+from defect_spectra.output import svg_line_plot, write_csv
+
+EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300,
+               -1e300, 1e-300, -1e-300, 1.0, 1.0 / 3.0, 123456789012.5,
+               2.5e-7]
+
+
+def _cell(value):
+    """Per-cell reference format: integers in full, floats as %.10g."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.10g}"
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    rng = np.random.default_rng(0)
+    n_random = 2000
+    floats = np.concatenate([
+        EDGE_FLOATS,
+        rng.standard_normal(n_random) * 10.0 ** rng.integers(-300, 300,
+                                                             n_random)])
+    n = len(floats)
+    numpy_ints = np.arange(n, dtype=np.int64) - 7
+    python_ints = [int(v) for v in rng.integers(-2**62, 2**62, n)]
+    strings = [f"site-{i}" for i in range(n)]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["i", "big", "x", "kind"],
+              [numpy_ints, python_ints, floats, strings])
+    expected = "i,big,x,kind\n" + "".join(
+        f"{_cell(a)},{_cell(b)},{_cell(x)},{s}\n"
+        for a, b, x, s in zip(numpy_ints, python_ints, floats, strings))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_write_csv_unequal_columns_raise(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "t.csv"), ["a", "b"],
+                  [np.arange(3), np.arange(4.0)])
+    assert not list(tmp_path.iterdir())
+
+
+def test_svg_polyline_matches_per_point_format():
+    rng = np.random.default_rng(1)
+    x = np.sort(rng.uniform(0.0, 100.0, 40_000))
+    y = rng.standard_normal(40_000)
+    svg = svg_line_plot(x, y, "x", "y")
+    # the plot area of svg_line_plot: 710 x 430 px at offset (70, 20)
+    px = 70 + (x - x.min()) / (x.max() - x.min()) * 710
+    py = 20 + (1.0 - (y - y.min()) / (y.max() - y.min())) * 430
+    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+    assert f'<polyline points="{points}"' in svg

@@ -45,3 +45,17 @@ def test_fluence_exponent_scan_smoke(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0][:2] == ["fluence_cm2", "n_G_pulsed"]
     assert len(rows) == 1 + 9
+
+
+def test_pump_trap_tradeoff_smoke(tmp_path, monkeypatch):
+    script = load_script("pump_trap_tradeoff")
+    monkeypatch.setattr(script, "PUMPS_MW", (0.1, 1.0))
+    monkeypatch.setattr(script, "TRAPS_CM3", (0.0, 1e17))
+    script.main(["--out", str(tmp_path)])
+    with open(tmp_path / "pump_trap_tradeoff.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["pump_mw", "trap_density_cm3", "tau_ns", "qe"]
+    assert len(rows) == 1 + 2 * 2
+    tau = {(float(r[1]), float(r[0])): float(r[2]) for r in rows[1:]}
+    for pump in (0.1, 1.0):
+        assert tau[(1e17, pump)] < tau[(0.0, pump)]

@@ -560,6 +560,11 @@ def cmd_convert(args) -> int:
             "convert needs exactly one of --wavelength-nm, --energy-ev, "
             "--shift-mev, --shift-nm")
     ref = args.reference_nm
+    for name in (given[0], "reference_nm"):
+        value = getattr(args, name)
+        if not np.isfinite(value):
+            raise InvalidArgumentError(
+                f"--{name.replace('_', '-')} must be finite, got {value}")
     if args.wavelength_nm is not None:
         if args.wavelength_nm <= 0:
             raise InvalidArgumentError("wavelength must be positive")

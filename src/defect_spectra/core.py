@@ -102,12 +102,12 @@ class EmitterParams:
     radiative_lifetime_ns: float = RADIATIVE_LIFETIME_NS
 
     def __post_init__(self):
-        if self.zpl_wavelength_nm <= 0:
-            raise InvalidArgumentError("zpl_wavelength_nm must be positive")
-        if self.homogeneous_fwhm_nm <= 0:
-            raise InvalidArgumentError("homogeneous_fwhm_nm must be positive")
-        if self.radiative_lifetime_ns <= 0:
-            raise InvalidArgumentError("radiative_lifetime_ns must be positive")
+        for name in ("zpl_wavelength_nm", "homogeneous_fwhm_nm",
+                     "radiative_lifetime_ns"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InvalidArgumentError(
+                    f"{name} must be positive and finite, got {value}")
 
     @property
     def zpl_energy_ev(self) -> float:

@@ -32,6 +32,11 @@ from .strainfield import (
 from .zplmap import ResponseTable, component_ranges, shift_for_strain
 
 CHUNK = 4096
+# Samples per block of the Lorentzian sum in synthesize_spectrum: one
+# block-by-grid buffer stays in cache. Each grid point's summation order
+# depends on it, so it is fixed here and never derived from the grid, a
+# thread count or a user setting.
+SYNTH_BLOCK = 256
 _MODE_IDS = {"uniform": 1, "biased-z": 2, "defect-field": 3}
 
 
@@ -386,9 +391,7 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
     shifts_mev = np.atleast_1d(np.asarray(shifts_mev, dtype=float))
     if shifts_mev.size == 0:
         raise EmptyEnsembleError("no samples to synthesize a spectrum from")
-    if weights is None:
-        weights = np.ones_like(shifts_mev)
-    else:
+    if weights is not None:
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if weights.shape != shifts_mev.shape:
             raise InvalidArgumentError("weights must match shifts in shape")
@@ -412,15 +415,23 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
             "grid does not cover the reference line plus max shift plus ten "
             "homogeneous widths")
 
+    # The area factor fwhm/(2*pi) is constant, and the peak normalization
+    # below cancels it, so each term is 1/((x - c)^2 + (fwhm/2)^2).
     centers = lam0 + dl
-    half = fwhm / 2.0
-    prefac = fwhm / (2.0 * np.pi)
+    half_sq = (fwhm / 2.0) ** 2
     intensity = np.zeros_like(grid)
-    for start in range(0, len(centers), CHUNK):
-        c = centers[start:start + CHUNK, None]
-        w = weights[start:start + CHUNK, None]
-        intensity += np.sum(w * prefac / ((grid[None, :] - c) ** 2 + half ** 2),
-                            axis=0)
+    buf = np.empty((min(SYNTH_BLOCK, len(centers)), len(grid)))
+    for start in range(0, len(centers), SYNTH_BLOCK):
+        c = centers[start:start + SYNTH_BLOCK, None]
+        b = buf[:len(c)]
+        np.subtract(grid, c, out=b)
+        np.square(b, out=b)
+        b += half_sq
+        np.reciprocal(b, out=b)
+        if weights is None:
+            intensity += b.sum(axis=0)
+        else:
+            intensity += weights[start:start + SYNTH_BLOCK] @ b
     peak = float(intensity.max())
     if peak > 0:
         intensity = intensity / peak

@@ -274,9 +274,16 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"d.csv": "time_ns,counts\n0,1.0\n1,0.5,7\n2,0.25\n"},
      ["fit", "--input", "d.csv", "--report", "r.csv"],
      "must have exactly 2 columns"),
+    ({"e.ini": "[emitter]\nhomogeneous_fwhm_nm = nan\n"},
+     ["simulate-spectrum", "--config", "e.ini", "--seed", "1", "--samples",
+      "200", "--out", "out"], "homogeneous_fwhm_nm"),
+    ({"e.ini": "[emitter]\nhomogeneous_fwhm_nm = inf\n"},
+     ["simulate-spectrum", "--config", "e.ini", "--seed", "1", "--samples",
+      "200", "--out", "out"], "homogeneous_fwhm_nm"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
-        "window-reversed", "bin-width-zero", "fit-ragged-row"])
+        "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
+        "fwhm-inf"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)
@@ -543,6 +550,27 @@ def test_convert_wavelength_energy():
 def test_convert_non_positive_wavelength_is_usage_error(wavelength, capsys):
     assert main(["convert", "--wavelength-nm", wavelength]) == 2
     assert "wavelength must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--wavelength-nm", "nan"], "--wavelength-nm must be finite"),
+    (["--wavelength-nm", "inf"], "--wavelength-nm must be finite"),
+    (["--energy-ev", "nan"], "--energy-ev must be finite"),
+    (["--energy-ev", "inf"], "--energy-ev must be finite"),
+    (["--energy-ev", "0"], "energy must be positive"),
+    (["--energy-ev=-2"], "energy must be positive"),
+    (["--shift-mev", "nan"], "--shift-mev must be finite"),
+    (["--shift-nm=-inf"], "--shift-nm must be finite"),
+    (["--shift-mev", "1", "--reference-nm", "inf"],
+     "--reference-nm must be finite"),
+], ids=["wavelength-nan", "wavelength-inf", "energy-nan", "energy-inf",
+        "energy-zero", "energy-negative", "shift-mev-nan", "shift-nm-inf",
+        "reference-inf"])
+def test_convert_bad_quantity_is_usage_error(argv, message, capsys):
+    assert main(["convert", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_convert_needs_exactly_one_quantity():

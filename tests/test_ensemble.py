@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from defect_spectra.core import (
     InvalidArgumentError,
     RangeError,
     ResolutionError,
+    delta_lambda_from_delta_e,
 )
 from defect_spectra.ensemble import (
+    SYNTH_BLOCK,
     BiasedZSpec,
     DefectDensitySpec,
     SingleDefectSpec,
@@ -359,6 +362,50 @@ def test_spectrum_weights():
     red_frac_even = even[mid:].sum() / even.sum()
     red_frac_lop = lop[mid:].sum() / lop.sum()
     assert red_frac_lop > red_frac_even
+
+
+def _direct_lorentzian_sum(grid, shifts_mev, emitter):
+    """One term at a time: sum of 1/((x - c)^2 + h^2), peak-normalized."""
+    lam0 = emitter.zpl_wavelength_nm
+    half = emitter.homogeneous_fwhm_nm / 2.0
+    total = np.zeros_like(grid)
+    for c in lam0 + delta_lambda_from_delta_e(shifts_mev, lam0):
+        total += 1.0 / ((grid - c) ** 2 + half ** 2)
+    return total / total.max()
+
+
+@pytest.mark.parametrize("n", [1, SYNTH_BLOCK - 1, SYNTH_BLOCK,
+                               SYNTH_BLOCK + 1, 3 * SYNTH_BLOCK + 7])
+def test_spectrum_matches_direct_sum(n):
+    emitter = EmitterParams()
+    shifts = np.random.default_rng(n).uniform(-3.0, 3.0, n)
+    grid, intensity = synthesize_spectrum(shifts, emitter)
+    np.testing.assert_allclose(
+        intensity, _direct_lorentzian_sum(grid, shifts, emitter), rtol=1e-12)
+
+
+def test_spectrum_weights_match_duplicated_shifts():
+    emitter = EmitterParams()
+    grid = default_wavelength_grid(np.array([-1.5, 2.0]), emitter)
+    _, weighted = synthesize_spectrum(np.array([-1.5, 2.0]), emitter, grid,
+                                      weights=np.array([2.0, 1.0]))
+    _, repeated = synthesize_spectrum(np.array([-1.5, -1.5, 2.0]), emitter,
+                                      grid)
+    np.testing.assert_allclose(weighted, repeated, rtol=1e-12)
+
+
+def test_spectrum_memory_is_one_block():
+    emitter = EmitterParams()
+    shifts = np.linspace(-2.5, 2.5, 20000)
+    tracemalloc.start()
+    try:
+        grid, _ = synthesize_spectrum(shifts, emitter)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == 885
+    # one SYNTH_BLOCK x grid buffer is 1.8 MB; 20k x grid would be 142 MB
+    assert peak < 8e6
 
 
 def test_spectrum_grid_resolution_guard():

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import io
 import os
@@ -39,6 +38,7 @@ from .core import (
     ValidationError,
     delta_e_from_delta_lambda,
     delta_lambda_from_delta_e,
+    number,
 )
 from .ensemble import (
     BiasedZSpec,
@@ -78,7 +78,7 @@ from .lattice import (
     place_gcenter,
     write_xyz,
 )
-from .output import svg_line_plot, write_atomic, write_csv
+from .output import read_csv, svg_line_plot, write_atomic, write_csv
 from .strainfield import ElasticParams
 from .zplmap import default_table, load_response_table
 
@@ -90,14 +90,6 @@ def _float_or_none(text):
     if text.strip().lower() in ("none", ""):
         return None
     return float(text)
-
-
-def _number(field, text, cast=float):
-    """Cast a user-supplied value; on failure name its field in the error."""
-    try:
-        return cast(text)
-    except ValueError:
-        raise ValidationError(f"{field} has invalid value {text!r}") from None
 
 
 # Config casts of the scalar dataclass field types; other fields, such as
@@ -194,8 +186,8 @@ def load_config(path=None) -> RunConfig:
                 raise ValidationError(
                     f"unknown config key [{section}] {key} in {path}; known "
                     f"keys: {', '.join(sorted(_SCHEMA[section]))}")
-            values[section][key] = _number(f"config key [{section}] {key}",
-                                           raw, _SCHEMA[section][key])
+            values[section][key] = number(f"config key [{section}] {key}",
+                                          raw, _SCHEMA[section][key])
     cfg = RunConfig(values, base_dir=os.path.dirname(os.path.abspath(path)))
     for section, key in (("response", "table"), ("schedule", "template")):
         ref = cfg.path(section, key)
@@ -237,7 +229,11 @@ def _table_from(cfg: RunConfig):
 
 
 def _decay_params_from(cfg: RunConfig) -> DecayModelParams:
-    grid = np.linspace(0.0, cfg.get("kinetics", "t_max_ns", DECAY_T_MAX_NS),
+    t_max = cfg.get("kinetics", "t_max_ns", DECAY_T_MAX_NS)
+    if not 0 < t_max < np.inf:
+        raise ValidationError(f"config key [kinetics] t_max_ns must be "
+                              f"positive and finite, got {t_max}")
+    grid = np.linspace(0.0, t_max,
                        cfg.get("kinetics", "n_points", DECAY_GRID_POINTS))
     return _build(DecayModelParams, cfg, "kinetics", time_grid_ns=grid)
 
@@ -252,12 +248,7 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
     rows. A {duration} row with zero flux gets duration zero: it cannot
     deliver fluence.
     """
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    rows = [r for r in rows if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise ValidationError(f"schedule file {path} is empty")
-    header = [c.strip() for c in rows[0]]
+    header, rows = read_csv(path)
     if header[:3] != ["flux_cm2_s", "duration_s", "gap_s"] or \
             header[3:] not in ([], ["repeat"]):
         raise ValidationError(
@@ -267,12 +258,12 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
     has_repeat = len(header) == 4
 
     def cell(cells, column, cast=float):
-        return _number(f"{header[column]} cell of schedule {path}",
-                       cells[column], cast)
+        return number(f"{header[column]} cell of schedule {path}",
+                      cells[column], cast)
 
     parsed = []
-    for row in rows[1:]:
-        cells = [c.strip() for c in row] + [""] * (4 - len(row))
+    for row in rows:
+        cells = row + [""] * (4 - len(row))
         if "{duration}" in cells or "{flux}" in cells or "{pulses}" in cells:
             parsed.append(cells)
         else:
@@ -424,17 +415,16 @@ def cmd_sweep_fluence(args) -> int:
         raise ValidationError(
             "sweep-fluence needs a schedule template "
             "(--template or [schedule] template)")
-    if not os.path.exists(template):
-        raise ValidationError(f"schedule template not found: {template}")
     if args.fluences:
         field, raw = "--fluences", args.fluences
     else:
         field = "config key [schedule] fluences"
         raw = cfg.get("schedule", "fluences",
                       "1e11,3.16e11,1e12,3.16e12,1e13,3.16e13,1e14")
-    fluences = [_number(field, tok) for tok in raw.split(",") if tok]
-    if len(fluences) < 2:
-        raise ValidationError("fluence sweep needs at least 2 points")
+    fluences = [number(field, tok) for tok in raw.split(",") if tok]
+    if len(fluences) < 2 or not all(0 < f < np.inf for f in fluences):
+        raise ValidationError(
+            f"{field} needs at least 2 positive finite fluences, got {raw!r}")
     params = _build(DamageParams, cfg, "damage")
 
     n_g, n_trap, tau_eff, intensity = np.empty((4, len(fluences)))
@@ -477,34 +467,24 @@ _FIT_HEADERS = {
 
 
 def cmd_fit(args) -> int:
-    if not os.path.exists(args.input):
-        raise ValidationError(f"input file not found: {args.input}")
-    with open(args.input, newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [r for r in reader if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise ValidationError(f"{args.input} is empty")
-    header = tuple(c.strip() for c in rows[0])
-    if header not in _FIT_HEADERS:
+    header, rows = read_csv(args.input)
+    if tuple(header) not in _FIT_HEADERS:
         known = " | ".join(",".join(h) for h in _FIT_HEADERS)
         raise ValidationError(
             f"unrecognized CSV header {','.join(header)!r}; expected one "
             f"of: {known}")
-    model = args.model or _FIT_HEADERS[header]
-    if len(rows) < 2 or any(len(row) != 2 for row in rows[1:]):
-        raise ValidationError(f"{args.input} must have exactly 2 columns")
-    try:
-        data = np.array([[float(c) for c in row] for row in rows[1:]])
-    except ValueError:
-        raise ValidationError(f"non-numeric data row in {args.input}")
-    x, y = data[:, 0], data[:, 1]
+    model = args.model or _FIT_HEADERS[tuple(header)]
+    data = np.array([[number(f"{name} cell of {args.input}", cell)
+                      for name, cell in zip(header, row)] for row in rows])
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"{args.input} holds a non-finite value")
+    x, y = data.T
 
     if model == "exponential":
         window = None
         if args.window:
             lo, _, hi = args.window.partition(":")
-            window = (_number("--window start", lo),
-                      _number("--window stop", hi))
+            window = (number("--window start", lo), number("--window stop", hi))
         fit = fit_single_exponential(x, y, window_ns=window)
         report = _report_columns(fit)
         summary = f"tau = {fit.parameters['tau_ns']:.4g} ns"

@@ -90,6 +90,45 @@ class IntegrationError(DefectSpectraError, RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# outside input: numbers, params fields and grids
+# ---------------------------------------------------------------------------
+
+def number(field, text, cast=float):
+    """Outside text as a number; text that does not parse or parses to NaN
+    raises ValidationError naming ``field``. +-inf parse."""
+    try:
+        value = cast(text)
+        if value != value:
+            raise ValueError
+        return value
+    except ValueError:
+        raise ValidationError(f"{field} has invalid value {text!r}") from None
+
+
+def check_fields(obj, positive=(), nonnegative=(), error=InvalidArgumentError):
+    """Require each named field of ``obj`` that is not None to be finite
+    and > 0 (``positive``) or >= 0 (``nonnegative``); NaN fails both."""
+    for names, rule, low in ((positive, "positive", np.greater),
+                             (nonnegative, "nonnegative", np.greater_equal)):
+        for name in names:
+            value = getattr(obj, name)
+            if value is not None and not (np.isfinite(value) and low(value, 0)):
+                raise error(f"{name} must be {rule} and finite, got {value}")
+
+
+def increasing_grid(x, what, error=InvalidArgumentError, min_points=2, y=None):
+    """``x`` as a float array, once it is a strictly increasing 1-D grid of
+    ``min_points`` or more (NaN fails) that ``y``, if given, matches."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) < min_points or not np.all(np.diff(x) > 0):
+        raise error(f"{what} must be strictly increasing 1-D with at least "
+                    f"{min_points} points")
+    if y is not None and np.shape(y) != x.shape:
+        raise error(f"{what} and its values must be matching 1-D arrays")
+    return x
+
+
+# ---------------------------------------------------------------------------
 # emitter description
 # ---------------------------------------------------------------------------
 
@@ -102,12 +141,8 @@ class EmitterParams:
     radiative_lifetime_ns: float = RADIATIVE_LIFETIME_NS
 
     def __post_init__(self):
-        for name in ("zpl_wavelength_nm", "homogeneous_fwhm_nm",
-                     "radiative_lifetime_ns"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise InvalidArgumentError(
-                    f"{name} must be positive and finite, got {value}")
+        check_fields(self, positive=("zpl_wavelength_nm", "homogeneous_fwhm_nm",
+                                     "radiative_lifetime_ns"))
 
     @property
     def zpl_energy_ev(self) -> float:

@@ -21,7 +21,9 @@ from .core import (
     InvalidArgumentError,
     RangeError,
     ResolutionError,
+    check_fields,
     delta_lambda_from_delta_e,
+    increasing_grid,
     make_stream,
 )
 from .strainfield import (
@@ -97,8 +99,7 @@ class BiasedZSpec:
             raise InvalidArgumentError("strain_low must be below strain_high")
         if not 0.0 <= self.keep_fraction <= 1.0:
             raise InvalidArgumentError("keep_fraction must be within [0, 1]")
-        if self.xy_threshold < 0:
-            raise InvalidArgumentError("xy_threshold must be non-negative")
+        check_fields(self, nonnegative=("xy_threshold",))
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,7 @@ class SingleDefectSpec:
     def __post_init__(self):
         if self.kind not in DEFAULT_RELAXATION_VOLUMES:
             raise InvalidArgumentError(f"unknown defect kind {self.kind!r}")
-        if self.separation_nm <= 0:
-            raise InvalidArgumentError("separation_nm must be positive")
+        check_fields(self, positive=("separation_nm",))
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ class DefectDensitySpec:
     interstitial_volume_omega0: float | None = None
 
     def __post_init__(self):
-        if self.vacancy_density_cm3 < 0 or self.interstitial_density_cm3 < 0:
-            raise InvalidArgumentError("densities must be non-negative")
+        check_fields(self, positive=("r_max_nm",), nonnegative=(
+            "vacancy_density_cm3", "interstitial_density_cm3"))
         if not 0 < self.r_min_nm < self.r_max_nm:
             raise InvalidArgumentError("need 0 < r_min_nm < r_max_nm")
 
@@ -398,9 +398,7 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
 
     if wavelength_grid is None:
         wavelength_grid = default_wavelength_grid(shifts_mev, emitter)
-    grid = np.asarray(wavelength_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-        raise InvalidArgumentError("wavelength grid must be increasing 1-D")
+    grid = increasing_grid(wavelength_grid, "wavelength grid")
 
     fwhm = emitter.homogeneous_fwhm_nm
     step = float(np.max(np.diff(grid)))
@@ -446,8 +444,8 @@ def histogram_shifts(shifts_mev, bin_width_mev: float):
     shifts_mev = np.atleast_1d(np.asarray(shifts_mev, dtype=float))
     if shifts_mev.size == 0:
         raise EmptyEnsembleError("no samples to histogram")
-    if bin_width_mev <= 0:
-        raise InvalidArgumentError("bin_width_mev must be positive")
+    if not 0 < bin_width_mev < np.inf:
+        raise InvalidArgumentError("bin_width_mev must be positive and finite")
     lo = np.floor(shifts_mev.min() / bin_width_mev) * bin_width_mev
     hi = np.ceil(shifts_mev.max() / bin_width_mev) * bin_width_mev
     if hi <= lo:

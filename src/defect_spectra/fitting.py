@@ -20,6 +20,7 @@ from .core import (
     RangeError,
     UnboundedLineError,
     ValidationError,
+    increasing_grid,
 )
 
 
@@ -140,12 +141,8 @@ def fit_single_exponential(time_ns, counts, window_ns=None,
     [t_peak, t_peak + 5*tau_guess] with tau_guess from a log-linear
     regression. Needs at least 10 points inside the window.
     """
-    t = np.asarray(time_ns, dtype=float)
+    t = increasing_grid(time_ns, "time grid", y=counts)
     y = np.asarray(counts, dtype=float)
-    if t.ndim != 1 or t.shape != y.shape:
-        raise InvalidArgumentError("time and counts must be matching 1-D arrays")
-    if np.any(np.diff(t) <= 0):
-        raise InvalidArgumentError("time grid must be strictly increasing")
     if y.max() == y.min():
         raise NoDecayError("trace is flat, nothing to fit")
 
@@ -232,13 +229,9 @@ def fit_peaks(wavelength_nm, intensity, n_peaks: int,
     maximum. Peak amplitudes are heights above baseline; peaks in the
     returned model are sorted by center.
     """
-    x = np.asarray(wavelength_nm, dtype=float)
+    x = increasing_grid(wavelength_nm, "wavelength grid", min_points=5,
+                        y=intensity)
     y = np.asarray(intensity, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or len(x) < 5:
-        raise InvalidArgumentError(
-            "wavelength and intensity must be matching 1-D arrays, >= 5 points")
-    if np.any(np.diff(x) <= 0):
-        raise InvalidArgumentError("wavelength grid must be strictly increasing")
     if n_peaks < 1:
         raise InvalidArgumentError("n_peaks must be >= 1")
     if y.max() == y.min():
@@ -316,13 +309,9 @@ def numerical_fwhm(wavelength_nm, intensity) -> float:
     percent from each end); crossings are located by linear interpolation
     walking outward from the global maximum.
     """
-    x = np.asarray(wavelength_nm, dtype=float)
+    x = increasing_grid(wavelength_nm, "wavelength grid", min_points=10,
+                        y=intensity)
     y = np.asarray(intensity, dtype=float)
-    if x.ndim != 1 or x.shape != y.shape or len(x) < 10:
-        raise InvalidArgumentError(
-            "wavelength and intensity must be matching 1-D arrays, >= 10 points")
-    if np.any(np.diff(x) <= 0):
-        raise InvalidArgumentError("wavelength grid must be strictly increasing")
     y_max = y.max()
     peaks_at = np.flatnonzero(y == y_max)
     if len(peaks_at) != 1:
@@ -388,10 +377,8 @@ def fit_power_law(fluence_cm2, intensity) -> FitResult:
 def transient_initial_intensity(time_ns, counts, window_ns=0.1,
                                 resolution_ns=0.1) -> float:
     """Mean counts over [t_peak, t_peak + window]."""
-    t = np.asarray(time_ns, dtype=float)
+    t = increasing_grid(time_ns, "time grid", y=counts)
     y = np.asarray(counts, dtype=float)
-    if t.ndim != 1 or t.shape != y.shape or len(t) < 2:
-        raise InvalidArgumentError("time and counts must be matching 1-D arrays")
     if window_ns < resolution_ns:
         raise ValidationError(
             f"window {window_ns} ns is below the {resolution_ns} ns resolution")

@@ -21,6 +21,8 @@ from .core import (
     InvalidArgumentError,
     NoRiseError,
     ValidationError,
+    check_fields,
+    increasing_grid,
 )
 
 
@@ -109,20 +111,16 @@ class DecayModelParams:
     time_grid_ns: np.ndarray = field(default_factory=_default_grid)
 
     def __post_init__(self):
-        for name in ("tau_r_ns",):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        for name in ("g_center_density_cm3", "capture_coefficient_g_cm3_ns",
-                     "trap_density_cm3", "capture_coefficient_trap_cm3_ns",
-                     "pump_power_mw", "carrier_density_per_mw_cm3"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be nonnegative")
+        check_fields(self, positive=("tau_r_ns",), nonnegative=(
+            "g_center_density_cm3", "capture_coefficient_g_cm3_ns",
+            "trap_density_cm3", "capture_coefficient_trap_cm3_ns",
+            "pump_power_mw", "carrier_density_per_mw_cm3"),
+            error=ValidationError)
+        # None and inf (no saturation) are documented values
         if (self.trap_saturation_density_cm3 is not None
-                and self.trap_saturation_density_cm3 <= 0):
+                and not self.trap_saturation_density_cm3 > 0):
             raise ValidationError("trap_saturation_density_cm3 must be positive")
-        grid = np.asarray(self.time_grid_ns, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2 or np.any(np.diff(grid) <= 0):
-            raise ValidationError("time grid must be strictly increasing 1-D")
+        grid = increasing_grid(self.time_grid_ns, "time grid", ValidationError)
         if grid[0] < 0:
             raise ValidationError("time grid must start at t >= 0")
         self.time_grid_ns = grid
@@ -210,14 +208,10 @@ def rise_time(trace, intensity=None) -> float:
     never turns over (still rising at the end, or constant) has no
     defined rise time.
     """
-    if intensity is None:
-        t = np.asarray(trace.time_ns, dtype=float)
-        y = np.asarray(trace.intensity, dtype=float)
-    else:
-        t = np.asarray(trace, dtype=float)
-        y = np.asarray(intensity, dtype=float)
-    if t.ndim != 1 or t.shape != y.shape or len(t) < 2:
-        raise InvalidArgumentError("need matching 1-D time and intensity")
+    t, y = ((trace.time_ns, trace.intensity) if intensity is None
+            else (trace, intensity))
+    t = increasing_grid(t, "time grid", y=y)
+    y = np.asarray(y, dtype=float)
     if y.max() == y.min():
         raise NoRiseError("trace is constant")
     i = int(np.argmax(y))
@@ -240,8 +234,8 @@ class ScheduleSegment:
     repeat: int = 1
 
     def __post_init__(self):
-        if self.flux_cm2_s < 0 or self.duration_s < 0 or self.gap_s < 0:
-            raise ValidationError("flux, duration, and gap must be nonnegative")
+        check_fields(self, nonnegative=("flux_cm2_s", "duration_s", "gap_s"),
+                     error=ValidationError)
         if self.repeat < 1:
             raise ValidationError(f"repeat must be >= 1, got {self.repeat}")
 
@@ -267,10 +261,11 @@ def pulsed_schedule(fluence_cm2: float, flux_cm2_s: float,
     """Pulse train reaching the requested fluence as at most two runs:
     the full pulses, then a last pulse with no gap, shortened if the
     fluence is not an integer number of pulses."""
-    if fluence_cm2 <= 0 or flux_cm2_s <= 0 or pulse_duration_s <= 0:
-        raise InvalidArgumentError("fluence, flux, and pulse must be positive")
-    if repetition_period_s < pulse_duration_s:
-        raise InvalidArgumentError("repetition period shorter than the pulse")
+    if not (0 < fluence_cm2 < np.inf and 0 < flux_cm2_s < np.inf
+            and 0 < pulse_duration_s <= repetition_period_s < np.inf):
+        raise InvalidArgumentError(
+            "fluence, flux, pulse and period must be positive and finite, "
+            "the period no shorter than the pulse")
     per_pulse = flux_cm2_s * pulse_duration_s
     n_full = int(fluence_cm2 / per_pulse)
     remainder = fluence_cm2 - n_full * per_pulse
@@ -286,8 +281,8 @@ def pulsed_schedule(fluence_cm2: float, flux_cm2_s: float,
 
 
 def cw_schedule(fluence_cm2: float, flux_cm2_s: float) -> IrradiationSchedule:
-    if fluence_cm2 <= 0 or flux_cm2_s <= 0:
-        raise InvalidArgumentError("fluence and flux must be positive")
+    if not (0 < fluence_cm2 < np.inf and 0 < flux_cm2_s < np.inf):
+        raise InvalidArgumentError("fluence and flux must be positive and finite")
     return IrradiationSchedule(
         (ScheduleSegment(flux_cm2_s, fluence_cm2 / flux_cm2_s, 0.0),))
 
@@ -329,21 +324,17 @@ class DamageParams:
         if self.trap_formation_per_proton is None:
             self.trap_formation_per_proton = (
                 self.damage_rate_per_proton_nm * self.active_depth_nm)
-        numeric = [(k, getattr(self, k)) for k in (
-            "damage_rate_per_proton_nm", "active_depth_nm",
-            "carbon_areal_density_cm2", "formation_coefficient_cm2",
-            "formation_enhancement_flux", "formation_enhancement_exponent",
-            "destruction_coefficient_cm2", "destruction_suppression_flux",
-            "temperature_k", "trap_formation_per_proton",
-            "dynamic_annealing_rate_s", "clustering_threshold_flux",
-            "trap_clustering_exponent", "trap_lifetime_coupling_cm2_ns")]
-        for k, v in numeric:
-            if v < 0:
-                raise ValidationError(f"{k} must be nonnegative")
-        if self.destruction_activation_energy_ev <= 0:
-            raise ValidationError("activation energy must be positive")
-        if self.background_tau_nr_ns <= 0 or self.tau_r_ns <= 0:
-            raise ValidationError("lifetimes must be positive")
+        # the fluxes and the temperature divide, so zero is refused too
+        check_fields(self, error=ValidationError, positive=(
+            "formation_enhancement_flux", "destruction_activation_energy_ev",
+            "destruction_suppression_flux", "temperature_k",
+            "clustering_threshold_flux", "background_tau_nr_ns", "tau_r_ns"),
+            nonnegative=(
+                "damage_rate_per_proton_nm", "active_depth_nm",
+                "carbon_areal_density_cm2", "formation_coefficient_cm2",
+                "formation_enhancement_exponent", "destruction_coefficient_cm2",
+                "trap_formation_per_proton", "dynamic_annealing_rate_s",
+                "trap_clustering_exponent", "trap_lifetime_coupling_cm2_ns"))
 
     def formation_rate_s(self, flux: float) -> float:
         if flux <= 0:

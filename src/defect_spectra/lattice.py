@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     SI_LATTICE_CONSTANT_NM,
     InvalidArgumentError,
+    check_fields,
 )
 
 # diamond basis in conventional-cell units
@@ -37,10 +38,9 @@ class SupercellSpec:
     lattice_constant_nm: float = SI_LATTICE_CONSTANT_NM
 
     def __post_init__(self):
-        if self.repeats < 1:
+        if not self.repeats >= 1:
             raise InvalidArgumentError("repeats must be >= 1")
-        if self.lattice_constant_nm <= 0:
-            raise InvalidArgumentError("lattice_constant_nm must be positive")
+        check_fields(self, positive=("lattice_constant_nm",))
 
     @property
     def box_length_nm(self) -> float:

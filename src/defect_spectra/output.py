@@ -1,4 +1,5 @@
-"""Every file the toolkit writes: CSV tables, SVG line plots, atomic writes.
+"""Every file the toolkit writes or reads: CSV tables, SVG line plots,
+atomic writes, and the one reader of CSV input.
 
 A CSV is written from columns. Each column gets one format from its dtype:
 integers as ``%d``, floats as ``%.10g``, anything else (parameter names,
@@ -11,10 +12,13 @@ byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import os
 import tempfile
 
 import numpy as np
+
+from .core import ValidationError
 
 _COLUMN_FORMATS = {"i": "%d", "u": "%d", "f": "%.10g"}
 
@@ -41,6 +45,22 @@ def write_csv(path: str, header, columns):
     row = ",".join(_COLUMN_FORMATS.get(c.dtype.kind, "%s") for c in columns)
     rows = map(row.__mod__, zip(*(c.tolist() for c in columns), strict=True))
     write_atomic(path, "\n".join([",".join(header), *rows]) + "\n")
+
+
+def read_csv(path):
+    """(header, rows) of a CSV input, cells stripped, blank and # rows skipped.
+    No data rows, or a row unlike the header in width, raise ValidationError."""
+    with open(path, newline="") as handle:
+        rows = [cells for cells in ([c.strip() for c in row]
+                                    for row in csv.reader(handle))
+                if any(cells) and not cells[0].startswith("#")]
+    if len(rows) < 2:
+        raise ValidationError(f"{path} has no data rows")
+    for row in rows[1:]:
+        if len(row) != len(rows[0]):
+            raise ValidationError(f"row {','.join(row)!r} of {path} must have "
+                                  f"exactly {len(rows[0])} columns")
+    return rows[0], rows[1:]
 
 
 def svg_line_plot(x, y, xlabel: str, ylabel: str) -> str:

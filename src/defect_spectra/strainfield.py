@@ -21,6 +21,7 @@ from .core import (
     SI_ATOMIC_VOLUME_NM3,
     CoreRegionError,
     InvalidArgumentError,
+    check_fields,
 )
 
 # relaxation volumes in units of the atomic volume, by defect kind
@@ -36,10 +37,7 @@ class ElasticParams:
     core_cutoff_nm: float = 0.25
 
     def __post_init__(self):
-        if self.atomic_volume_nm3 <= 0:
-            raise InvalidArgumentError("atomic_volume_nm3 must be positive")
-        if self.core_cutoff_nm <= 0:
-            raise InvalidArgumentError("core_cutoff_nm must be positive")
+        check_fields(self, positive=("atomic_volume_nm3", "core_cutoff_nm"))
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,19 @@ cross-check the additive composition, not for evaluation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from .core import RangeError, ValidationError, validate_strain
+from .core import (
+    RangeError,
+    ValidationError,
+    increasing_grid,
+    number,
+    validate_strain,
+)
+from .output import read_csv
 
 REQUIRED_AXES = ("x", "z", "xy", "xz")
 OPTIONAL_AXES = ("y", "yz", "iso")
@@ -59,45 +65,30 @@ def component_ranges(table: ResponseTable):
     return np.array(low), np.array(high)
 
 
-def _validate_curve(axis: str, grid: np.ndarray, shifts: np.ndarray):
-    if len(grid) < 3:
-        raise ValidationError(f"axis {axis!r}: needs at least 3 grid points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValidationError(f"axis {axis!r}: strain grid must be strictly "
-                              "increasing")
-    at_zero = np.flatnonzero(grid == 0.0)
-    if len(at_zero) != 1 or shifts[at_zero[0]] != 0.0:
-        raise ValidationError(f"axis {axis!r}: curve must pass through (0, 0)")
-    if not np.all(np.isfinite(shifts)):
-        raise ValidationError(f"axis {axis!r}: shifts must be finite")
-
-
 def load_response_table(path) -> ResponseTable:
-    """Read a CSV table ``axis,strain,shift_mev`` (# comments allowed)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(r for r in fh if not r.lstrip().startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["axis", "strain", "shift_mev"]:
-            raise ValidationError(
-                "response table must start with header 'axis,strain,shift_mev'")
-        for row in reader:
-            if not row:
-                continue
-            rows.append((row[0].strip(), float(row[1]), float(row[2])))
-    return _table_from_rows(rows, source=str(path))
-
-
-def _table_from_rows(rows, source: str) -> ResponseTable:
-    known = set(REQUIRED_AXES) | set(OPTIONAL_AXES)
+    """Read a CSV table ``axis,strain,shift_mev``; rows in any order."""
+    header, rows = read_csv(path)
+    if header != ["axis", "strain", "shift_mev"]:
+        raise ValidationError(f"response table {path} must start with header "
+                              "'axis,strain,shift_mev'")
+    rows = [(axis, number(f"strain cell of response table {path}", strain),
+             number(f"shift_mev cell of response table {path}", shift))
+            for axis, strain, shift in rows]
     curves = {}
     for axis in sorted({r[0] for r in rows}):
-        if axis not in known:
+        if axis not in REQUIRED_AXES + OPTIONAL_AXES:
             raise ValidationError(f"unknown axis {axis!r} in response table")
-        pts = sorted((r[1], r[2]) for r in rows if r[0] == axis)
-        grid = np.array([p[0] for p in pts])
-        shifts = np.array([p[1] for p in pts])
-        _validate_curve(axis, grid, shifts)
+        pts = sorted(r[1:] for r in rows if r[0] == axis)
+        grid, shifts = np.array(pts).T.copy()
+        increasing_grid(grid, f"axis {axis!r}: strain grid", ValidationError,
+                        min_points=3)
+        at_zero = np.flatnonzero(grid == 0.0)
+        if len(at_zero) != 1 or shifts[at_zero[0]] != 0.0:
+            raise ValidationError(
+                f"axis {axis!r}: curve must pass through (0, 0)")
+        if not np.all(np.isfinite([grid, shifts])):
+            raise ValidationError(
+                f"axis {axis!r}: strains and shifts must be finite")
         curves[axis] = (grid, shifts)
 
     missing = [a for a in REQUIRED_AXES if a not in curves]
@@ -111,7 +102,7 @@ def _table_from_rows(rows, source: str) -> ResponseTable:
                 raise ValidationError(
                     f"axis {axis!r} must match {src!r} by mirror symmetry; "
                     "drop it from the file or make it identical")
-    return ResponseTable(curves=curves, source=source)
+    return ResponseTable(curves=curves, source=str(path))
 
 
 def default_table() -> ResponseTable:

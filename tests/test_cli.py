@@ -238,6 +238,9 @@ def test_readme_config_block_loads(tmp_path):
 
 
 CW_TEMPLATE = "flux_cm2_s,duration_s,gap_s\n8e11,{duration},0\n"
+DECAY = ["simulate-decay", "--config", "k.ini", "--seed", "1", "--out", "out"]
+SPECTRUM = ["simulate-spectrum", "--config", "s.ini", "--seed", "1",
+            "--samples", "200", "--out", "out"]
 TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
 
 
@@ -280,10 +283,66 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"e.ini": "[emitter]\nhomogeneous_fwhm_nm = inf\n"},
      ["simulate-spectrum", "--config", "e.ini", "--seed", "1", "--samples",
       "200", "--out", "out"], "homogeneous_fwhm_nm"),
+    ({"k.ini": "[kinetics]\nt_max_ns = nan\n"}, DECAY, "t_max_ns"),
+    ({"k.ini": "[kinetics]\nt_max_ns = inf\n"}, DECAY, "t_max_ns"),
+    ({"k.ini": "[kinetics]\npump_power_mw = nan\n"}, DECAY, "pump_power_mw"),
+    ({"k.ini": "[kinetics]\npump_power_mw = inf\n"}, DECAY, "pump_power_mw"),
+    ({"s.ini": "[elastic]\n[sampler]\nvacancy_density_cm3 = nan\n"},
+     [*SPECTRUM, "--mode", "defect-field"], "vacancy_density_cm3"),
+    ({"s.ini": "[sampler]\nbin_width_mev = nan\n"}, SPECTRUM,
+     "bin_width_mev"),
+    ({"s.ini": "[sampler]\nbin_width_mev = inf\n"}, SPECTRUM,
+     "bin_width_mev"),
+    ({"s.ini": "[elastic]\natomic_volume_nm3 = nan\n"
+               "[sampler]\nvacancy_density_cm3 = 1e20\n"},
+     [*SPECTRUM, "--mode", "defect-field"], "atomic_volume_nm3"),
+    ({"s.ini": "[sampler]\nxy_threshold = nan\n"},
+     [*SPECTRUM, "--mode", "biased-z"], "xy_threshold"),
+    ({"d.ini": "[damage]\ntemperature_k = nan\n", "t.csv": CW_TEMPLATE},
+     ["sweep-fluence", "--config", "d.ini", "--template", "t.csv", "--out",
+      "out"], "temperature_k"),
+    ({"t.csv": CW_TEMPLATE},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "1e12,nan",
+      "--out", "out"], "--fluences"),
+    ({"t.csv": CW_TEMPLATE},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "1e12,inf",
+      "--out", "out"], "--fluences"),
+    ({"t.csv": "flux_cm2_s,duration_s,gap_s\nnan,{duration},0\n"},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "1e13,1e14",
+      "--out", "out"], "flux_cm2_s cell of schedule t.csv"),
+    ({"t.csv": CW_TEMPLATE},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "0,1e13",
+      "--out", "out"], "--fluences"),
+    ({"t.csv": CW_TEMPLATE},
+     ["sweep-fluence", "--template", "t.csv", "--fluences=-1e12,1e13",
+      "--out", "out"], "--fluences"),
+    ({"t.csv": CW_TEMPLATE, "f.ini": "[schedule]\nfluences = -1e12,1e13\n"},
+     ["sweep-fluence", "--config", "f.ini", "--template", "t.csv", "--out",
+      "out"], "[schedule] fluences"),
+    ({"s.ini": "[response]\ntable = r.csv\n",
+      "r.csv": "axis,strain,shift_mev\nx,abc,0\n"},
+     SPECTRUM, "r.csv"),
+    ({"s.ini": "[response]\ntable = r.csv\n",
+      "r.csv": "axis,strain,shift_mev\nx,0\n"},
+     SPECTRUM, "r.csv"),
+    ({"s.ini": "[response]\ntable = r.csv\n",
+      "r.csv": "axis,strain,shift_mev\nx,nan,0\n"},
+     SPECTRUM, "r.csv"),
+    ({"d.csv": "time_ns,counts\n0,1.0\nnan,0.5\n2,0.25\n"},
+     ["fit", "--input", "d.csv", "--report", "r.csv"], "d.csv"),
+    ({"d.csv": "fluence_cm2,intensity\n1e12,1.0\n1e13,nan\n"},
+     ["fit", "--input", "d.csv", "--model", "power-law", "--report",
+      "r.csv"], "d.csv"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
-        "fwhm-inf"])
+        "fwhm-inf", "t-max-nan", "t-max-inf", "pump-nan", "pump-inf",
+        "vacancy-density-nan", "bin-width-nan", "bin-width-inf",
+        "atomic-volume-nan", "xy-threshold-nan", "temperature-nan",
+        "fluences-nan", "fluences-inf", "placeholder-flux-nan",
+        "fluences-zero", "fluences-negative", "config-fluences-negative",
+        "table-abc", "table-two-cells", "table-nan-strain", "fit-nan-time",
+        "fit-power-law-nan"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)

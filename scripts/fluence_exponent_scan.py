@@ -18,7 +18,6 @@ from defect_spectra.fitting import fit_power_law
 from defect_spectra.kinetics import (
     DamageParams,
     cw_schedule,
-    decompose_lifetimes,
     integrate_damage,
     pulsed_schedule,
 )
@@ -33,8 +32,8 @@ CW_FLUX = 8e11
 
 def endpoint(schedule, params):
     hist = integrate_damage(schedule, params)
-    lifetimes = decompose_lifetimes(hist.tau_eff_ns[-1], params.tau_r_ns)
-    return hist.n_g_cm2[-1], hist.tau_eff_ns[-1], hist.n_g_cm2[-1] * lifetimes.qe
+    n_g = hist.n_g_cm2[-1]
+    return n_g, hist.tau_eff_ns[-1], n_g * hist.qe[-1]
 
 
 def main(argv=None):

@@ -13,6 +13,7 @@ import numpy as np
 
 from defect_spectra.fitting import fit_single_exponential
 from defect_spectra.kinetics import (
+    DECAY_T_MAX_NS,
     DecayModelParams,
     decompose_lifetimes,
     simulate_decay,
@@ -21,23 +22,21 @@ from defect_spectra.output import write_csv
 
 PUMPS_MW = (0.03, 0.1, 0.3, 1.0, 3.0)
 TRAPS_CM3 = (0.0, 1e16, 1e17, 3e17, 1e18)
-T_MAX_NS = 100.0
 
-# defaults the grid-step bound has to respect
-CAPTURE_G_CM3_NS = 1.0e-16
-G_DENSITY_CM3 = 2.0e16
-CAPTURE_TRAP_CM3_NS = 1.1e-17
-TAU_R_NS = 45.0
+# the rates every cell shares, which the grid-step bound has to respect
+DEFAULTS = DecayModelParams()
 
 
 def time_grid_for(trap_density_cm3):
     """Grid fine enough for the fastest capture rate in the cell."""
-    fastest_rate = max(1.0 / TAU_R_NS,
-                       CAPTURE_G_CM3_NS * G_DENSITY_CM3,
-                       CAPTURE_TRAP_CM3_NS * trap_density_cm3)
+    fastest_rate = max(1.0 / DEFAULTS.tau_r_ns,
+                       DEFAULTS.capture_coefficient_g_cm3_ns
+                       * DEFAULTS.g_center_density_cm3,
+                       DEFAULTS.capture_coefficient_trap_cm3_ns
+                       * trap_density_cm3)
     step_ns = min(0.025, 1.0 / (12.0 * fastest_rate))
-    n = int(np.ceil(T_MAX_NS / step_ns)) + 1
-    return np.linspace(0.0, T_MAX_NS, n)
+    n = int(np.ceil(DECAY_T_MAX_NS / step_ns)) + 1
+    return np.linspace(0.0, DECAY_T_MAX_NS, n)
 
 
 def main(argv=None):
@@ -58,7 +57,8 @@ def main(argv=None):
             taus[(n_trap, pump)] = fit.parameters["tau_ns"]
     # tail fits can land a hair above tau_r on trap-free traces; clamp
     # before decomposing so qe stays <= 1
-    qe = [decompose_lifetimes(min(tau, TAU_R_NS), TAU_R_NS).qe
+    tau_r = DEFAULTS.tau_r_ns
+    qe = [decompose_lifetimes(min(tau, tau_r), tau_r).qe
           for tau in taus.values()]
     traps, pumps = np.array(list(taus)).T
 

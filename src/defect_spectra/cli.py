@@ -65,7 +65,6 @@ from .kinetics import (
     ScheduleSegment,
     decompose_lifetimes,
     integrate_damage,
-    pl_proxy,
     pulsed_schedule,
     rise_time,
     simulate_decay,
@@ -233,8 +232,11 @@ def _decay_params_from(cfg: RunConfig) -> DecayModelParams:
     if not 0 < t_max < np.inf:
         raise ValidationError(f"config key [kinetics] t_max_ns must be "
                               f"positive and finite, got {t_max}")
-    grid = np.linspace(0.0, t_max,
-                       cfg.get("kinetics", "n_points", DECAY_GRID_POINTS))
+    n_points = cfg.get("kinetics", "n_points", DECAY_GRID_POINTS)
+    if n_points < 2:
+        raise ValidationError(f"config key [kinetics] n_points must be at "
+                              f"least 2, got {n_points}")
+    grid = np.linspace(0.0, t_max, n_points)
     return _build(DecayModelParams, cfg, "kinetics", time_grid_ns=grid)
 
 
@@ -261,6 +263,12 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
         return number(f"{header[column]} cell of schedule {path}",
                       cells[column], cast)
 
+    def build(make, *args):
+        try:
+            return make(*args)
+        except DefectSpectraError as exc:
+            raise ValidationError(f"schedule template {path}: {exc}") from None
+
     parsed = []
     for row in rows:
         cells = row + [""] * (4 - len(row))
@@ -268,8 +276,8 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
             parsed.append(cells)
         else:
             repeat = cell(cells, 3, int) if has_repeat and cells[3] else 1
-            parsed.append(ScheduleSegment(cell(cells, 0), cell(cells, 1),
-                                          cell(cells, 2), repeat))
+            parsed.append(build(ScheduleSegment, cell(cells, 0),
+                                cell(cells, 1), cell(cells, 2), repeat))
     fixed = [run for run in parsed if isinstance(run, ScheduleSegment)]
     if len(fixed) == len(parsed):
         raise ValidationError(
@@ -291,8 +299,8 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
         if cells[3] == "{pulses}":
             flux, duration = cell(cells, 0), cell(cells, 1)
             if share > 0:
-                train = pulsed_schedule(share, flux, duration, duration + gap)
-                segments.extend(train.segments)
+                segments.extend(build(pulsed_schedule, share, flux, duration,
+                                      duration + gap).segments)
             continue
         if "{duration}" in cells:
             flux = cell(cells, 0)
@@ -300,7 +308,7 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
         else:
             duration = cell(cells, 1)
             flux = share / duration if duration > 0 else 0.0
-        segments.append(ScheduleSegment(flux, duration, gap))
+        segments.append(build(ScheduleSegment, flux, duration, gap))
     return IrradiationSchedule(tuple(segments))
 
 
@@ -324,8 +332,13 @@ def cmd_simulate_spectrum(args) -> int:
     emitter = _build(EmitterParams, cfg, "emitter")
     table = _table_from(cfg)
     mode = args.mode or cfg.get("sampler", "mode", "uniform")
-    n = (args.samples if args.samples is not None
-         else cfg.get("sampler", "samples", 10000))
+    if args.samples is not None:
+        source, n = "--samples", args.samples
+    else:
+        source = "config key [sampler] samples"
+        n = cfg.get("sampler", "samples", 10000)
+    if n < 1:
+        raise ValidationError(f"{source}: n_samples must be >= 1, got {n}")
 
     if mode == "uniform":
         spec = _build(UniformSpec, cfg, "sampler")
@@ -434,8 +447,7 @@ def cmd_sweep_fluence(args) -> int:
         n_g[i] = history.n_g_cm2[-1]
         n_trap[i] = history.n_trap_cm2[-1]
         tau_eff[i] = history.tau_eff_ns[-1]
-        lifetimes = decompose_lifetimes(tau_eff[i], params.tau_r_ns)
-        intensity[i] = pl_proxy(n_g[i], lifetimes)["integrated_intensity"]
+        intensity[i] = n_g[i] * history.qe[-1]
 
     out = args.out or cfg.get("output", "directory", "out")
     write_csv(os.path.join(out, "sweep.csv"),
@@ -486,25 +498,17 @@ def cmd_fit(args) -> int:
             lo, _, hi = args.window.partition(":")
             window = (number("--window start", lo), number("--window stop", hi))
         fit = fit_single_exponential(x, y, window_ns=window)
-        report = _report_columns(fit)
         summary = f"tau = {fit.parameters['tau_ns']:.4g} ns"
     elif model == "peaks":
-        peaks = fit_peaks(x, y, args.peaks)
-        names, values = [], []
-        for i, peak in enumerate(peaks.peaks):
-            names += [f"center_{i}_nm", f"fwhm_{i}_nm", f"amplitude_{i}"]
-            values += [peak.center_nm, peak.fwhm_nm, peak.amplitude]
-        # peaks.stderr is keyed and ordered like these rows, baseline last
-        report = [names + ["baseline"], values + [peaks.baseline],
-                  list(peaks.stderr.values())]
-        summary = ", ".join(f"{p.center_nm:.4f} nm" for p in peaks.peaks)
+        fit = fit_peaks(x, y, args.peaks)
+        summary = ", ".join(f"{fit.parameters[f'center_{k}_nm']:.4f} nm"
+                            for k in range(args.peaks))
     else:
         fit = fit_power_law(x, y)
-        report = _report_columns(fit)
         summary = f"exponent = {fit.parameters['exponent']:.4g}"
 
     path = args.report or "fit_report.csv"
-    write_csv(path, _REPORT_HEADER, report)
+    write_csv(path, _REPORT_HEADER, _report_columns(fit))
     print(f"fit ({model}): {summary}; report written to {path}")
     return 0
 

@@ -1,15 +1,18 @@
 """Deterministic least-squares fits and line-shape metrics.
 
-All fits run damped Gauss-Newton with analytic Jacobians; starting points
-come from closed-form estimates (log-linear regression for decays,
-residual peak-picking for spectra), so results are reproducible without
-any stochastic search.
+Every fit returns a FitResult. The exponential and peak fits run one
+damped Gauss-Newton solver with analytic Jacobians, which decides
+convergence and the standard errors; starting points come from
+closed-form estimates (log-linear regression for decays, residual
+peak-picking for spectra), so results are reproducible without any
+stochastic search. The power-law fit is ordinary least squares in log-log
+space.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,38 +29,27 @@ from .core import (
 
 @dataclass
 class FitResult:
+    """Best-fit parameters and their standard errors, under the same keys
+    and in report order, with the fit's residual norm and iteration count."""
+
     parameters: dict
     stderr: dict
     residual_norm: float
     n_iterations: int
 
 
-@dataclass
-class Peak:
-    center_nm: float
-    fwhm_nm: float
-    amplitude: float
-
-
-@dataclass
-class PeakModel:
-    peaks: list
-    baseline: float
-    residual_norm: float = 0.0
-    stderr: dict = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Newton core
 # ---------------------------------------------------------------------------
 
-def _gauss_newton(residual_fn, jacobian_fn, p0, accept_fn=None,
-                  max_iter=200, cost_tol=1e-14, step_tol=1e-12):
+def _gauss_newton(what, residual_fn, jacobian_fn, p0, accept_fn, max_iter):
     """Minimize ||residual(p)||² by damped Gauss-Newton.
 
-    ``accept_fn(p)`` can veto parameter vectors (e.g. negative widths);
+    ``accept_fn(p)`` vetoes parameter vectors (e.g. negative widths);
     vetoed trial points are treated as infinitely bad and the step is
-    halved. Returns (p, cost, n_iter, converged, J_at_solution).
+    halved. Returns (p, stderr, residual_norm, n_iter), with standard
+    errors from the Jacobian at the solution; raises FitError naming
+    ``what`` when ``max_iter`` iterations do not converge.
     """
     p = np.asarray(p0, dtype=float).copy()
     r = residual_fn(p)
@@ -76,7 +68,7 @@ def _gauss_newton(residual_fn, jacobian_fn, p0, accept_fn=None,
         improved = False
         while lam >= 2.0 ** -20:
             p_try = p + lam * step
-            if accept_fn is None or accept_fn(p_try):
+            if accept_fn(p_try):
                 r_try = residual_fn(p_try)
                 cost_try = float(r_try @ r_try)
                 if np.isfinite(cost_try) and cost_try <= cost:
@@ -88,8 +80,7 @@ def _gauss_newton(residual_fn, jacobian_fn, p0, accept_fn=None,
                         rel_step = float(np.max(np.abs(lam * step) / scale))
                     p, r, cost = p_try, r_try, cost_try
                     improved = True
-                    if rel_step < step_tol or (lam == 1.0
-                                               and rel_drop < cost_tol):
+                    if rel_step < 1e-12 or (lam == 1.0 and rel_drop < 1e-14):
                         converged = True
                     break
             lam *= 0.5
@@ -99,20 +90,22 @@ def _gauss_newton(residual_fn, jacobian_fn, p0, accept_fn=None,
             break
         if converged:
             break
-    return p, cost, it, converged, jacobian_fn(p)
+    if not converged:
+        raise FitError(
+            f"{what} fit did not converge in {max_iter} iterations, "
+            f"residual norm {np.sqrt(cost):.4g}")
 
-
-def _stderr_from_jacobian(jac, cost, n_params):
-    m = jac.shape[0]
-    dof = m - n_params
+    jac = jacobian_fn(p)
+    dof = jac.shape[0] - len(p)
     if dof <= 0:
-        return np.zeros(n_params)
-    s2 = cost / dof
-    try:
-        cov = s2 * np.linalg.pinv(jac.T @ jac)
-        return np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        return np.full(n_params, np.nan)
+        err = np.zeros(len(p))
+    else:
+        try:
+            cov = cost / dof * np.linalg.pinv(jac.T @ jac)
+            err = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+        except np.linalg.LinAlgError:
+            err = np.full(len(p), np.nan)
+    return p, err, float(np.sqrt(cost)), it
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +126,7 @@ def _log_linear_tau(t, y):
     return -1.0 / slope
 
 
-def fit_single_exponential(time_ns, counts, window_ns=None,
-                           max_iter=200) -> FitResult:
+def fit_single_exponential(time_ns, counts, window_ns=None) -> FitResult:
     """Fit A*exp(-t/tau) + B to a decay trace.
 
     ``window_ns`` is a (start, stop) pair; when omitted it defaults to
@@ -174,25 +166,26 @@ def fit_single_exponential(time_ns, counts, window_ns=None,
         e = np.exp(-tw / tau)
         return np.column_stack([e, a * e * tw / tau ** 2, np.ones_like(tw)])
 
-    p, cost, n_iter, ok, jac = _gauss_newton(
-        residual, jacobian, [a0, tau0, b0],
-        accept_fn=lambda q: q[1] > 0, max_iter=max_iter)
-    if not ok:
-        raise FitError(
-            f"exponential fit did not converge in {max_iter} iterations, "
-            f"residual norm {np.sqrt(cost):.4g}")
-    err = _stderr_from_jacobian(jac, cost, 3)
+    p, err, norm, n_iter = _gauss_newton(
+        "exponential", residual, jacobian, [a0, tau0, b0],
+        accept_fn=lambda q: q[1] > 0, max_iter=200)
     return FitResult(
         parameters={"amplitude": p[0], "tau_ns": p[1], "baseline": p[2]},
         stderr={"amplitude": err[0], "tau_ns": err[1], "baseline": err[2]},
-        residual_norm=float(np.sqrt(cost)), n_iterations=n_iter)
+        residual_norm=norm, n_iterations=n_iter)
 
 
 # ---------------------------------------------------------------------------
 # Lorentzian peaks
 # ---------------------------------------------------------------------------
 
-def _pick_initial_peaks(x, resid, n_peaks, fwhm_guess, step):
+def _wing_baseline(y):
+    """Median of the outer five percent of the samples at each end."""
+    n_edge = max(1, int(0.05 * len(y)))
+    return float(np.median(np.concatenate([y[:n_edge], y[-n_edge:]])))
+
+
+def _pick_initial_peaks(x, resid, n_peaks, step):
     peaks = []
     resid = resid.copy()
     for k in range(n_peaks):
@@ -203,31 +196,29 @@ def _pick_initial_peaks(x, resid, n_peaks, fwhm_guess, step):
                 f"only {k} of {n_peaks} requested peaks stand above the "
                 "baseline; remaining starts are degenerate")
             amp = max(abs(amp), 1e-12)
-        width = fwhm_guess
-        if width is None:
-            # walk outward to the half-amplitude crossings of the residual
-            j = i
-            while j + 1 < len(x) and resid[j + 1] > amp / 2:
-                j += 1
-            right = x[min(j + 1, len(x) - 1)]
-            j = i
-            while j - 1 >= 0 and resid[j - 1] > amp / 2:
-                j -= 1
-            left = x[max(j - 1, 0)]
-            width = max(right - left, 2 * step)
+        # walk outward to the half-amplitude crossings of the residual
+        j = i
+        while j + 1 < len(x) and resid[j + 1] > amp / 2:
+            j += 1
+        right = x[min(j + 1, len(x) - 1)]
+        j = i
+        while j - 1 >= 0 and resid[j - 1] > amp / 2:
+            j -= 1
+        left = x[max(j - 1, 0)]
+        width = max(right - left, 2 * step)
         half = width / 2.0
         peaks.append([x[i], width, amp])
         resid = resid - amp * half ** 2 / ((x - x[i]) ** 2 + half ** 2)
     return peaks
 
 
-def fit_peaks(wavelength_nm, intensity, n_peaks: int,
-              fwhm_guess_nm=None, max_iter=300) -> PeakModel:
+def fit_peaks(wavelength_nm, intensity, n_peaks: int) -> FitResult:
     """Least-squares multi-Lorentzian fit with a constant baseline.
 
     Starting peaks are picked iteratively from the highest residual
-    maximum. Peak amplitudes are heights above baseline; peaks in the
-    returned model are sorted by center.
+    maximum. Peaks are numbered k = 0, 1, ... by ascending center, and
+    the parameters are ``center_k_nm``, ``fwhm_k_nm`` and ``amplitude_k``
+    (height above baseline) for each peak in turn, then ``baseline``.
     """
     x = increasing_grid(wavelength_nm, "wavelength grid", min_points=5,
                         y=intensity)
@@ -237,10 +228,9 @@ def fit_peaks(wavelength_nm, intensity, n_peaks: int,
     if y.max() == y.min():
         raise FitError("spectrum is flat, no peak to fit")
 
-    n_edge = max(1, int(0.05 * len(x)))
-    base0 = float(np.median(np.concatenate([y[:n_edge], y[-n_edge:]])))
+    base0 = _wing_baseline(y)
     step = float(np.median(np.diff(x)))
-    starts = _pick_initial_peaks(x, y - base0, n_peaks, fwhm_guess_nm, step)
+    starts = _pick_initial_peaks(x, y - base0, n_peaks, step)
 
     p0 = []
     for c, w, a in starts:
@@ -280,26 +270,19 @@ def fit_peaks(wavelength_nm, intensity, n_peaks: int,
         trip, _ = unpack(p)
         return bool(np.all(trip[:, 1] > 0) and np.all(trip[:, 2] >= 0))
 
-    p, cost, n_iter, ok, jac = _gauss_newton(
-        residual, jacobian, p0, accept_fn=accept, max_iter=max_iter)
-    if not ok:
-        raise FitError(
-            f"peak fit did not converge in {max_iter} iterations, "
-            f"residual norm {np.sqrt(cost):.4g}")
+    p, err, norm, n_iter = _gauss_newton(
+        "peak", residual, jacobian, p0, accept_fn=accept, max_iter=300)
 
-    trip, b = unpack(p)
-    err = _stderr_from_jacobian(jac, cost, len(p))
-    order = np.argsort(trip[:, 0])
-    peaks = [Peak(center_nm=float(trip[i, 0]), fwhm_nm=float(trip[i, 1]),
-                  amplitude=float(trip[i, 2])) for i in order]
-    stderr = {}
-    for rank, i in enumerate(order):
-        stderr[f"center_{rank}"] = float(err[3 * i])
-        stderr[f"fwhm_{rank}"] = float(err[3 * i + 1])
-        stderr[f"amplitude_{rank}"] = float(err[3 * i + 2])
+    parameters, stderr = {}, {}
+    for rank, i in enumerate(np.argsort(p[0:-1:3])):
+        for j, name in enumerate((f"center_{rank}_nm", f"fwhm_{rank}_nm",
+                                  f"amplitude_{rank}")):
+            parameters[name] = float(p[3 * i + j])
+            stderr[name] = float(err[3 * i + j])
+    parameters["baseline"] = float(p[-1])
     stderr["baseline"] = float(err[-1])
-    return PeakModel(peaks=peaks, baseline=float(b),
-                     residual_norm=float(np.sqrt(cost)), stderr=stderr)
+    return FitResult(parameters=parameters, stderr=stderr,
+                     residual_norm=norm, n_iterations=n_iter)
 
 
 def numerical_fwhm(wavelength_nm, intensity) -> float:
@@ -317,8 +300,7 @@ def numerical_fwhm(wavelength_nm, intensity) -> float:
     if len(peaks_at) != 1:
         raise ValidationError("spectrum needs a unique global maximum")
     i_max = int(peaks_at[0])
-    n_edge = max(1, int(0.05 * len(x)))
-    baseline = float(np.median(np.concatenate([y[:n_edge], y[-n_edge:]])))
+    baseline = _wing_baseline(y)
     half = baseline + (y_max - baseline) / 2.0
     if y_max <= baseline:
         raise UnboundedLineError("maximum does not rise above the baseline")

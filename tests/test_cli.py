@@ -237,7 +237,19 @@ def test_readme_config_block_loads(tmp_path):
     assert load_config(str(config)).values
 
 
-CW_TEMPLATE = "flux_cm2_s,duration_s,gap_s\n8e11,{duration},0\n"
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.integrate costs about half a second of start-up; only
+    # simulate_decay imports it, so the spectrum commands never pay for it
+    code = ("import sys, defect_spectra.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+CW_TEMPLATE ="flux_cm2_s,duration_s,gap_s\n8e11,{duration},0\n"
 DECAY = ["simulate-decay", "--config", "k.ini", "--seed", "1", "--out", "out"]
 SPECTRUM = ["simulate-spectrum", "--config", "s.ini", "--seed", "1",
             "--samples", "200", "--out", "out"]
@@ -333,6 +345,21 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"d.csv": "fluence_cm2,intensity\n1e12,1.0\n1e13,nan\n"},
      ["fit", "--input", "d.csv", "--model", "power-law", "--report",
       "r.csv"], "d.csv"),
+    ({"k.ini": "[kinetics]\nn_points = 1\n"}, DECAY, "[kinetics] n_points"),
+    ({"s.ini": "[sampler]\nsamples = -3\n"},
+     ["simulate-spectrum", "--config", "s.ini", "--seed", "1", "--out",
+      "out"], "[sampler] samples: n_samples must be >= 1"),
+    ({}, ["simulate-spectrum", "--samples", "-3", "--seed", "1", "--out",
+          "out"], "--samples: n_samples must be >= 1"),
+    ({"t.csv": "flux_cm2_s,duration_s,gap_s,repeat\n7.9e18,inf,45,{pulses}\n"},
+     ["sweep-fluence", "--template", "t.csv", "--out", "out"],
+     "schedule template t.csv"),
+    ({"t.csv": "flux_cm2_s,duration_s,gap_s\ninf,{duration},0\n"},
+     ["sweep-fluence", "--template", "t.csv", "--out", "out"],
+     "schedule template t.csv"),
+    ({"t.csv": "flux_cm2_s,duration_s,gap_s\n8e11,{duration},-1\n"},
+     ["sweep-fluence", "--template", "t.csv", "--out", "out"],
+     "schedule template t.csv"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
@@ -342,7 +369,9 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "fluences-nan", "fluences-inf", "placeholder-flux-nan",
         "fluences-zero", "fluences-negative", "config-fluences-negative",
         "table-abc", "table-two-cells", "table-nan-strain", "fit-nan-time",
-        "fit-power-law-nan"])
+        "fit-power-law-nan", "n-points-one", "config-samples-negative",
+        "samples-negative", "pulses-duration-inf", "duration-flux-inf",
+        "gap-negative"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)

@@ -500,6 +500,9 @@ def cmd_fit(args) -> int:
         fit = fit_single_exponential(x, y, window_ns=window)
         summary = f"tau = {fit.parameters['tau_ns']:.4g} ns"
     elif model == "peaks":
+        if args.peaks < 1:
+            raise ValidationError(
+                f"--peaks: n_peaks must be >= 1, got {args.peaks}")
         fit = fit_peaks(x, y, args.peaks)
         summary = ", ".join(f"{fit.parameters[f'center_{k}_nm']:.4f} nm"
                             for k in range(args.peaks))

@@ -136,7 +136,9 @@ class DecayModelParams:
 
 @dataclass
 class DecayTrace:
-    """Photon rate and populations on the simulation grid."""
+    """Photon rate and populations on the simulation grid, with the
+    integrator's right-hand-side evaluations and accepted and rejected
+    steps (all 0 when nothing was pumped)."""
 
     time_ns: np.ndarray
     intensity: np.ndarray          # emitted-photon rate, n_excited / tau_r
@@ -144,31 +146,130 @@ class DecayTrace:
     excited: np.ndarray
     filled_traps: np.ndarray
     emitted: np.ndarray
+    nfev: int = 0
+    steps_accepted: int = 0
+    steps_rejected: int = 0
 
     def total_excitations(self):
         return self.carriers + self.excited + self.filled_traps + self.emitted
 
 
-def simulate_decay(params: DecayModelParams) -> DecayTrace:
-    """Integrate the capture/emission equations over the time grid.
+# Dormand-Prince 5(4) pair (J. R. Dormand and P. J. Prince, J. Comput.
+# Appl. Math. 6, 19, 1980): nodes, stages, 5th-order weights and the
+# difference to the embedded 4th-order solution, then Shampine's quartic
+# dense output for the optimal c6 (L. W. Shampine, Math. Comp. 46, 135,
+# 1986), applied in the same operation order as the RK45 solve_ivp that
+# the tests use as an oracle, so that the two agree bit for bit.
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
-    Conservation (carriers + excited + filled traps + emitted photons =
-    initial carriers) is checked to integrator tolerance.
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dormand_prince(rhs, grid, y0, rtol, atol):
+    """Integrate y' = rhs(t, y) from grid[0] to grid[-1] with adaptive
+    Dormand-Prince 5(4) steps; return y on the grid (one column per
+    point) and the counts of rhs evaluations, accepted and rejected steps.
+
+    The step control is that of Hairer, Norsett and Wanner (Solving
+    Ordinary Differential Equations I, Sec. II.4): their initial step,
+    an RMS error norm scaled by atol + rtol*|y|, safety factor 0.9 and
+    step factors clamped to [0.2, 10], no growth right after a rejection.
+    A step that must shrink below ten ulps of t, or that is NaN because
+    rhs returned NaN, raises IntegrationError.
     """
-    from scipy.integrate import solve_ivp   # slow import, needed only here
-    n0 = params.pump_power_mw * params.carrier_density_per_mw_cm3
-    grid = params.time_grid_ns
+    nfev = accepted = rejected = 0
+
+    def fun(t, y):
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(rhs(t, y), dtype=float)
+
+    t, t_end = float(grid[0]), float(grid[-1])
+    y = np.asarray(y0, dtype=float)
+    f = fun(t, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 5))
+    h_abs = min(100 * h0, h1, t_end - t)
+
+    K = np.empty((7, y.size))
+    out = np.empty((y.size, grid.size))
+    i = 0
+    while t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        was_rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise IntegrationError(
+                    f"decay integration failed at t = {t:.6g} ns: step "
+                    f"{h_abs:.3g} ns is NaN or below the minimum "
+                    f"{min_step:.3g} ns")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                dy = np.dot(K[:s].T, _DP_A[s, :s]) * h
+                K[s] = fun(t + _DP_C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            K[-1] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** -0.2)
+                h_abs *= min(1, factor) if was_rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error ** -0.2)
+            was_rejected = True
+            rejected += 1
+        accepted += 1
+        j = int(np.searchsorted(grid, t_new, side="right"))
+        if j > i:
+            x = (grid[i:j] - t) / h
+            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            out[:, i:j] = h * np.dot(K.T.dot(_DP_P), p) + y[:, None]
+            i = j
+        t, y, f = t_new, y_new, f_new
+    return out, nfev, accepted, rejected
+
+
+def _decay_rhs(params: DecayModelParams):
+    """Time derivative of (carriers, excited emitters, filled traps,
+    emitted photons) for the capture/emission equations."""
     k_g = params.capture_coefficient_g_cm3_ns * params.g_center_density_cm3
     k_t0 = params.capture_coefficient_trap_cm3_ns * params.trap_density_cm3
     n_sat = params.trap_saturation_density_cm3
     if n_sat is None:
         n_sat = params.trap_density_cm3
     tau_r = params.tau_r_ns
-
-    if n0 == 0.0:
-        zero = np.zeros_like(grid)
-        return DecayTrace(grid, zero, zero.copy(), zero.copy(),
-                          zero.copy(), zero.copy())
 
     def rhs(_t, y):
         n_c, n_x, filled, _ = y
@@ -182,12 +283,25 @@ def simulate_decay(params: DecayModelParams) -> DecayTrace:
             k_t * (n_c + n_x),
             n_x / tau_r,
         ]
+    return rhs
 
-    sol = solve_ivp(rhs, (grid[0], grid[-1]), [n0, 0.0, 0.0, 0.0],
-                    method="RK45", rtol=1e-8, atol=1e-12 * n0, t_eval=grid)
-    if not sol.success:
-        raise IntegrationError(f"decay integration failed: {sol.message}")
-    y = sol.y
+
+def simulate_decay(params: DecayModelParams) -> DecayTrace:
+    """Integrate the capture/emission equations over the time grid.
+
+    Conservation (carriers + excited + filled traps + emitted photons =
+    initial carriers) is checked to integrator tolerance.
+    """
+    n0 = params.pump_power_mw * params.carrier_density_per_mw_cm3
+    grid = params.time_grid_ns
+    if n0 == 0.0:
+        zero = np.zeros_like(grid)
+        return DecayTrace(grid, zero, zero.copy(), zero.copy(),
+                          zero.copy(), zero.copy())
+
+    y, nfev, accepted, rejected = _dormand_prince(
+        _decay_rhs(params), grid, [n0, 0.0, 0.0, 0.0], rtol=1e-8,
+        atol=1e-12 * n0)
     if np.any(y < -1e-6 * n0):
         raise IntegrationError(
             f"negative densities in decay solution (min {y.min():.3g})")
@@ -197,8 +311,10 @@ def simulate_decay(params: DecayModelParams) -> DecayTrace:
     if drift > 1e-6:
         raise IntegrationError(
             f"excitation conservation violated by {drift:.2e} relative")
-    return DecayTrace(time_ns=grid, intensity=y[1] / tau_r, carriers=y[0],
-                      excited=y[1], filled_traps=y[2], emitted=y[3])
+    return DecayTrace(time_ns=grid, intensity=y[1] / params.tau_r_ns,
+                      carriers=y[0], excited=y[1], filled_traps=y[2],
+                      emitted=y[3], nfev=nfev, steps_accepted=accepted,
+                      steps_rejected=rejected)
 
 
 def rise_time(trace, intensity=None) -> float:

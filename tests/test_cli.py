@@ -237,16 +237,23 @@ def test_readme_config_block_loads(tmp_path):
     assert load_config(str(config)).values
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.integrate costs about half a second of start-up; only
-    # simulate_decay imports it, so the spectrum commands never pay for it
-    code = ("import sys, defect_spectra.cli; print(sorted(m for m in "
-            "sys.modules if m.split('.')[0] == 'scipy'))")
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # the package depends on numpy only: importing the CLI and running the
+    # two kinetics commands, whose decay integrator lives in the package,
+    # must not import scipy (half a second of start-up)
+    code = ("import sys; from defect_spectra import cli\n"
+            "assert cli.main(['simulate-decay', '--seed', '1', '--out', "
+            "'decay']) == 0\n"
+            "assert cli.main(['sweep-fluence', '--template', 'cw.csv', "
+            "'--fluences', '1e11,1e12', '--out', 'sweep']) == 0\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    (tmp_path / "cw.csv").write_text(CW_TEMPLATE)
     env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
+                         text=True, env=env, cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.strip().splitlines()[-1] == "[]"
 
 
 CW_TEMPLATE ="flux_cm2_s,duration_s,gap_s\n8e11,{duration},0\n"
@@ -351,6 +358,9 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
       "out"], "[sampler] samples: n_samples must be >= 1"),
     ({}, ["simulate-spectrum", "--samples", "-3", "--seed", "1", "--out",
           "out"], "--samples: n_samples must be >= 1"),
+    ({"d.csv": TRACE},
+     ["fit", "--input", "d.csv", "--model", "peaks", "--peaks", "0",
+      "--report", "r.csv"], "--peaks: n_peaks must be >= 1"),
     ({"t.csv": "flux_cm2_s,duration_s,gap_s,repeat\n7.9e18,inf,45,{pulses}\n"},
      ["sweep-fluence", "--template", "t.csv", "--out", "out"],
      "schedule template t.csv"),
@@ -370,7 +380,7 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "fluences-zero", "fluences-negative", "config-fluences-negative",
         "table-abc", "table-two-cells", "table-nan-strain", "fit-nan-time",
         "fit-power-law-nan", "n-points-one", "config-samples-negative",
-        "samples-negative", "pulses-duration-inf", "duration-flux-inf",
+        "samples-negative", "peaks-zero", "pulses-duration-inf", "duration-flux-inf",
         "gap-negative"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):

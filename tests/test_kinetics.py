@@ -4,8 +4,10 @@ from math import factorial
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from defect_spectra.core import (
+    IntegrationError,
     InvalidArgumentError,
     NoRiseError,
     ValidationError,
@@ -17,6 +19,8 @@ from defect_spectra.kinetics import (
     IrradiationSchedule,
     LifetimeSet,
     ScheduleSegment,
+    _decay_rhs,
+    _dormand_prince,
     compose_lifetimes,
     cw_schedule,
     decompose_lifetimes,
@@ -161,6 +165,45 @@ def test_zero_pump_gives_zero_trace():
     trace = simulate_decay(DecayModelParams(pump_power_mw=0.0))
     assert np.all(trace.intensity == 0.0)
     assert np.all(trace.excited == 0.0)
+    assert (trace.nfev, trace.steps_accepted, trace.steps_rejected) == (0, 0, 0)
+
+
+BENCH_GRID = np.linspace(0.0, 100.0, 40001)
+
+
+@pytest.mark.parametrize("params", [
+    DecayModelParams(),
+    DecayModelParams(pump_power_mw=0.3, time_grid_ns=BENCH_GRID),
+    DecayModelParams(pump_power_mw=2.0, time_grid_ns=BENCH_GRID,
+                     trap_saturation_density_cm3=float("inf")),
+    DecayModelParams(trap_density_cm3=1e17, pump_power_mw=5.0),
+], ids=["default", "saturated-40001", "unsaturated-40001", "dense-traps"])
+def test_dormand_prince_matches_solve_ivp(params):
+    # the in-package integrator repeats scipy's RK45 operation for
+    # operation, so the oracle agrees bit for bit, evaluation count included
+    n0 = params.pump_power_mw * params.carrier_density_per_mw_cm3
+    grid, rhs, y0 = params.time_grid_ns, _decay_rhs(params), [n0, 0, 0, 0]
+    ref = solve_ivp(rhs, (grid[0], grid[-1]), y0, method="RK45", rtol=1e-8,
+                    atol=1e-12 * n0, t_eval=grid)
+    y, nfev, accepted, rejected = _dormand_prince(rhs, grid, y0, rtol=1e-8,
+                                                  atol=1e-12 * n0)
+    assert np.array_equal(y, ref.y)
+    assert nfev == ref.nfev == 2 + 6 * (accepted + rejected)
+    trace = simulate_decay(params)
+    assert (trace.nfev, trace.steps_accepted, trace.steps_rejected) == \
+        (nfev, accepted, rejected)
+
+
+@pytest.mark.parametrize("onset_ns", [0.0, 3.0])
+def test_dormand_prince_nan_rhs_raises(onset_ns):
+    # NaN from the first evaluation makes the step NaN, and NaN later
+    # rejects steps until they fall below the minimum; neither may loop
+    def rhs(t, y):
+        return [np.nan if t >= onset_ns else -y[0], 0.0]
+
+    with pytest.raises(IntegrationError, match="NaN or below the minimum"):
+        _dormand_prince(rhs, np.linspace(0.0, 10.0, 101), [1.0, 0.0],
+                        rtol=1e-8, atol=1e-12)
 
 
 def test_trap_saturation_lengthens_tail():

@@ -130,9 +130,7 @@ _SCHEMA = {
         "fit_window_start_ns": float,
         "fit_window_stop_ns": float,
     },
-    # DamageParams.tau_r_ns has never been a [damage] key (the radiative
-    # lifetime already has keys under [emitter] and [kinetics]), so
-    # sweep-fluence always uses its default.
+    # the radiative lifetime is [emitter] radiative_lifetime_ns
     "damage": _field_keys(DamageParams, exclude=("tau_r_ns",)),
     "schedule": {
         "template": str,
@@ -227,6 +225,26 @@ def _table_from(cfg: RunConfig):
     return load_response_table(path)
 
 
+def _radiative_lifetime(cfg: RunConfig) -> dict:
+    """``{"tau_r_ns": value}`` for the radiative lifetime a config sets, or
+    ``{}``. ``[emitter] radiative_lifetime_ns`` names it; ``[kinetics]
+    tau_r_ns`` still loads as its older name, and the two may not differ."""
+    given = {f"[{section}] {key}": cfg.get(section, key)
+             for section, key in (("emitter", "radiative_lifetime_ns"),
+                                  ("kinetics", "tau_r_ns"))
+             if cfg.get(section, key) is not None}
+    if len(set(given.values())) > 1:
+        raise ValidationError(
+            "config keys " + " and ".join(f"{k} = {v}" for k, v in
+                                          given.items())
+            + " set two different radiative lifetimes; set one of them")
+    for key, value in given.items():
+        if not 0 < value < np.inf:
+            raise ValidationError(
+                f"config key {key} must be positive and finite, got {value}")
+    return {"tau_r_ns": value for value in given.values()}
+
+
 def _decay_params_from(cfg: RunConfig) -> DecayModelParams:
     t_max = cfg.get("kinetics", "t_max_ns", DECAY_T_MAX_NS)
     if not 0 < t_max < np.inf:
@@ -237,7 +255,8 @@ def _decay_params_from(cfg: RunConfig) -> DecayModelParams:
         raise ValidationError(f"config key [kinetics] n_points must be at "
                               f"least 2, got {n_points}")
     grid = np.linspace(0.0, t_max, n_points)
-    return _build(DecayModelParams, cfg, "kinetics", time_grid_ns=grid)
+    return _build(DecayModelParams, cfg, "kinetics", time_grid_ns=grid,
+                  **_radiative_lifetime(cfg))
 
 
 def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedule:
@@ -438,7 +457,7 @@ def cmd_sweep_fluence(args) -> int:
     if len(fluences) < 2 or not all(0 < f < np.inf for f in fluences):
         raise ValidationError(
             f"{field} needs at least 2 positive finite fluences, got {raw!r}")
-    params = _build(DamageParams, cfg, "damage")
+    params = _build(DamageParams, cfg, "damage", **_radiative_lifetime(cfg))
 
     n_g, n_trap, tau_eff, intensity = np.empty((4, len(fluences)))
     for i, fluence in enumerate(fluences):

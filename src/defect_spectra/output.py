@@ -63,8 +63,28 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def _column_extremes(column, y):
+    """Indices, in order, of the first, lowest, highest and last point of
+    each run of consecutive points in one pixel ``column``. A polyline
+    through them draws the same line at the plot's resolution as one
+    through every point (the M4 aggregation of Jugel et al., PVLDB 7, 797,
+    2014)."""
+    new_run = np.r_[True, column[1:] != column[:-1]]
+    starts = np.flatnonzero(new_run)
+    ends = np.r_[starts[1:], len(column)] - 1
+    by_height = np.lexsort((y, np.cumsum(new_run)))
+    keep = np.zeros(len(column), dtype=bool)
+    keep[np.concatenate((starts, ends, by_height[starts],
+                         by_height[ends]))] = True
+    return np.flatnonzero(keep)
+
+
 def svg_line_plot(x, y, xlabel: str, ylabel: str) -> str:
-    """Minimal self-contained SVG polyline plot."""
+    """Minimal self-contained SVG polyline plot.
+
+    A curve of more than four points per pixel column of the plot area
+    is drawn through the first, lowest, highest and last point of each
+    column."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     width, height = 800, 500
@@ -76,6 +96,10 @@ def svg_line_plot(x, y, xlabel: str, ylabel: str) -> str:
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
+    if len(x) > 4 * pw:
+        column = np.minimum((x - x0) / (x1 - x0) * pw, pw - 1).astype(int)
+        kept = _column_extremes(column, y)
+        x, y = x[kept], y[kept]
     px = ml + (x - x0) / (x1 - x0) * pw
     py = mt + (1.0 - (y - y0) / (y1 - y0)) * ph
     pts = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))

@@ -16,7 +16,11 @@ from defect_spectra.ensemble import (
     SingleDefectSpec,
     UniformSpec,
 )
-from defect_spectra.kinetics import DamageParams, DecayModelParams
+from defect_spectra.kinetics import (
+    DamageParams,
+    DecayModelParams,
+    integrate_damage,
+)
 from defect_spectra.strainfield import ElasticParams
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -370,6 +374,12 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"t.csv": "flux_cm2_s,duration_s,gap_s\n8e11,{duration},-1\n"},
      ["sweep-fluence", "--template", "t.csv", "--out", "out"],
      "schedule template t.csv"),
+    ({"t.csv": CW_TEMPLATE,
+      "d.ini": "[emitter]\nradiative_lifetime_ns = -1\n"},
+     ["sweep-fluence", "--config", "d.ini", "--template", "t.csv", "--out",
+      "out"], "[emitter] radiative_lifetime_ns must be positive"),
+    ({"k.ini": "[emitter]\nradiative_lifetime_ns = inf\n"}, DECAY,
+     "[emitter] radiative_lifetime_ns must be positive"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
@@ -381,7 +391,7 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "table-abc", "table-two-cells", "table-nan-strain", "fit-nan-time",
         "fit-power-law-nan", "n-points-one", "config-samples-negative",
         "samples-negative", "peaks-zero", "pulses-duration-inf", "duration-flux-inf",
-        "gap-negative"])
+        "gap-negative", "sweep-lifetime-negative", "decay-lifetime-inf"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)
@@ -478,6 +488,57 @@ def test_sweep_fluence_pulsed_vs_cw(tmp_path):
         report = read_report(out / "scaling_fit.csv")
         exponents[name] = report["exponent"][0]
     assert exponents["pulsed"] > exponents["cw"]
+
+
+@pytest.mark.parametrize("config", [
+    "[emitter]\nradiative_lifetime_ns = 30.0\n",
+    "[kinetics]\ntau_r_ns = 30.0\n",
+    "[emitter]\nradiative_lifetime_ns = 30.0\n[kinetics]\ntau_r_ns = 30.0\n"])
+def test_sweep_fluence_follows_radiative_lifetime(tmp_path, capsys, config):
+    _, cw = write_templates(tmp_path)
+    (tmp_path / "run.ini").write_text(config)
+    fluences = (1e11, 1e13)
+    for name, cfg in (("set", ["--config", str(tmp_path / "run.ini")]),
+                      ("default", [])):
+        assert main(["sweep-fluence", *cfg, "--template", str(cw),
+                     "--fluences", "1e11,1e13",
+                     "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    rows = {name: np.loadtxt(tmp_path / name / "sweep.csv", delimiter=",",
+                             skiprows=1) for name in ("set", "default")}
+    for row, fluence in zip(rows["set"], fluences):
+        history = integrate_damage(schedule_from_template(str(cw), fluence),
+                                   DamageParams(tau_r_ns=30.0))
+        assert row[3] == float(f"{history.tau_eff_ns[-1]:.10g}")
+        assert row[4] == float(f"{history.n_g_cm2[-1] * history.qe[-1]:.10g}")
+    assert np.all(rows["set"][:, 3] < rows["default"][:, 3])
+
+
+def test_simulate_decay_follows_emitter_lifetime(tmp_path, capsys):
+    (tmp_path / "run.ini").write_text(
+        "[emitter]\nradiative_lifetime_ns = 30.0\n"
+        "[kinetics]\ntrap_density_cm3 = 0\nt_max_ns = 300\nn_points = 12001\n")
+    assert main(["simulate-decay", "--config", str(tmp_path / "run.ini"),
+                 "--seed", "1", "--out", str(tmp_path / "dec")]) == 0
+    capsys.readouterr()
+    report = read_report(tmp_path / "dec" / "fit_report.csv")
+    assert report["tau_ns"][0] == pytest.approx(30.0, rel=5e-3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-decay", "--seed", "1"],
+    ["sweep-fluence", "--template", "t.csv", "--fluences", "1e11,1e12"]])
+def test_conflicting_lifetime_keys_are_usage_error(tmp_path, monkeypatch,
+                                                   capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text(CW_TEMPLATE)
+    (tmp_path / "run.ini").write_text("[emitter]\nradiative_lifetime_ns = 30\n"
+                                      "[kinetics]\ntau_r_ns = 45\n")
+    assert main([*argv, "--config", "run.ini", "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert "[emitter] radiative_lifetime_ns = 30" in err
+    assert "[kinetics] tau_r_ns = 45" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_fluence_needs_two_points(tmp_path):

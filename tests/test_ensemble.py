@@ -15,11 +15,15 @@ from defect_spectra.core import (
 )
 from defect_spectra.ensemble import (
     SYNTH_BLOCK,
+    TREE_BOX,
+    TREE_MIN_GRID,
+    TREE_SHIFTS_PER_POINT,
     BiasedZSpec,
     DefectDensitySpec,
     SingleDefectSpec,
     UniformSpec,
     _defect_field_chunk,
+    _use_treecode,
     biased_z_retention,
     default_wavelength_grid,
     histogram_shifts,
@@ -364,13 +368,16 @@ def test_spectrum_weights():
     assert red_frac_lop > red_frac_even
 
 
-def _direct_lorentzian_sum(grid, shifts_mev, emitter):
-    """One term at a time: sum of 1/((x - c)^2 + h^2), peak-normalized."""
+def _direct_lorentzian_sum(grid, shifts_mev, emitter, weights=None):
+    """One term at a time: sum of w/((x - c)^2 + h^2), peak-normalized."""
     lam0 = emitter.zpl_wavelength_nm
     half = emitter.homogeneous_fwhm_nm / 2.0
+    if weights is None:
+        weights = np.ones(len(shifts_mev))
     total = np.zeros_like(grid)
-    for c in lam0 + delta_lambda_from_delta_e(shifts_mev, lam0):
-        total += 1.0 / ((grid - c) ** 2 + half ** 2)
+    for c, w in zip(lam0 + delta_lambda_from_delta_e(shifts_mev, lam0),
+                    weights):
+        total += w / ((grid - c) ** 2 + half ** 2)
     return total / total.max()
 
 
@@ -384,6 +391,75 @@ def test_spectrum_matches_direct_sum(n):
         intensity, _direct_lorentzian_sum(grid, shifts, emitter), rtol=1e-12)
 
 
+def _even_grid(n_points, emitter=EmitterParams()):
+    """``n_points`` grid points an eighth of the FWHM apart, centred on the
+    reference line."""
+    step = emitter.homogeneous_fwhm_nm / 8
+    return emitter.zpl_wavelength_nm + step * (np.arange(n_points)
+                                               - n_points // 2)
+
+
+def _treecode_case(name):
+    """(shifts, grid or None, weights or None, treecode expected)."""
+    emitter = EmitterParams()
+    rng = np.random.default_rng(12)
+    n = TREE_SHIFTS_PER_POINT * 2200
+    if name == "one box":
+        grid = _even_grid(2200)
+        shifts = np.r_[rng.uniform(-0.01, 0.01, n - 500), np.zeros(500)]
+        lam = emitter.zpl_wavelength_nm + delta_lambda_from_delta_e(
+            shifts, emitter.zpl_wavelength_nm)
+        assert len(np.unique(np.searchsorted(grid, lam) // TREE_BOX)) == 1
+        return shifts, grid, None, True
+    if name == "70% zero shifts":
+        shifts = np.where(rng.random(n) < 0.7, 0.0, rng.uniform(-7, 7, n))
+        return shifts, None, None, True
+    if name == "weights":
+        return rng.uniform(-7, 7, n), None, rng.uniform(0.0, 2.0, n), True
+    if name == "centers at both edges":
+        # the default grid ends ten widths (plus under a step) beyond the
+        # extreme shifts; a third of the centers sit on each of them
+        shifts = np.r_[np.full(n // 3, -7.0), np.full(n // 3, 7.0),
+                       rng.uniform(-7, 7, n - 2 * (n // 3))]
+        return shifts, None, None, True
+    if name == "non-uniform grid":
+        steps = rng.uniform(0.2, 1.0, 2400) * emitter.homogeneous_fwhm_nm / 5
+        grid = emitter.zpl_wavelength_nm + np.cumsum(steps) - steps.sum() / 2
+        shifts = rng.uniform(-5, 5, TREE_SHIFTS_PER_POINT * 2400)
+        return shifts, grid, None, True
+    n_points, n_shifts = {
+        "switch: smallest treecode": (TREE_MIN_GRID,
+                                      TREE_SHIFTS_PER_POINT * TREE_MIN_GRID),
+        "switch: one shift fewer": (TREE_MIN_GRID,
+                                    TREE_SHIFTS_PER_POINT * TREE_MIN_GRID - 1),
+        "switch: one point fewer": (TREE_MIN_GRID - 1,
+                                    TREE_SHIFTS_PER_POINT * TREE_MIN_GRID),
+    }[name]
+    return (rng.uniform(-5, 5, n_shifts), _even_grid(n_points), None,
+            name == "switch: smallest treecode")
+
+
+@pytest.mark.parametrize("name", [
+    "one box", "70% zero shifts", "weights", "centers at both edges",
+    "non-uniform grid", "switch: smallest treecode",
+    "switch: one shift fewer", "switch: one point fewer"])
+def test_treecode_matches_direct_sum(name):
+    emitter = EmitterParams()
+    shifts, grid, weights, treecode = _treecode_case(name)
+    grid, intensity = synthesize_spectrum(shifts, emitter, grid, weights)
+    assert _use_treecode(len(shifts), len(grid)) == treecode
+    np.testing.assert_allclose(
+        intensity, _direct_lorentzian_sum(grid, shifts, emitter, weights),
+        rtol=1e-12)
+
+
+def test_benchmark_sizes_pick_their_path():
+    # defect-field series: 6000 shifts on grids of 600 to 1500 points;
+    # wide biased-z ensemble: 50k shifts on about 3400 points
+    assert not any(_use_treecode(6000, g) for g in (600, 1000, 1500))
+    assert _use_treecode(50000, 3409)
+
+
 def test_spectrum_weights_match_duplicated_shifts():
     emitter = EmitterParams()
     grid = default_wavelength_grid(np.array([-1.5, 2.0]), emitter)
@@ -394,17 +470,26 @@ def test_spectrum_weights_match_duplicated_shifts():
     np.testing.assert_allclose(weighted, repeated, rtol=1e-12)
 
 
-def test_spectrum_memory_is_one_block():
+@pytest.mark.parametrize("case", ["spread", "identical", "one box"])
+def test_spectrum_memory_is_one_block(case):
     emitter = EmitterParams()
-    shifts = np.linspace(-2.5, 2.5, 20000)
+    shifts, grid = {
+        "spread": (np.linspace(-2.5, 2.5, 20000), None),
+        # 20k shifts in one treecode box of a 4000-point grid, identical or
+        # spread over the box, whose near window is then 116 points wide
+        "identical": (np.full(20000, 0.4), _even_grid(4000)),
+        "one box": (np.linspace(-0.1, 0.1, 20000), _even_grid(4000)),
+    }[case]
     tracemalloc.start()
     try:
-        grid, _ = synthesize_spectrum(shifts, emitter)
+        grid, _ = synthesize_spectrum(shifts, emitter, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(grid) == 885
-    # one SYNTH_BLOCK x grid buffer is 1.8 MB; 20k x grid would be 142 MB
+    assert _use_treecode(len(shifts), len(grid)) == (case != "spread")
+    assert len(grid) == (885 if case == "spread" else 4000)
+    # one SYNTH_BLOCK x grid buffer is 1.8 MB; 20k x grid would be 142 MB,
+    # and 20k x the one-box near window 19 MB
     assert peak < 8e6
 
 

@@ -42,13 +42,34 @@ def test_write_csv_unequal_columns_raise(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_svg_polyline_matches_per_point_format():
-    rng = np.random.default_rng(1)
-    x = np.sort(rng.uniform(0.0, 100.0, 40_000))
-    y = rng.standard_normal(40_000)
-    svg = svg_line_plot(x, y, "x", "y")
-    # the plot area of svg_line_plot: 710 x 430 px at offset (70, 20)
+def _polyline(x, y, drawn):
+    """Reference polyline text through the points ``drawn`` of (x, y), in
+    svg_line_plot's 710 x 430 px plot area at offset (70, 20)."""
     px = 70 + (x - x.min()) / (x.max() - x.min()) * 710
     py = 20 + (1.0 - (y - y.min()) / (y.max() - y.min())) * 430
-    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-    assert f'<polyline points="{points}"' in svg
+    points = " ".join(f"{px[i]:.2f},{py[i]:.2f}" for i in drawn)
+    return f'<polyline points="{points}"'
+
+
+def test_svg_polyline_matches_per_point_format():
+    # at the cap of four points per pixel column every point is drawn
+    rng = np.random.default_rng(1)
+    x = np.sort(rng.uniform(0.0, 100.0, 4 * 710))
+    y = rng.standard_normal(4 * 710)
+    assert _polyline(x, y, range(len(x))) in svg_line_plot(x, y, "x", "y")
+
+
+def test_svg_polyline_keeps_four_points_per_column():
+    rng = np.random.default_rng(2)
+    x = np.sort(rng.uniform(0.0, 100.0, 40_000))
+    y = rng.standard_normal(40_000)
+    columns = {}
+    for i, col in enumerate(np.minimum((x - x.min()) / (x.max() - x.min())
+                                       * 710, 709).astype(int)):
+        columns.setdefault(col, []).append(i)
+    # first, lowest, highest and last point of each column, in order
+    drawn = sorted({k for idx in columns.values()
+                    for k in (idx[0], min(idx, key=lambda i: y[i]),
+                              max(idx, key=lambda i: y[i]), idx[-1])})
+    assert len(columns) == 710 and 3 * 710 < len(drawn) <= 4 * 710
+    assert _polyline(x, y, drawn) in svg_line_plot(x, y, "x", "y")

@@ -228,7 +228,9 @@ def _table_from(cfg: RunConfig):
 def _radiative_lifetime(cfg: RunConfig) -> dict:
     """``{"tau_r_ns": value}`` for the radiative lifetime a config sets, or
     ``{}``. ``[emitter] radiative_lifetime_ns`` names it; ``[kinetics]
-    tau_r_ns`` still loads as its older name, and the two may not differ."""
+    tau_r_ns`` still loads as its older name, and the two may not differ.
+    The [emitter] section is checked as simulate-spectrum checks it."""
+    _build(EmitterParams, cfg, "emitter")
     given = {f"[{section}] {key}": cfg.get(section, key)
              for section, key in (("emitter", "radiative_lifetime_ns"),
                                   ("kinetics", "tau_r_ns"))
@@ -238,10 +240,6 @@ def _radiative_lifetime(cfg: RunConfig) -> dict:
             "config keys " + " and ".join(f"{k} = {v}" for k, v in
                                           given.items())
             + " set two different radiative lifetimes; set one of them")
-    for key, value in given.items():
-        if not 0 < value < np.inf:
-            raise ValidationError(
-                f"config key {key} must be positive and finite, got {value}")
     return {"tau_r_ns": value for value in given.values()}
 
 

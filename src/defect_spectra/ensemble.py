@@ -7,9 +7,8 @@ the assembled ensemble is bit-identical no matter how many worker threads
 order they finished.
 
 A spectrum is a sum of one Lorentzian per sample over a wavelength grid.
-Small inputs take the direct sum, ``SYNTH_BLOCK`` samples at a time. An
-ensemble of at least ``TREE_SHIFTS_PER_POINT`` samples per grid point on a
-grid of at least ``TREE_MIN_GRID`` points takes a treecode instead: each
+An ensemble with fewer samples than grid points takes the direct sum,
+``SYNTH_BLOCK`` samples at a time. Any larger one takes a treecode: each
 box of ``TREE_BOX`` grid points sums its samples directly over the grid
 points near it and through ``TREE_TERMS`` moments everywhere else. The path
 depends only on the two sizes, so the output is a function of the inputs.
@@ -47,15 +46,15 @@ CHUNK = 4096
 # depends on it and on the treecode constants below, so all of them are
 # fixed here and never derived from a thread count or a user setting.
 SYNTH_BLOCK = 256
-# The treecode replaces the direct sum when the grid has TREE_MIN_GRID
-# points or more and the ensemble TREE_SHIFTS_PER_POINT samples per grid
-# point or more. Its far field costs about grid^2 * TREE_TERMS / TREE_BOX
-# operations whatever the ensemble size, so it pays from about one sample
-# per grid point; from four it took 0.21 to 0.27 of the direct time (one
-# thread, grids of 2048 to 6000 points). Ensembles of a few thousand
-# samples on grids under 2048 points keep the direct sum and its bytes.
-TREE_MIN_GRID = 2048
-TREE_SHIFTS_PER_POINT = 4
+# The treecode replaces the direct sum when the ensemble has
+# TREE_SHIFTS_PER_POINT samples per grid point or more. Its far field costs
+# up to grid^2 * TREE_TERMS / TREE_BOX operations whatever the ensemble
+# size, so it pays from about one sample per grid point. Measured with
+# samples spread over the whole grid, its worst case (one thread): 0.8 of
+# the direct time at one sample per point on grids of 2048 and 8192 points,
+# 1.2 at half a sample per point; on a 512-point grid 2.2 at one sample per
+# point and 0.9 at four, a difference of about a millisecond.
+TREE_SHIFTS_PER_POINT = 1
 # Grid points per treecode box, moments per box, and the reach of a box of
 # half-width r: grid points closer than TREE_REACH * r to its middle are
 # summed directly. The moments' truncation error is then below
@@ -455,8 +454,7 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
 def _use_treecode(n_shifts: int, n_points: int) -> bool:
     """Whether synthesize_spectrum sums ``n_shifts`` Lorentzians over
     ``n_points`` grid points by the treecode rather than directly."""
-    return (n_points >= TREE_MIN_GRID
-            and n_shifts >= TREE_SHIFTS_PER_POINT * n_points)
+    return n_shifts >= TREE_SHIFTS_PER_POINT * n_points
 
 
 def _block_sum(out, x, centers, weights, half_sq, buf):

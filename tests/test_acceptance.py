@@ -331,8 +331,8 @@ def test_criterion_9_determinism(acceptance_record, tmp_path):
     jobs = [
         (("simulate-spectrum", "--mode", "uniform", "--samples", "6000",
           "--seed", "17"), ("spectrum.csv", "histogram.csv"), (1, 8)),
-        # 16000 samples on a grid of about 3400 points: the treecode sum
-        (("simulate-spectrum", "--mode", "biased-z", "--samples", "16000",
+        # 6000 samples on a grid of about 3300 points: the treecode sum
+        (("simulate-spectrum", "--mode", "biased-z", "--samples", "6000",
           "--seed", "17"), ("spectrum.csv", "histogram.csv"), (1, 5)),
         (("simulate-spectrum", "--config", str(cfg), "--mode",
           "defect-field", "--samples", "6000", "--seed", "17"),
@@ -350,7 +350,7 @@ def test_criterion_9_determinism(acceptance_record, tmp_path):
                 mismatches.append(f"{args[0]} {name}")
     grid_points = len((tmp_path / "job1a" / "spectrum.csv").read_text()
                       .splitlines()) - 1
-    assert _use_treecode(16000, grid_points)
+    assert _use_treecode(6000, grid_points)
 
     ok = not mismatches
     elapsed = _budget(9, t0, 30.0)

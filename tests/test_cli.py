@@ -377,9 +377,9 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"t.csv": CW_TEMPLATE,
       "d.ini": "[emitter]\nradiative_lifetime_ns = -1\n"},
      ["sweep-fluence", "--config", "d.ini", "--template", "t.csv", "--out",
-      "out"], "[emitter] radiative_lifetime_ns must be positive"),
+      "out"], "radiative_lifetime_ns must be positive"),
     ({"k.ini": "[emitter]\nradiative_lifetime_ns = inf\n"}, DECAY,
-     "[emitter] radiative_lifetime_ns must be positive"),
+     "radiative_lifetime_ns must be positive"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",

@@ -16,7 +16,6 @@ from defect_spectra.core import (
 from defect_spectra.ensemble import (
     SYNTH_BLOCK,
     TREE_BOX,
-    TREE_MIN_GRID,
     TREE_SHIFTS_PER_POINT,
     BiasedZSpec,
     DefectDensitySpec,
@@ -403,7 +402,7 @@ def _treecode_case(name):
     """(shifts, grid or None, weights or None, treecode expected)."""
     emitter = EmitterParams()
     rng = np.random.default_rng(12)
-    n = TREE_SHIFTS_PER_POINT * 2200
+    n = 2200
     if name == "one box":
         grid = _even_grid(2200)
         shifts = np.r_[rng.uniform(-0.01, 0.01, n - 500), np.zeros(500)]
@@ -425,15 +424,12 @@ def _treecode_case(name):
     if name == "non-uniform grid":
         steps = rng.uniform(0.2, 1.0, 2400) * emitter.homogeneous_fwhm_nm / 5
         grid = emitter.zpl_wavelength_nm + np.cumsum(steps) - steps.sum() / 2
-        shifts = rng.uniform(-5, 5, TREE_SHIFTS_PER_POINT * 2400)
+        shifts = rng.uniform(-5, 5, 2400)
         return shifts, grid, None, True
     n_points, n_shifts = {
-        "switch: smallest treecode": (TREE_MIN_GRID,
-                                      TREE_SHIFTS_PER_POINT * TREE_MIN_GRID),
-        "switch: one shift fewer": (TREE_MIN_GRID,
-                                    TREE_SHIFTS_PER_POINT * TREE_MIN_GRID - 1),
-        "switch: one point fewer": (TREE_MIN_GRID - 1,
-                                    TREE_SHIFTS_PER_POINT * TREE_MIN_GRID),
+        "switch: smallest treecode": (2048, TREE_SHIFTS_PER_POINT * 2048),
+        "switch: one shift fewer": (2048, TREE_SHIFTS_PER_POINT * 2048 - 1),
+        "switch: one point more": (2049, TREE_SHIFTS_PER_POINT * 2048),
     }[name]
     return (rng.uniform(-5, 5, n_shifts), _even_grid(n_points), None,
             name == "switch: smallest treecode")
@@ -442,7 +438,7 @@ def _treecode_case(name):
 @pytest.mark.parametrize("name", [
     "one box", "70% zero shifts", "weights", "centers at both edges",
     "non-uniform grid", "switch: smallest treecode",
-    "switch: one shift fewer", "switch: one point fewer"])
+    "switch: one shift fewer", "switch: one point more"])
 def test_treecode_matches_direct_sum(name):
     emitter = EmitterParams()
     shifts, grid, weights, treecode = _treecode_case(name)
@@ -451,13 +447,6 @@ def test_treecode_matches_direct_sum(name):
     np.testing.assert_allclose(
         intensity, _direct_lorentzian_sum(grid, shifts, emitter, weights),
         rtol=1e-12)
-
-
-def test_benchmark_sizes_pick_their_path():
-    # defect-field series: 6000 shifts on grids of 600 to 1500 points;
-    # wide biased-z ensemble: 50k shifts on about 3400 points
-    assert not any(_use_treecode(6000, g) for g in (600, 1000, 1500))
-    assert _use_treecode(50000, 3409)
 
 
 def test_spectrum_weights_match_duplicated_shifts():
@@ -470,10 +459,13 @@ def test_spectrum_weights_match_duplicated_shifts():
     np.testing.assert_allclose(weighted, repeated, rtol=1e-12)
 
 
-@pytest.mark.parametrize("case", ["spread", "identical", "one box"])
+@pytest.mark.parametrize("case", ["direct", "spread", "identical",
+                                  "one box"])
 def test_spectrum_memory_is_one_block(case):
     emitter = EmitterParams()
     shifts, grid = {
+        # one shift fewer than grid points: the direct sum
+        "direct": (np.linspace(-2.5, 2.5, 1999), _even_grid(2000)),
         "spread": (np.linspace(-2.5, 2.5, 20000), None),
         # 20k shifts in one treecode box of a 4000-point grid, identical or
         # spread over the box, whose near window is then 116 points wide
@@ -486,10 +478,11 @@ def test_spectrum_memory_is_one_block(case):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert _use_treecode(len(shifts), len(grid)) == (case != "spread")
-    assert len(grid) == (885 if case == "spread" else 4000)
-    # one SYNTH_BLOCK x grid buffer is 1.8 MB; 20k x grid would be 142 MB,
-    # and 20k x the one-box near window 19 MB
+    assert _use_treecode(len(shifts), len(grid)) == (case != "direct")
+    assert len(grid) == {"direct": 2000, "spread": 885}.get(case, 4000)
+    # one SYNTH_BLOCK x grid buffer is 4.1 MB on 2000 points; 2k x 2000
+    # would be 32 MB, 20k x 885 142 MB, and 20k x the one-box near window
+    # 19 MB
     assert peak < 8e6
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import io
 import os
 import sys
 
@@ -75,7 +74,7 @@ from .lattice import (
     build_supercell,
     enumerate_candidates,
     place_gcenter,
-    write_xyz,
+    xyz_text,
 )
 from .output import read_csv, svg_line_plot, write_atomic, write_csv
 from .strainfield import ElasticParams
@@ -548,9 +547,7 @@ def cmd_enumerate_sites(args) -> int:
                *np.concatenate([c.positions_frac for c in cands]).T,
                np.concatenate([c.separation_nm for c in cands])])
     if args.xyz:
-        buf = io.StringIO()
-        write_xyz(geom, buf)
-        write_atomic(os.path.join(out, "supercell.xyz"), buf.getvalue())
+        write_atomic(os.path.join(out, "supercell.xyz"), xyz_text(geom))
     print("sites: " + ", ".join(f"{n} {k}" for k, n in zip(kinds, counts))
           + f", written to {out}")
     return 0

@@ -204,7 +204,7 @@ def make_stream(seed: int, *key: int) -> np.random.Generator:
 
     The same (seed, key) always yields the same sequence, no matter how many
     other streams were drawn from before it. Samplers derive one stream per
-    fixed-size work chunk, so results do not depend on thread scheduling.
+    fixed-size chunk, so a chunk's draws do not depend on the run's length.
     """
     if seed < 0:
         raise InvalidArgumentError("seed must be a non-negative integer")

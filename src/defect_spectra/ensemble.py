@@ -1,10 +1,9 @@
 """Monte Carlo strain ensembles and inhomogeneous spectrum synthesis.
 
 Sampling is organized in fixed-size chunks of 4096 samples; chunk ``j`` of
-a run draws from its own counter-based stream ``(seed, mode_id, j)``, so
-the assembled ensemble is bit-identical no matter how many worker threads
-(env var ``DEFECT_SPECTRA_THREADS``) processed the chunks or in which
-order they finished.
+a run draws from its own counter-based stream ``(seed, mode_id, j)``, and
+the chunks are stitched in index order, so a longer run re-yields a shorter
+one with the same seed as an exact prefix.
 
 A spectrum is a sum of one Lorentzian per sample over a wavelength grid.
 An ensemble with fewer samples than grid points takes the direct sum,
@@ -16,8 +15,6 @@ depends only on the two sizes, so the output is a function of the inputs.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +41,13 @@ CHUNK = 4096
 # Samples per block of the direct Lorentzian sum in synthesize_spectrum: one
 # block-by-grid buffer stays in cache. Each grid point's summation order
 # depends on it and on the treecode constants below, so all of them are
-# fixed here and never derived from a thread count or a user setting.
+# fixed here and never derived from a user setting.
 SYNTH_BLOCK = 256
 # The treecode replaces the direct sum when the ensemble has
 # TREE_SHIFTS_PER_POINT samples per grid point or more. Its far field costs
 # up to grid^2 * TREE_TERMS / TREE_BOX operations whatever the ensemble
 # size, so it pays from about one sample per grid point. Measured with
-# samples spread over the whole grid, its worst case (one thread): 0.8 of
+# samples spread over the whole grid, its worst case: 0.8 of
 # the direct time at one sample per point on grids of 2048 and 8192 points,
 # 1.2 at half a sample per point; on a 512-point grid 2.2 at one sample per
 # point and 0.9 at four, a difference of about a millisecond.
@@ -62,30 +59,10 @@ TREE_SHIFTS_PER_POINT = 1
 TREE_BOX = 32
 TREE_TERMS = 30
 TREE_REACH = 4.0
+# Most raw draws a biased-z run may expect to need: a rule that retains too
+# few of them is refused up front instead of running for hours or forever.
+MAX_RAW_DRAWS = 1e9
 _MODE_IDS = {"uniform": 1, "biased-z": 2, "defect-field": 3}
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("DEFECT_SPECTRA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidArgumentError(
-            f"DEFECT_SPECTRA_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _run_chunks(n_chunks, worker):
-    """Evaluate ``worker(j)`` for every chunk index, possibly threaded, and
-    return results ordered by chunk index."""
-    threads = _thread_count()
-    if threads == 1 or n_chunks == 1:
-        return [worker(j) for j in range(n_chunks)]
-    out = [None] * n_chunks
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for j, res in zip(range(n_chunks), pool.map(worker, range(n_chunks))):
-            out[j] = res
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +178,9 @@ def sample_uniform(spec: UniformSpec, n_samples: int, seed: int,
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be >= 1")
     _check_table_covers(table, spec.strain_low, spec.strain_high)
-    mode_id = _MODE_IDS["uniform"]
-    n_chunks = -(-n_samples // CHUNK)
-
-    def worker(j):
-        gen = make_stream(seed, mode_id, j)
-        block = np.zeros((CHUNK, 6))
-        block[:, :3] = gen.uniform(spec.strain_low, spec.strain_high,
-                                   size=(CHUNK, 3))
-        return block
-
-    strains = np.vstack(_run_chunks(n_chunks, worker))[:n_samples]
+    strains = np.vstack([
+        _normal_strains(spec, make_stream(seed, _MODE_IDS["uniform"], j))
+        for j in range(-(-n_samples // CHUNK))])[:n_samples]
     shifts = np.asarray(shift_for_strain(table, strains))
     prov = EnsembleProvenance(mode="uniform", seed=seed,
                               n_requested=n_samples, n_retained=n_samples,
@@ -219,11 +188,17 @@ def sample_uniform(spec: UniformSpec, n_samples: int, seed: int,
     return ShiftEnsemble(shifts_mev=shifts, strains=strains, provenance=prov)
 
 
-def _biased_chunk(spec: BiasedZSpec, seed: int, j: int):
-    gen = make_stream(seed, _MODE_IDS["biased-z"], j)
+def _normal_strains(spec, gen):
+    """CHUNK strain vectors with uniform normal components, shears zero."""
     block = np.zeros((CHUNK, 6))
     block[:, :3] = gen.uniform(spec.strain_low, spec.strain_high,
                                size=(CHUNK, 3))
+    return block
+
+
+def _biased_chunk(spec: BiasedZSpec, seed: int, j: int):
+    gen = make_stream(seed, _MODE_IDS["biased-z"], j)
+    block = _normal_strains(spec, gen)
     coins = gen.random(CHUNK)
     small_xy = np.max(np.abs(block[:, :2]), axis=1) <= spec.xy_threshold
     keep = small_xy | (coins < spec.keep_fraction)
@@ -234,47 +209,47 @@ def biased_z_retention(spec: BiasedZSpec, n_raw: int, seed: int) -> float:
     """Fraction of ``n_raw`` raw draws the rejection rule retains."""
     if n_raw < 1:
         raise InvalidArgumentError("n_raw must be >= 1")
-    n_chunks = -(-n_raw // CHUNK)
-    kept = _run_chunks(n_chunks,
-                       lambda j: int(_biased_chunk(spec, seed, j)[1][
-                           :min(CHUNK, n_raw - j * CHUNK)].sum()))
-    return sum(kept) / n_raw
+    kept = 0
+    for j in range(-(-n_raw // CHUNK)):
+        kept += int(_biased_chunk(spec, seed, j)[1][:n_raw - j * CHUNK].sum())
+    return kept / n_raw
 
 
 def sample_biased_z(spec: BiasedZSpec, n_samples: int, seed: int,
                     table: ResponseTable) -> ShiftEnsemble:
     """Rejection-sampled ensemble biased against in-plane strain.
 
-    Chunks are consumed in index order until ``n_samples`` survivors have
-    accumulated, so the result does not depend on thread scheduling.
+    Chunks are drawn one at a time, in index order, until ``n_samples``
+    survivors have accumulated; the raw draw count is that of those whole
+    chunks. A rule expected to need more than MAX_RAW_DRAWS raw draws, or
+    one that retains nothing, is refused before any draw.
     """
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be >= 1")
-    if spec.keep_fraction == 0.0 and spec.xy_threshold == 0.0:
-        raise InvalidArgumentError("rejection rule retains nothing")
+    # a raw draw is kept when both in-plane components lie within the
+    # threshold, a share s of the strain range each, or by the coin
+    t = spec.xy_threshold
+    s = max(0.0, min(spec.strain_high, t) - max(spec.strain_low, -t)) / (
+        spec.strain_high - spec.strain_low)
+    retention = s * s + (1.0 - s * s) * spec.keep_fraction
+    if not n_samples <= MAX_RAW_DRAWS * retention:
+        raise InvalidArgumentError(
+            f"keep_fraction {spec.keep_fraction:g} with xy_threshold {t:g} "
+            f"retains {retention:.3g} of raw draws, too few for {n_samples} "
+            f"samples within {MAX_RAW_DRAWS:.0e} draws")
     _check_table_covers(table, spec.strain_low, spec.strain_high)
 
-    expected = max(spec.keep_fraction, 1e-3)
-    kept_blocks = []
-    n_kept = 0
-    n_raw = 0
-    next_chunk = 0
+    kept, n_kept = [], 0
     while n_kept < n_samples:
-        deficit = n_samples - n_kept
-        n_more = max(1, -(-int(deficit / expected * 1.2) // CHUNK))
-        blocks = _run_chunks(n_more, lambda j, base=next_chunk:
-                             _biased_chunk(spec, seed, base + j))
-        for block, keep in blocks:
-            kept_blocks.append(block[keep])
-            n_kept += int(keep.sum())
-            n_raw += CHUNK
-        next_chunk += n_more
+        block, keep = _biased_chunk(spec, seed, len(kept))
+        kept.append(block[keep])
+        n_kept += len(kept[-1])
 
-    strains = np.vstack(kept_blocks)[:n_samples]
+    strains = np.vstack(kept)[:n_samples]
     shifts = np.asarray(shift_for_strain(table, strains))
     prov = EnsembleProvenance(mode="biased-z", seed=seed,
                               n_requested=n_samples, n_retained=n_samples,
-                              n_raw_draws=n_raw, spec=spec)
+                              n_raw_draws=len(kept) * CHUNK, spec=spec)
     return ShiftEnsemble(shifts_mev=shifts, strains=strains, provenance=prov)
 
 
@@ -363,14 +338,13 @@ def sample_defect_field(spec, n_samples: int, seed: int,
             f"{elastic.core_cutoff_nm} nm")
     amplitude_per_omega0 = elastic.atomic_volume_nm3 / (4.0 * np.pi)
 
-    def worker(j):
+    parts = []
+    for j in range(-(-n_samples // CHUNK)):
         gen = make_stream(seed, _MODE_IDS["defect-field"], j)
         size = min(CHUNK, n_samples - j * CHUNK)
         owner, is_vacancy, volume, positions = draws(spec, gen, size)
-        return _defect_field_chunk(size, owner, is_vacancy,
-                                   volume * amplitude_per_omega0, positions)
-
-    parts = _run_chunks(-(-n_samples // CHUNK), worker)
+        parts.append(_defect_field_chunk(
+            size, owner, is_vacancy, volume * amplitude_per_omega0, positions))
     strains, kinds, separations = (np.concatenate(p) for p in zip(*parts))
     low, high = component_ranges(table)
     in_range = np.all((strains >= low) & (strains <= high), axis=1)
@@ -404,7 +378,7 @@ def default_wavelength_grid(shifts_mev, emitter: EmitterParams,
 
 
 def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
-                        wavelength_grid=None, weights=None):
+                        wavelength_grid=None):
     """Peak-normalized sum of unit-area Lorentzians, one per sample.
 
     Returns (wavelength_nm, intensity). The grid must cover the reference
@@ -414,10 +388,6 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
     shifts_mev = np.atleast_1d(np.asarray(shifts_mev, dtype=float))
     if shifts_mev.size == 0:
         raise EmptyEnsembleError("no samples to synthesize a spectrum from")
-    if weights is not None:
-        weights = np.atleast_1d(np.asarray(weights, dtype=float))
-        if weights.shape != shifts_mev.shape:
-            raise InvalidArgumentError("weights must match shifts in shape")
 
     if wavelength_grid is None:
         wavelength_grid = default_wavelength_grid(shifts_mev, emitter)
@@ -440,10 +410,10 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
     # below cancels it, so each term is 1/((x - c)^2 + (fwhm/2)^2).
     centers = lam0 + dl
     if _use_treecode(len(centers), len(grid)):
-        intensity = _treecode_sum(grid, centers, weights, fwhm / 2.0)
+        intensity = _treecode_sum(grid, centers, fwhm / 2.0)
     else:
         intensity = np.zeros_like(grid)
-        _block_sum(intensity, grid, centers, weights, (fwhm / 2.0) ** 2,
+        _block_sum(intensity, grid, centers, (fwhm / 2.0) ** 2,
                    np.empty(min(SYNTH_BLOCK, len(centers)) * len(grid)))
     peak = float(intensity.max())
     if peak > 0:
@@ -457,8 +427,8 @@ def _use_treecode(n_shifts: int, n_points: int) -> bool:
     return n_shifts >= TREE_SHIFTS_PER_POINT * n_points
 
 
-def _block_sum(out, x, centers, weights, half_sq, buf):
-    """Add the sum over ``centers`` of weighted 1/((x - c)^2 + half_sq) to
+def _block_sum(out, x, centers, half_sq, buf):
+    """Add the sum over ``centers`` of 1/((x - c)^2 + half_sq) to
     ``out``, SYNTH_BLOCK centers at a time in the flat scratch ``buf``."""
     for start in range(0, len(centers), SYNTH_BLOCK):
         c = centers[start:start + SYNTH_BLOCK, None]
@@ -467,20 +437,17 @@ def _block_sum(out, x, centers, weights, half_sq, buf):
         np.square(b, out=b)
         b += half_sq
         np.reciprocal(b, out=b)
-        if weights is None:
-            out += b.sum(axis=0)
-        else:
-            out += weights[start:start + SYNTH_BLOCK] @ b
+        out += b.sum(axis=0)
 
 
-def _treecode_sum(grid, centers, weights, half):
-    """Sum over ``centers`` of weighted 1/((x - c)^2 + half^2) at every grid
+def _treecode_sum(grid, centers, half):
+    """Sum over ``centers`` of 1/((x - c)^2 + half^2) at every grid
     point, by boxes of TREE_BOX grid points.
 
     Each term is Im(1/(z - c)) / half with z = x - i half, a Cauchy kernel.
     For the centers of one box, with middle m and half-width r (those of
-    the centers themselves), sum w / (z - c) = sum_k M_k s^k / (z - m)^(k+1)
-    with moments M_k = sum w ((c - m) / s)^k and s = r (or half when r is
+    the centers themselves), sum 1 / (z - c) = sum_k M_k s^k / (z - m)^(k+1)
+    with moments M_k = sum ((c - m) / s)^k and s = r (or half when r is
     0). That series is summed to TREE_TERMS terms by Horner's rule at every
     grid point at least TREE_REACH * r from m; the points closer than that
     get the box's centers directly, SYNTH_BLOCK at a time. Boxes without
@@ -488,11 +455,7 @@ def _treecode_sum(grid, centers, weights, half):
     one block, however the centers cluster (Greengard and Rokhlin,
     J. Comput. Phys. 73, 325, 1987, without local expansions).
     """
-    if weights is None:
-        c, w = np.sort(centers), None
-    else:
-        order = np.argsort(centers, kind="stable")
-        c, w = centers[order], weights[order]
+    c = np.sort(centers)
     edges = np.concatenate(
         ([0], np.searchsorted(c, grid[TREE_BOX::TREE_BOX]), [len(c)]))
     filled = edges[1:] > edges[:-1]
@@ -513,14 +476,12 @@ def _treecode_sum(grid, centers, weights, half):
     for a0, a1, b0, b1, m, s in zip(*(v.tolist() for v in (
             near_lo, near_hi, lo, hi, mid, scale))):
         cb = c[b0:b1]
-        wb = None if w is None else w[b0:b1]
-        _block_sum(intensity[a0:a1], grid[a0:a1], cb, wb, half_sq, buf)
+        _block_sum(intensity[a0:a1], grid[a0:a1], cb, half_sq, buf)
         moments = np.zeros(TREE_TERMS)
         for start in range(0, len(cb), SYNTH_BLOCK):
             powers = np.vander((cb[start:start + SYNTH_BLOCK] - m) / s,
                                TREE_TERMS, increasing=True)
-            moments += (powers.sum(axis=0) if wb is None
-                        else wb[start:start + SYNTH_BLOCK] @ powers)
+            moments += powers.sum(axis=0)
         moments /= s * half
         np.subtract(grid, m + 1j * half, out=tau)
         np.divide(s, tau, out=tau)

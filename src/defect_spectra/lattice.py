@@ -233,16 +233,11 @@ def enumerate_candidates(geom: Geometry, kind: str,
                       separation_nm=np.atleast_1d(sep))
 
 
-def write_xyz(geom: Geometry, path_or_file):
-    """Write the atom table as an XYZ file (coordinates in Angstrom)."""
+def xyz_text(geom: Geometry) -> str:
+    """The atom table as the text of an XYZ file (coordinates in Angstrom)."""
     pos = geom.positions_nm * 10.0
     lines = [f"{len(pos)}",
              f"silicon supercell, box {geom.spec.box_length_nm * 10.0:.4f} A"]
     for el, (x, y, z) in zip(geom.elements, pos):
         lines.append(f"{el} {x:.6f} {y:.6f} {z:.6f}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
+    return "\n".join(lines) + "\n"

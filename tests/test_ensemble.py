@@ -14,6 +14,7 @@ from defect_spectra.core import (
     delta_lambda_from_delta_e,
 )
 from defect_spectra.ensemble import (
+    CHUNK,
     SYNTH_BLOCK,
     TREE_BOX,
     TREE_SHIFTS_PER_POINT,
@@ -21,6 +22,7 @@ from defect_spectra.ensemble import (
     DefectDensitySpec,
     SingleDefectSpec,
     UniformSpec,
+    _biased_chunk,
     _defect_field_chunk,
     _use_treecode,
     biased_z_retention,
@@ -44,13 +46,6 @@ from defect_spectra.zplmap import (
 @pytest.fixture(scope="module")
 def table():
     return default_table()
-
-
-@pytest.fixture
-def threads_env(monkeypatch):
-    def set_threads(n):
-        monkeypatch.setenv("DEFECT_SPECTRA_THREADS", str(n))
-    return set_threads
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +86,6 @@ def test_uniform_prefix_stability(table):
     small = sample_uniform(UniformSpec(), 3000, seed=8, table=table)
     big = sample_uniform(UniformSpec(), 12000, seed=8, table=table)
     assert np.array_equal(big.strains[:3000], small.strains)
-
-
-def test_uniform_thread_count_invariance(table, threads_env):
-    threads_env(1)
-    one = sample_uniform(UniformSpec(), 20000, seed=2, table=table)
-    threads_env(13)
-    many = sample_uniform(UniformSpec(), 20000, seed=2, table=table)
-    assert np.array_equal(one.strains, many.strains)
-    assert np.array_equal(one.shifts_mev, many.shifts_mev)
-
-
-def test_invalid_thread_env(table, threads_env):
-    threads_env("four")
-    with pytest.raises(InvalidArgumentError):
-        sample_uniform(UniformSpec(), 10, seed=1, table=table)
 
 
 def test_sampler_range_checked_against_table(table):
@@ -160,12 +140,48 @@ def test_biased_z_reproducible(table):
     assert np.array_equal(a.strains, b.strains)
 
 
-def test_biased_z_thread_invariance(table, threads_env):
-    threads_env(1)
-    one = sample_biased_z(BiasedZSpec(), 9000, seed=31, table=table)
-    threads_env(5)
-    many = sample_biased_z(BiasedZSpec(), 9000, seed=31, table=table)
-    assert np.array_equal(one.strains, many.strains)
+def test_biased_z_prefix_stability(table):
+    small = sample_biased_z(BiasedZSpec(), 3000, seed=31, table=table)
+    big = sample_biased_z(BiasedZSpec(), 9000, seed=31, table=table)
+    assert np.array_equal(big.strains[:3000], small.strains)
+
+
+@pytest.mark.parametrize("keep_fraction, n_samples", [
+    (0.1, 1), (0.1, 446), (0.1, 3000), (0.1, 20000), (1.0, 4096),
+    (1.0, 4097)])
+def test_biased_z_draws_fewest_whole_chunks(table, keep_fraction,
+                                            n_samples):
+    # chunks 0..j-1 hold at least n_samples survivors, chunks 0..j-2 do not
+    spec = BiasedZSpec(keep_fraction=keep_fraction)
+    ens = sample_biased_z(spec, n_samples, seed=13, table=table)
+    survivors = np.cumsum([int(_biased_chunk(spec, 13, j)[1].sum())
+                           for j in range(n_samples // 400 + 2)])
+    j = int(np.searchsorted(survivors, n_samples)) + 1
+    assert survivors[j - 1] >= n_samples
+    assert j == 1 or survivors[j - 2] < n_samples
+    assert ens.provenance.n_raw_draws == CHUNK * j
+
+
+@pytest.mark.parametrize("rule", [
+    {"keep_fraction": 0.0, "xy_threshold": 0.0},
+    {"keep_fraction": 0.0, "xy_threshold": 1e-12},
+    # no raw draw can fall inside the threshold
+    {"keep_fraction": 0.0, "strain_low": 0.002},
+    # retains 1e-10 of the draws
+    {"keep_fraction": 1e-10, "xy_threshold": 0.0}])
+def test_biased_z_refuses_near_zero_retention(table, rule):
+    with pytest.raises(InvalidArgumentError,
+                       match="keep_fraction .* xy_threshold"):
+        sample_biased_z(BiasedZSpec(**rule), 10, seed=1, table=table)
+
+
+def test_biased_z_low_retention_within_limit_runs(table):
+    # keep only the draws inside the threshold: (0.001 / 0.01)^2 = 1e-2,
+    # so 20 samples take about 2000 raw draws
+    spec = BiasedZSpec(keep_fraction=0.0)
+    ens = sample_biased_z(spec, 20, seed=1, table=table)
+    assert len(ens) == 20
+    assert np.all(np.abs(ens.strains[:, :2]) <= spec.xy_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +255,6 @@ def test_density_mean_defect_count(table):
     ens = sample_defect_field(spec, 4000, seed=19, table=table)
     frac_none = np.mean([k == "none" for k in ens.dominant_kind])
     assert frac_none == pytest.approx(np.exp(-expect), abs=0.02)
-
-
-def test_density_mode_thread_invariance(table, threads_env):
-    spec = DefectDensitySpec(vacancy_density_cm3=2e20,
-                             interstitial_density_cm3=5e19)
-    threads_env(1)
-    one = sample_defect_field(spec, 8192, seed=6, table=table)
-    threads_env(4)
-    many = sample_defect_field(spec, 8192, seed=6, table=table)
-    assert np.array_equal(one.strains, many.strains)
-    assert one.dominant_kind == many.dominant_kind
 
 
 def test_density_r_min_below_core_cutoff(table):
@@ -352,32 +357,17 @@ def test_shifted_line_lands_at_converted_wavelength():
     assert peak == pytest.approx(1278.3 + 2.635902, abs=2e-3)
 
 
-def test_spectrum_weights():
-    emitter = EmitterParams()
-    shifts = np.array([-3.0, 3.0])
-    grid = default_wavelength_grid(shifts, emitter)
-    _, even = synthesize_spectrum(shifts, emitter, wavelength_grid=grid)
-    _, lop = synthesize_spectrum(shifts, emitter, wavelength_grid=grid,
-                                 weights=np.array([1.0, 0.25]))
-    mid = len(grid) // 2
-    # downweighting the blueshifted component (shorter wavelength, early
-    # grid) skews the spectrum toward the long-wavelength half
-    red_frac_even = even[mid:].sum() / even.sum()
-    red_frac_lop = lop[mid:].sum() / lop.sum()
-    assert red_frac_lop > red_frac_even
-
-
-def _direct_lorentzian_sum(grid, shifts_mev, emitter, weights=None):
-    """One term at a time: sum of w/((x - c)^2 + h^2), peak-normalized."""
+def _direct_lorentzian_sum(grid, shifts_mev, emitter):
+    """One term at a time in long double: sum of 1/((x - c)^2 + h^2),
+    peak-normalized, so that its own rounding stays far below the tests'
+    tolerance."""
     lam0 = emitter.zpl_wavelength_nm
-    half = emitter.homogeneous_fwhm_nm / 2.0
-    if weights is None:
-        weights = np.ones(len(shifts_mev))
-    total = np.zeros_like(grid)
-    for c, w in zip(lam0 + delta_lambda_from_delta_e(shifts_mev, lam0),
-                    weights):
-        total += w / ((grid - c) ** 2 + half ** 2)
-    return total / total.max()
+    half_sq = np.longdouble(emitter.homogeneous_fwhm_nm / 2.0) ** 2
+    x = np.asarray(grid, dtype=np.longdouble)
+    total = np.zeros_like(x)
+    for c in lam0 + delta_lambda_from_delta_e(shifts_mev, lam0):
+        total += 1 / ((x - c) ** 2 + half_sq)
+    return (total / total.max()).astype(float)
 
 
 @pytest.mark.parametrize("n", [1, SYNTH_BLOCK - 1, SYNTH_BLOCK,
@@ -399,7 +389,7 @@ def _even_grid(n_points, emitter=EmitterParams()):
 
 
 def _treecode_case(name):
-    """(shifts, grid or None, weights or None, treecode expected)."""
+    """(shifts, grid or None, treecode expected)."""
     emitter = EmitterParams()
     rng = np.random.default_rng(12)
     n = 2200
@@ -409,54 +399,41 @@ def _treecode_case(name):
         lam = emitter.zpl_wavelength_nm + delta_lambda_from_delta_e(
             shifts, emitter.zpl_wavelength_nm)
         assert len(np.unique(np.searchsorted(grid, lam) // TREE_BOX)) == 1
-        return shifts, grid, None, True
+        return shifts, grid, True
     if name == "70% zero shifts":
         shifts = np.where(rng.random(n) < 0.7, 0.0, rng.uniform(-7, 7, n))
-        return shifts, None, None, True
-    if name == "weights":
-        return rng.uniform(-7, 7, n), None, rng.uniform(0.0, 2.0, n), True
+        return shifts, None, True
     if name == "centers at both edges":
         # the default grid ends ten widths (plus under a step) beyond the
         # extreme shifts; a third of the centers sit on each of them
         shifts = np.r_[np.full(n // 3, -7.0), np.full(n // 3, 7.0),
                        rng.uniform(-7, 7, n - 2 * (n // 3))]
-        return shifts, None, None, True
+        return shifts, None, True
     if name == "non-uniform grid":
         steps = rng.uniform(0.2, 1.0, 2400) * emitter.homogeneous_fwhm_nm / 5
         grid = emitter.zpl_wavelength_nm + np.cumsum(steps) - steps.sum() / 2
         shifts = rng.uniform(-5, 5, 2400)
-        return shifts, grid, None, True
+        return shifts, grid, True
     n_points, n_shifts = {
         "switch: smallest treecode": (2048, TREE_SHIFTS_PER_POINT * 2048),
         "switch: one shift fewer": (2048, TREE_SHIFTS_PER_POINT * 2048 - 1),
         "switch: one point more": (2049, TREE_SHIFTS_PER_POINT * 2048),
     }[name]
-    return (rng.uniform(-5, 5, n_shifts), _even_grid(n_points), None,
+    return (rng.uniform(-5, 5, n_shifts), _even_grid(n_points),
             name == "switch: smallest treecode")
 
 
 @pytest.mark.parametrize("name", [
-    "one box", "70% zero shifts", "weights", "centers at both edges",
+    "one box", "70% zero shifts", "centers at both edges",
     "non-uniform grid", "switch: smallest treecode",
     "switch: one shift fewer", "switch: one point more"])
 def test_treecode_matches_direct_sum(name):
     emitter = EmitterParams()
-    shifts, grid, weights, treecode = _treecode_case(name)
-    grid, intensity = synthesize_spectrum(shifts, emitter, grid, weights)
+    shifts, grid, treecode = _treecode_case(name)
+    grid, intensity = synthesize_spectrum(shifts, emitter, grid)
     assert _use_treecode(len(shifts), len(grid)) == treecode
     np.testing.assert_allclose(
-        intensity, _direct_lorentzian_sum(grid, shifts, emitter, weights),
-        rtol=1e-12)
-
-
-def test_spectrum_weights_match_duplicated_shifts():
-    emitter = EmitterParams()
-    grid = default_wavelength_grid(np.array([-1.5, 2.0]), emitter)
-    _, weighted = synthesize_spectrum(np.array([-1.5, 2.0]), emitter, grid,
-                                      weights=np.array([2.0, 1.0]))
-    _, repeated = synthesize_spectrum(np.array([-1.5, -1.5, 2.0]), emitter,
-                                      grid)
-    np.testing.assert_allclose(weighted, repeated, rtol=1e-12)
+        intensity, _direct_lorentzian_sum(grid, shifts, emitter), rtol=1e-12)
 
 
 @pytest.mark.parametrize("case", ["direct", "spread", "identical",

@@ -1,4 +1,3 @@
-import io
 import itertools
 
 import numpy as np
@@ -15,7 +14,7 @@ from defect_spectra.lattice import (
     min_image_frac,
     place_gcenter,
     tetrahedral_voids,
-    write_xyz,
+    xyz_text,
 )
 
 
@@ -161,9 +160,7 @@ def test_min_image_frac_antisymmetric():
 
 def test_write_xyz_format():
     geom = place_gcenter(build_supercell(SupercellSpec(repeats=2)))
-    buf = io.StringIO()
-    write_xyz(geom, buf)
-    lines = buf.getvalue().strip().split("\n")
+    lines = xyz_text(geom).strip().split("\n")
     assert lines[0] == str(len(geom.positions_frac))
     assert len(lines) == len(geom.positions_frac) + 2
     sym, x, y, z = lines[2].split()

@@ -5,12 +5,12 @@ a run draws from its own counter-based stream ``(seed, mode_id, j)``, and
 the chunks are stitched in index order, so a longer run re-yields a shorter
 one with the same seed as an exact prefix.
 
-A spectrum is a sum of one Lorentzian per sample over a wavelength grid.
-An ensemble with fewer samples than grid points takes the direct sum,
-``SYNTH_BLOCK`` samples at a time. Any larger one takes a treecode: each
-box of ``TREE_BOX`` grid points sums its samples directly over the grid
-points near it and through ``TREE_TERMS`` moments everywhere else. The path
-depends only on the two sizes, so the output is a function of the inputs.
+A spectrum is a sum of one Lorentzian per sample over a wavelength grid,
+taken by a treecode over boxes of ``TREE_BOX`` grid points. The samples of
+boxes holding fewer than ``TREE_TERMS`` are summed directly over the whole
+grid; each other box sums its samples directly over the grid points near it
+and through ``TREE_TERMS`` moments everywhere else. The split depends only
+on the samples and the grid, so the output is a function of the inputs.
 """
 
 from __future__ import annotations
@@ -43,15 +43,6 @@ CHUNK = 4096
 # depends on it and on the treecode constants below, so all of them are
 # fixed here and never derived from a user setting.
 SYNTH_BLOCK = 256
-# The treecode replaces the direct sum when the ensemble has
-# TREE_SHIFTS_PER_POINT samples per grid point or more. Its far field costs
-# up to grid^2 * TREE_TERMS / TREE_BOX operations whatever the ensemble
-# size, so it pays from about one sample per grid point. Measured with
-# samples spread over the whole grid, its worst case: 0.8 of
-# the direct time at one sample per point on grids of 2048 and 8192 points,
-# 1.2 at half a sample per point; on a 512-point grid 2.2 at one sample per
-# point and 0.9 at four, a difference of about a millisecond.
-TREE_SHIFTS_PER_POINT = 1
 # Grid points per treecode box, moments per box, and the reach of a box of
 # half-width r: grid points closer than TREE_REACH * r to its middle are
 # summed directly. The moments' truncation error is then below
@@ -62,6 +53,8 @@ TREE_REACH = 4.0
 # Most raw draws a biased-z run may expect to need: a rule that retains too
 # few of them is refused up front instead of running for hours or forever.
 MAX_RAW_DRAWS = 1e9
+# Most bins a histogram may have; a narrower bin width is refused up front.
+MAX_HISTOGRAM_BINS = 10**6
 _MODE_IDS = {"uniform": 1, "biased-z": 2, "defect-field": 3}
 
 
@@ -336,6 +329,12 @@ def sample_defect_field(spec, n_samples: int, seed: int,
         raise InvalidArgumentError(
             f"defects at {inner_nm} nm would sit inside the core cutoff "
             f"{elastic.core_cutoff_nm} nm")
+    sites_cm3 = 1e21 / elastic.atomic_volume_nm3
+    for key in ("vacancy_density_cm3", "interstitial_density_cm3"):
+        if getattr(spec, key, 0.0) > sites_cm3:
+            raise InvalidArgumentError(
+                f"{key} {getattr(spec, key):g} exceeds one defect per "
+                f"lattice site, {sites_cm3:.3g} cm^-3")
     amplitude_per_omega0 = elastic.atomic_volume_nm3 / (4.0 * np.pi)
 
     parts = []
@@ -364,16 +363,22 @@ def sample_defect_field(spec, n_samples: int, seed: int,
 # spectrum synthesis and histograms
 # ---------------------------------------------------------------------------
 
-def default_wavelength_grid(shifts_mev, emitter: EmitterParams,
-                            points_per_fwhm: int = 8) -> np.ndarray:
-    """Grid covering every shifted line plus ten homogeneous widths."""
-    shifts_mev = np.asarray(shifts_mev, dtype=float)
+def _lines(shifts_mev, emitter: EmitterParams):
+    """Line centers of the samples, and the half-width around the reference
+    line that a grid must cover: the largest shift plus ten FWHM."""
+    shifts_mev = np.atleast_1d(np.asarray(shifts_mev, dtype=float))
     if shifts_mev.size == 0:
-        raise EmptyEnsembleError("cannot build a grid for an empty ensemble")
+        raise EmptyEnsembleError("no samples to place lines for")
     dl = delta_lambda_from_delta_e(shifts_mev, emitter.zpl_wavelength_nm)
     margin = float(np.max(np.abs(dl))) + 10.0 * emitter.homogeneous_fwhm_nm
-    step = emitter.homogeneous_fwhm_nm / points_per_fwhm
-    half = int(np.ceil(margin / step))
+    return emitter.zpl_wavelength_nm + dl, margin
+
+
+def default_wavelength_grid(shifts_mev, emitter: EmitterParams) -> np.ndarray:
+    """Grid covering every shifted line plus ten homogeneous widths, eight
+    points per homogeneous FWHM."""
+    step = emitter.homogeneous_fwhm_nm / 8
+    half = int(np.ceil(_lines(shifts_mev, emitter)[1] / step))
     return emitter.zpl_wavelength_nm + step * np.arange(-half, half + 1)
 
 
@@ -385,10 +390,7 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
     line plus the largest shift plus ten homogeneous widths on both sides,
     with steps no coarser than a fifth of the homogeneous FWHM.
     """
-    shifts_mev = np.atleast_1d(np.asarray(shifts_mev, dtype=float))
-    if shifts_mev.size == 0:
-        raise EmptyEnsembleError("no samples to synthesize a spectrum from")
-
+    centers, margin = _lines(shifts_mev, emitter)
     if wavelength_grid is None:
         wavelength_grid = default_wavelength_grid(shifts_mev, emitter)
     grid = increasing_grid(wavelength_grid, "wavelength grid")
@@ -398,8 +400,6 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
     if step > fwhm / 5.0:
         raise ResolutionError(
             f"grid step {step:.4g} nm exceeds fwhm/5 = {fwhm / 5.0:.4g} nm")
-    dl = delta_lambda_from_delta_e(shifts_mev, emitter.zpl_wavelength_nm)
-    margin = float(np.max(np.abs(dl))) + 10.0 * fwhm
     lam0 = emitter.zpl_wavelength_nm
     if grid[0] > lam0 - margin or grid[-1] < lam0 + margin:
         raise ResolutionError(
@@ -408,23 +408,11 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
 
     # The area factor fwhm/(2*pi) is constant, and the peak normalization
     # below cancels it, so each term is 1/((x - c)^2 + (fwhm/2)^2).
-    centers = lam0 + dl
-    if _use_treecode(len(centers), len(grid)):
-        intensity = _treecode_sum(grid, centers, fwhm / 2.0)
-    else:
-        intensity = np.zeros_like(grid)
-        _block_sum(intensity, grid, centers, (fwhm / 2.0) ** 2,
-                   np.empty(min(SYNTH_BLOCK, len(centers)) * len(grid)))
+    intensity = _treecode_sum(grid, centers, fwhm / 2.0)
     peak = float(intensity.max())
     if peak > 0:
         intensity = intensity / peak
     return grid, intensity
-
-
-def _use_treecode(n_shifts: int, n_points: int) -> bool:
-    """Whether synthesize_spectrum sums ``n_shifts`` Lorentzians over
-    ``n_points`` grid points by the treecode rather than directly."""
-    return n_shifts >= TREE_SHIFTS_PER_POINT * n_points
 
 
 def _block_sum(out, x, centers, half_sq, buf):
@@ -444,18 +432,29 @@ def _treecode_sum(grid, centers, half):
     """Sum over ``centers`` of 1/((x - c)^2 + half^2) at every grid
     point, by boxes of TREE_BOX grid points.
 
-    Each term is Im(1/(z - c)) / half with z = x - i half, a Cauchy kernel.
-    For the centers of one box, with middle m and half-width r (those of
-    the centers themselves), sum 1 / (z - c) = sum_k M_k s^k / (z - m)^(k+1)
+    A box of fewer than TREE_TERMS centers costs less summed directly than
+    through its moments: all such centers are summed over the whole grid,
+    SYNTH_BLOCK at a time in input order. Each term of the other boxes is
+    Im(1/(z - c)) / half with z = x - i half, a Cauchy kernel. For the
+    centers of one box, with middle m and half-width r (those of the
+    centers themselves), sum 1 / (z - c) = sum_k M_k s^k / (z - m)^(k+1)
     with moments M_k = sum ((c - m) / s)^k and s = r (or half when r is
     0). That series is summed to TREE_TERMS terms by Horner's rule at every
     grid point at least TREE_REACH * r from m; the points closer than that
-    get the box's centers directly, SYNTH_BLOCK at a time. Boxes without
-    centers are skipped, and memory stays at a few grid-length arrays plus
-    one block, however the centers cluster (Greengard and Rokhlin,
-    J. Comput. Phys. 73, 325, 1987, without local expansions).
+    get the box's centers directly, SYNTH_BLOCK at a time. Memory stays at
+    a few grid-length arrays plus one block however the centers cluster
+    (Greengard and Rokhlin, J. Comput. Phys. 73, 325, 1987, without M2L).
     """
-    c = np.sort(centers)
+    box = np.searchsorted(grid[TREE_BOX::TREE_BOX], centers, side="right")
+    sparse = np.bincount(box)[box] < TREE_TERMS
+    half_sq = half * half
+    intensity = np.zeros_like(grid)
+    few = centers[sparse]
+    _block_sum(intensity, grid, few, half_sq,
+               np.empty(min(SYNTH_BLOCK, len(few)) * len(grid)))
+    c = np.sort(centers[~sparse])
+    if not len(c):
+        return intensity
     edges = np.concatenate(
         ([0], np.searchsorted(c, grid[TREE_BOX::TREE_BOX]), [len(c)]))
     filled = edges[1:] > edges[:-1]
@@ -467,10 +466,8 @@ def _treecode_sum(grid, centers, half):
     near_hi = np.maximum(near_lo, np.searchsorted(
         grid, mid + TREE_REACH * radius, side="left"))
 
-    half_sq = half * half
     buf = np.empty(min(SYNTH_BLOCK, int((hi - lo).max()))
                    * int((near_hi - near_lo).max()))
-    intensity = np.zeros_like(grid)
     tau = np.empty(len(grid), dtype=complex)
     q = np.empty_like(tau)
     for a0, a1, b0, b1, m, s in zip(*(v.tolist() for v in (
@@ -505,11 +502,13 @@ def histogram_shifts(shifts_mev, bin_width_mev: float):
         raise EmptyEnsembleError("no samples to histogram")
     if not 0 < bin_width_mev < np.inf:
         raise InvalidArgumentError("bin_width_mev must be positive and finite")
-    lo = np.floor(shifts_mev.min() / bin_width_mev) * bin_width_mev
-    hi = np.ceil(shifts_mev.max() / bin_width_mev) * bin_width_mev
-    if hi <= lo:
-        hi = lo + bin_width_mev
-    n_bins = int(round((hi - lo) / bin_width_mev))
-    edges = lo + bin_width_mev * np.arange(n_bins + 1)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        first = np.floor(shifts_mev.min() / bin_width_mev)
+        n_bins = max(np.ceil(shifts_mev.max() / bin_width_mev) - first, 1.0)
+    if not n_bins <= MAX_HISTOGRAM_BINS:
+        raise InvalidArgumentError(
+            f"bin_width_mev {bin_width_mev:g} gives {n_bins:.3g} bins, "
+            f"more than {MAX_HISTOGRAM_BINS}")
+    edges = first * bin_width_mev + bin_width_mev * np.arange(int(n_bins) + 1)
     counts, _ = np.histogram(shifts_mev, bins=edges)
     return edges, counts

@@ -320,6 +320,10 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
      "bin_width_mev"),
     ({"s.ini": "[sampler]\nbin_width_mev = inf\n"}, SPECTRUM,
      "bin_width_mev"),
+    ({"s.ini": "[sampler]\nbin_width_mev = 1e-10\n"}, SPECTRUM,
+     "bin_width_mev"),
+    ({"s.ini": "[elastic]\n[sampler]\nvacancy_density_cm3 = 1e30\n"},
+     [*SPECTRUM, "--mode", "defect-field"], "vacancy_density_cm3"),
     ({"s.ini": "[elastic]\natomic_volume_nm3 = nan\n"
                "[sampler]\nvacancy_density_cm3 = 1e20\n"},
      [*SPECTRUM, "--mode", "defect-field"], "atomic_volume_nm3"),
@@ -389,6 +393,7 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
         "fwhm-inf", "t-max-nan", "t-max-inf", "pump-nan", "pump-inf",
         "vacancy-density-nan", "bin-width-nan", "bin-width-inf",
+        "bin-width-tiny", "vacancy-density-above-sites",
         "atomic-volume-nan", "xy-threshold-nan", "temperature-nan",
         "fluences-nan", "fluences-inf", "placeholder-flux-nan",
         "fluences-zero", "fluences-negative", "config-fluences-negative",

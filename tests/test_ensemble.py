@@ -11,20 +11,22 @@ from defect_spectra.core import (
     InvalidArgumentError,
     RangeError,
     ResolutionError,
+    delta_e_from_delta_lambda,
     delta_lambda_from_delta_e,
 )
 from defect_spectra.ensemble import (
     CHUNK,
     SYNTH_BLOCK,
     TREE_BOX,
-    TREE_SHIFTS_PER_POINT,
+    TREE_TERMS,
     BiasedZSpec,
     DefectDensitySpec,
     SingleDefectSpec,
     UniformSpec,
     _biased_chunk,
+    _block_sum,
     _defect_field_chunk,
-    _use_treecode,
+    _treecode_sum,
     biased_z_retention,
     default_wavelength_grid,
     histogram_shifts,
@@ -388,61 +390,94 @@ def _even_grid(n_points, emitter=EmitterParams()):
                                                - n_points // 2)
 
 
+def _box_counts(grid, shifts, emitter=EmitterParams()):
+    """Centers per treecode box, for the boxes that hold any."""
+    lam = emitter.zpl_wavelength_nm + delta_lambda_from_delta_e(
+        shifts, emitter.zpl_wavelength_nm)
+    box = np.searchsorted(grid[TREE_BOX::TREE_BOX], lam, side="right")
+    return np.bincount(box)[np.unique(box)]
+
+
+def _in_box(grid, k, n, rng, emitter=EmitterParams()):
+    """``n`` shifts whose lines fall inside box ``k`` of ``grid``."""
+    lam = rng.uniform(grid[k * TREE_BOX + 4], grid[k * TREE_BOX + 28], n)
+    return delta_e_from_delta_lambda(lam - emitter.zpl_wavelength_nm,
+                                     emitter.zpl_wavelength_nm)
+
+
 def _treecode_case(name):
-    """(shifts, grid or None, treecode expected)."""
+    """(shifts, grid or None)."""
     emitter = EmitterParams()
     rng = np.random.default_rng(12)
     n = 2200
     if name == "one box":
         grid = _even_grid(2200)
         shifts = np.r_[rng.uniform(-0.01, 0.01, n - 500), np.zeros(500)]
-        lam = emitter.zpl_wavelength_nm + delta_lambda_from_delta_e(
-            shifts, emitter.zpl_wavelength_nm)
-        assert len(np.unique(np.searchsorted(grid, lam) // TREE_BOX)) == 1
-        return shifts, grid, True
+        assert len(_box_counts(grid, shifts)) == 1
+        return shifts, grid
     if name == "70% zero shifts":
         shifts = np.where(rng.random(n) < 0.7, 0.0, rng.uniform(-7, 7, n))
-        return shifts, None, True
+        return shifts, None
     if name == "centers at both edges":
         # the default grid ends ten widths (plus under a step) beyond the
         # extreme shifts; a third of the centers sit on each of them
         shifts = np.r_[np.full(n // 3, -7.0), np.full(n // 3, 7.0),
                        rng.uniform(-7, 7, n - 2 * (n // 3))]
-        return shifts, None, True
+        return shifts, None
     if name == "non-uniform grid":
         steps = rng.uniform(0.2, 1.0, 2400) * emitter.homogeneous_fwhm_nm / 5
         grid = emitter.zpl_wavelength_nm + np.cumsum(steps) - steps.sum() / 2
         shifts = rng.uniform(-5, 5, 2400)
-        return shifts, grid, True
-    n_points, n_shifts = {
-        "switch: smallest treecode": (2048, TREE_SHIFTS_PER_POINT * 2048),
-        "switch: one shift fewer": (2048, TREE_SHIFTS_PER_POINT * 2048 - 1),
-        "switch: one point more": (2049, TREE_SHIFTS_PER_POINT * 2048),
-    }[name]
-    return (rng.uniform(-5, 5, n_shifts), _even_grid(n_points),
-            name == "switch: smallest treecode")
+        return shifts, grid
+    if name == "every box sparse":
+        # spread over the 256 boxes of the grid, 8 centers per box on average
+        grid = _even_grid(8192)
+        shifts = rng.uniform(-25, 25, 2047)
+        assert _box_counts(grid, shifts).max() < TREE_TERMS
+        return shifts, grid
+    grid = _even_grid(2048)
+    if name == "boxes at TREE_TERMS - 1 and TREE_TERMS":
+        shifts = np.r_[_in_box(grid, 20, TREE_TERMS - 1, rng),
+                       _in_box(grid, 40, TREE_TERMS, rng)]
+        assert sorted(_box_counts(grid, shifts)) == [TREE_TERMS - 1,
+                                                     TREE_TERMS]
+    else:   # "mixed": one dense box plus 20 centers scattered over others
+        shifts = np.r_[_in_box(grid, 32, 2000, rng), rng.uniform(-5, 5, 20)]
+        counts = sorted(_box_counts(grid, shifts))
+        assert counts[-1] == 2000 and sum(counts[:-1]) == 20
+    return shifts, grid
 
 
 @pytest.mark.parametrize("name", [
     "one box", "70% zero shifts", "centers at both edges",
-    "non-uniform grid", "switch: smallest treecode",
-    "switch: one shift fewer", "switch: one point more"])
+    "non-uniform grid", "every box sparse",
+    "boxes at TREE_TERMS - 1 and TREE_TERMS", "mixed"])
 def test_treecode_matches_direct_sum(name):
     emitter = EmitterParams()
-    shifts, grid, treecode = _treecode_case(name)
+    shifts, grid = _treecode_case(name)
     grid, intensity = synthesize_spectrum(shifts, emitter, grid)
-    assert _use_treecode(len(shifts), len(grid)) == treecode
     np.testing.assert_allclose(
         intensity, _direct_lorentzian_sum(grid, shifts, emitter), rtol=1e-12)
 
 
-@pytest.mark.parametrize("case", ["direct", "spread", "identical",
+def test_sparse_boxes_take_one_block_sum_in_input_order():
+    grid = _even_grid(8192)
+    centers = np.random.default_rng(3).uniform(grid[0], grid[-1], 2047)
+    box = np.searchsorted(grid[TREE_BOX::TREE_BOX], centers, side="right")
+    assert np.bincount(box).max() < TREE_TERMS
+    direct = np.zeros_like(grid)
+    _block_sum(direct, grid, centers, 0.0365 ** 2,
+               np.empty(SYNTH_BLOCK * len(grid)))
+    assert np.array_equal(_treecode_sum(grid, centers, 0.0365), direct)
+
+
+@pytest.mark.parametrize("case", ["sparse", "spread", "identical",
                                   "one box"])
 def test_spectrum_memory_is_one_block(case):
     emitter = EmitterParams()
     shifts, grid = {
-        # one shift fewer than grid points: the direct sum
-        "direct": (np.linspace(-2.5, 2.5, 1999), _even_grid(2000)),
+        # at most 23 shifts per box, all summed over the whole grid
+        "sparse": (np.linspace(-6.0, 6.0, 1200), _even_grid(2000)),
         "spread": (np.linspace(-2.5, 2.5, 20000), None),
         # 20k shifts in one treecode box of a 4000-point grid, identical or
         # spread over the box, whose near window is then 116 points wide
@@ -455,10 +490,9 @@ def test_spectrum_memory_is_one_block(case):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert _use_treecode(len(shifts), len(grid)) == (case != "direct")
-    assert len(grid) == {"direct": 2000, "spread": 885}.get(case, 4000)
-    # one SYNTH_BLOCK x grid buffer is 4.1 MB on 2000 points; 2k x 2000
-    # would be 32 MB, 20k x 885 142 MB, and 20k x the one-box near window
+    assert len(grid) == {"sparse": 2000, "spread": 885}.get(case, 4000)
+    # one SYNTH_BLOCK x grid buffer is 4.1 MB on 2000 points; 1.2k x 2000
+    # would be 19 MB, 20k x 885 142 MB, and 20k x the one-box near window
     # 19 MB
     assert peak < 8e6
 

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .core import (
     HC_EV_NM,
+    STRAIN_COMPONENTS,
     ZPL_WAVELENGTH_NM,
     DefectSpectraError,
     EmitterParams,
@@ -69,7 +70,6 @@ from .kinetics import (
     simulate_decay,
 )
 from .lattice import (
-    Geometry,
     SupercellSpec,
     build_supercell,
     enumerate_candidates,
@@ -163,12 +163,14 @@ def load_config(path=None) -> RunConfig:
     """Parse and validate an INI config; None means all defaults."""
     if path is None:
         return RunConfig({})
-    if not os.path.exists(path):
-        raise ValidationError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot read config file {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, configparser.Error) as exc:
         raise ValidationError(f"config parse error in {path}: {exc}")
     values = {}
     for section in parser.sections():
@@ -393,8 +395,7 @@ def cmd_simulate_spectrum(args) -> int:
                  svg_line_plot(grid, intensity, "wavelength (nm)",
                                "intensity (peak-normalized)"))
     if args.dump_samples:
-        header = ["sample_id", "e_xx", "e_yy", "e_zz", "e_xy", "e_xz",
-                  "e_yz", "shift_mev"]
+        header = ["sample_id", *STRAIN_COMPONENTS, "shift_mev"]
         write_csv(os.path.join(out, "samples.csv"), header,
                   [np.arange(len(ens)), *ens.strains.T, ens.shifts_mev])
     prov = ens.provenance

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    STRAIN_COMPONENTS,
     EmitterParams,
     EmptyEnsembleError,
     InvalidArgumentError,
@@ -30,11 +31,7 @@ from .core import (
     increasing_grid,
     make_stream,
 )
-from .strainfield import (
-    DEFAULT_RELAXATION_VOLUMES,
-    ElasticParams,
-    dipole_strain,
-)
+from .strainfield import ElasticParams, dipole_strain, relaxation_volume
 from .zplmap import ResponseTable, component_ranges, shift_for_strain
 
 CHUNK = 4096
@@ -53,6 +50,11 @@ TREE_REACH = 4.0
 # Most raw draws a biased-z run may expect to need: a rule that retains too
 # few of them is refused up front instead of running for hours or forever.
 MAX_RAW_DRAWS = 1e9
+# Most defects one chunk of a density run may expect to draw. Each costs
+# about 200 bytes of working arrays, so a shell too large for its densities
+# is refused up front instead of exhausting memory. One defect per lattice
+# site in both kinds on the default shell expects 3.46e6.
+MAX_CHUNK_DEFECTS = 4e6
 # Most bins a histogram may have; a narrower bin width is refused up front.
 MAX_HISTOGRAM_BINS = 10**6
 _MODE_IDS = {"uniform": 1, "biased-z": 2, "defect-field": 3}
@@ -104,8 +106,7 @@ class SingleDefectSpec:
     relaxation_volume_omega0: float | None = None
 
     def __post_init__(self):
-        if self.kind not in DEFAULT_RELAXATION_VOLUMES:
-            raise InvalidArgumentError(f"unknown defect kind {self.kind!r}")
+        relaxation_volume(self.kind)  # refuses an unknown kind
         check_fields(self, positive=("separation_nm",))
 
 
@@ -157,12 +158,32 @@ class ShiftEnsemble:
 # ---------------------------------------------------------------------------
 
 def _check_table_covers(table: ResponseTable, low: float, high: float):
-    for axis in ("x", "z"):
-        lo, hi = table.strain_range(axis)
+    # the normal components: the shears of these samplers are zero
+    for component, lo, hi in zip(STRAIN_COMPONENTS[:3],
+                                 *component_ranges(table)):
         if low < lo or high > hi:
             raise RangeError(
                 f"sampler strain range [{low}, {high}] exceeds table range "
-                f"[{lo}, {hi}] on axis {axis!r}")
+                f"[{lo}, {hi}] of {component}")
+
+
+def _ensemble(mode, spec, seed, n_requested, n_raw_draws, strains, table,
+              kinds=None, separations=None) -> ShiftEnsemble:
+    """The samples whose strain components all lie within their table axis
+    ranges, with their shifts; the others count as range rejections."""
+    low, high = component_ranges(table)
+    in_range = np.all((strains >= low) & (strains <= high), axis=1)
+    strains = strains[in_range]
+    prov = EnsembleProvenance(
+        mode=mode, seed=seed, n_requested=n_requested,
+        n_retained=len(strains), n_raw_draws=n_raw_draws,
+        n_range_rejections=int((~in_range).sum()), spec=spec)
+    return ShiftEnsemble(
+        shifts_mev=np.asarray(shift_for_strain(table, strains)),
+        strains=strains, provenance=prov,
+        dominant_kind=[] if kinds is None else list(kinds[in_range]),
+        dominant_separation_nm=(None if separations is None
+                                else separations[in_range]))
 
 
 def sample_uniform(spec: UniformSpec, n_samples: int, seed: int,
@@ -174,11 +195,8 @@ def sample_uniform(spec: UniformSpec, n_samples: int, seed: int,
     strains = np.vstack([
         _normal_strains(spec, make_stream(seed, _MODE_IDS["uniform"], j))
         for j in range(-(-n_samples // CHUNK))])[:n_samples]
-    shifts = np.asarray(shift_for_strain(table, strains))
-    prov = EnsembleProvenance(mode="uniform", seed=seed,
-                              n_requested=n_samples, n_retained=n_samples,
-                              n_raw_draws=n_samples, spec=spec)
-    return ShiftEnsemble(shifts_mev=shifts, strains=strains, provenance=prov)
+    return _ensemble("uniform", spec, seed, n_samples, n_samples, strains,
+                     table)
 
 
 def _normal_strains(spec, gen):
@@ -238,12 +256,8 @@ def sample_biased_z(spec: BiasedZSpec, n_samples: int, seed: int,
         kept.append(block[keep])
         n_kept += len(kept[-1])
 
-    strains = np.vstack(kept)[:n_samples]
-    shifts = np.asarray(shift_for_strain(table, strains))
-    prov = EnsembleProvenance(mode="biased-z", seed=seed,
-                              n_requested=n_samples, n_retained=n_samples,
-                              n_raw_draws=len(kept) * CHUNK, spec=spec)
-    return ShiftEnsemble(shifts_mev=shifts, strains=strains, provenance=prov)
+    return _ensemble("biased-z", spec, seed, n_samples, len(kept) * CHUNK,
+                     np.vstack(kept)[:n_samples], table)
 
 
 def _directions(gen, k):
@@ -251,31 +265,32 @@ def _directions(gen, k):
     return vec / np.linalg.norm(vec, axis=1, keepdims=True)
 
 
-def _volume(override, kind):
-    return DEFAULT_RELAXATION_VOLUMES[kind] if override is None else override
-
-
 def _single_defect_draws(spec: SingleDefectSpec, gen, size):
     """One defect per sample at the fixed separation."""
     return (np.arange(size), np.full(size, spec.kind == "vacancy"),
-            np.full(size, _volume(spec.relaxation_volume_omega0, spec.kind)),
+            np.full(size, relaxation_volume(spec.kind,
+                                            spec.relaxation_volume_omega0)),
             _directions(gen, size) * spec.separation_nm)
+
+
+def _shell_cm3(spec: DefectDensitySpec) -> float:
+    return (4.0 / 3.0) * np.pi * (spec.r_max_nm ** 3
+                                  - spec.r_min_nm ** 3) * 1e-21
 
 
 def _density_draws(spec: DefectDensitySpec, gen, size):
     """Poisson vacancy and interstitial counts per sample, then the radii
     and directions of all of them, uniform in the shell volume."""
-    shell_cm3 = (4.0 / 3.0) * np.pi * (spec.r_max_nm ** 3
-                                       - spec.r_min_nm ** 3) * 1e-21
+    shell_cm3 = _shell_cm3(spec)
     counts_v = gen.poisson(spec.vacancy_density_cm3 * shell_cm3, size)
     counts_i = gen.poisson(spec.interstitial_density_cm3 * shell_cm3, size)
     samples = np.arange(size)
     owner = np.concatenate([np.repeat(samples, counts_v),
                             np.repeat(samples, counts_i)])
     is_vacancy = np.arange(len(owner)) < counts_v.sum()
-    volume = np.where(is_vacancy,
-                      _volume(spec.vacancy_volume_omega0, "vacancy"),
-                      _volume(spec.interstitial_volume_omega0, "interstitial"))
+    volume = np.where(
+        is_vacancy, relaxation_volume("vacancy", spec.vacancy_volume_omega0),
+        relaxation_volume("interstitial", spec.interstitial_volume_omega0))
     u = gen.random(len(owner))
     radii = (u * (spec.r_max_nm ** 3 - spec.r_min_nm ** 3)
              + spec.r_min_nm ** 3) ** (1.0 / 3.0)
@@ -335,7 +350,17 @@ def sample_defect_field(spec, n_samples: int, seed: int,
             raise InvalidArgumentError(
                 f"{key} {getattr(spec, key):g} exceeds one defect per "
                 f"lattice site, {sites_cm3:.3g} cm^-3")
-    amplitude_per_omega0 = elastic.atomic_volume_nm3 / (4.0 * np.pi)
+    if isinstance(spec, DefectDensitySpec):
+        size = min(n_samples, CHUNK)
+        expected = size * _shell_cm3(spec) * (spec.vacancy_density_cm3
+                                              + spec.interstitial_density_cm3)
+        if expected > MAX_CHUNK_DEFECTS:
+            raise InvalidArgumentError(
+                f"r_max_nm {spec.r_max_nm:g} with vacancy_density_cm3 "
+                f"{spec.vacancy_density_cm3:g} and interstitial_density_cm3 "
+                f"{spec.interstitial_density_cm3:g} expects {expected:.3g} "
+                f"defects per chunk of {size} samples, more than "
+                f"{MAX_CHUNK_DEFECTS:.0e}; use a smaller shell or density")
 
     parts = []
     for j in range(-(-n_samples // CHUNK)):
@@ -343,20 +368,10 @@ def sample_defect_field(spec, n_samples: int, seed: int,
         size = min(CHUNK, n_samples - j * CHUNK)
         owner, is_vacancy, volume, positions = draws(spec, gen, size)
         parts.append(_defect_field_chunk(
-            size, owner, is_vacancy, volume * amplitude_per_omega0, positions))
+            size, owner, is_vacancy, elastic.amplitude_nm3(volume), positions))
     strains, kinds, separations = (np.concatenate(p) for p in zip(*parts))
-    low, high = component_ranges(table)
-    in_range = np.all((strains >= low) & (strains <= high), axis=1)
-    strains = strains[in_range]
-    shifts = np.asarray(shift_for_strain(table, strains)) if len(strains) \
-        else np.zeros(0)
-    prov = EnsembleProvenance(
-        mode="defect-field", seed=seed, n_requested=n_samples,
-        n_retained=len(strains), n_raw_draws=n_samples,
-        n_range_rejections=int((~in_range).sum()), spec=spec)
-    return ShiftEnsemble(shifts_mev=shifts, strains=strains, provenance=prov,
-                         dominant_kind=list(kinds[in_range]),
-                         dominant_separation_nm=separations[in_range])
+    return _ensemble("defect-field", spec, seed, n_samples, n_samples,
+                     strains, table, kinds, separations)
 
 
 # ---------------------------------------------------------------------------

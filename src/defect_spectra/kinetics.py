@@ -32,48 +32,44 @@ from .core import (
 
 @dataclass(frozen=True)
 class LifetimeSet:
-    """Radiative, nonradiative, and effective lifetimes with the identity
+    """Measured radiative and effective lifetimes; the nonradiative
+    lifetime and the quantum efficiency follow from the identity
     1/tau_eff = 1/tau_r + 1/tau_nr and qe = tau_eff/tau_r."""
 
     tau_r_ns: float
-    tau_nr_ns: float
     tau_eff_ns: float
-    qe: float
 
     def __post_init__(self):
-        if self.tau_r_ns <= 0 or self.tau_eff_ns <= 0 or self.tau_nr_ns <= 0:
-            raise ValidationError("lifetimes must be positive")
-        if not 0 < self.qe <= 1:
-            raise ValidationError(f"quantum efficiency {self.qe} outside (0, 1]")
-        lhs = 1.0 / self.tau_eff_ns
-        rhs = 1.0 / self.tau_r_ns + (0.0 if np.isinf(self.tau_nr_ns)
-                                     else 1.0 / self.tau_nr_ns)
-        if abs(lhs - rhs) > 1e-9 * lhs:
-            raise ValidationError("lifetime identity violated")
+        if self.tau_eff_ns <= 0 or self.tau_r_ns <= 0:
+            raise InvalidArgumentError("lifetimes must be positive")
+        if self.tau_eff_ns > self.tau_r_ns:
+            raise ValidationError(
+                f"tau_eff = {self.tau_eff_ns} ns exceeds tau_r = "
+                f"{self.tau_r_ns} ns, which would need a negative "
+                "nonradiative rate")
+
+    @property
+    def tau_nr_ns(self) -> float:
+        rate_nr = 1.0 / self.tau_eff_ns - 1.0 / self.tau_r_ns
+        return np.inf if rate_nr == 0 else 1.0 / rate_nr
+
+    @property
+    def qe(self) -> float:
+        return self.tau_eff_ns / self.tau_r_ns
 
 
 def decompose_lifetimes(tau_eff_ns: float,
                         tau_r_ns: float = RADIATIVE_LIFETIME_NS) -> LifetimeSet:
     """Split an effective lifetime into radiative and nonradiative parts."""
-    if tau_eff_ns <= 0 or tau_r_ns <= 0:
-        raise InvalidArgumentError("lifetimes must be positive")
-    if tau_eff_ns > tau_r_ns:
-        raise ValidationError(
-            f"tau_eff = {tau_eff_ns} ns exceeds tau_r = {tau_r_ns} ns, "
-            "which would need a negative nonradiative rate")
-    rate_nr = 1.0 / tau_eff_ns - 1.0 / tau_r_ns
-    tau_nr = np.inf if rate_nr == 0 else 1.0 / rate_nr
-    return LifetimeSet(tau_r_ns=tau_r_ns, tau_nr_ns=tau_nr,
-                       tau_eff_ns=tau_eff_ns, qe=tau_eff_ns / tau_r_ns)
+    return LifetimeSet(tau_r_ns=tau_r_ns, tau_eff_ns=tau_eff_ns)
 
 
 def compose_lifetimes(tau_r_ns: float, tau_nr_ns: float) -> LifetimeSet:
     if tau_r_ns <= 0 or tau_nr_ns <= 0:
         raise InvalidArgumentError("lifetimes must be positive")
-    rate = 1.0 / tau_r_ns + (0.0 if np.isinf(tau_nr_ns) else 1.0 / tau_nr_ns)
-    tau_eff = 1.0 / rate
-    return LifetimeSet(tau_r_ns=tau_r_ns, tau_nr_ns=tau_nr_ns,
-                       tau_eff_ns=tau_eff, qe=tau_eff / tau_r_ns)
+    # 1/(1/tau_r) can round one ulp above tau_r
+    return LifetimeSet(tau_r_ns=tau_r_ns, tau_eff_ns=min(
+        tau_r_ns, 1.0 / (1.0 / tau_r_ns + 1.0 / tau_nr_ns)))
 
 
 # ---------------------------------------------------------------------------

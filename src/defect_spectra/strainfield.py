@@ -39,6 +39,19 @@ class ElasticParams:
     def __post_init__(self):
         check_fields(self, positive=("atomic_volume_nm3", "core_cutoff_nm"))
 
+    def amplitude_nm3(self, volume):
+        """A = dV / (4 pi) in nm^3 of relaxation volumes in atomic volumes."""
+        return volume * (self.atomic_volume_nm3 / (4.0 * np.pi))
+
+
+def relaxation_volume(kind: str, override: float | None = None) -> float:
+    """Relaxation volume of ``kind`` in atomic volumes; ``override`` if set."""
+    if kind not in DEFAULT_RELAXATION_VOLUMES:
+        raise InvalidArgumentError(
+            f"unknown defect kind {kind!r}; expected one of "
+            f"{sorted(DEFAULT_RELAXATION_VOLUMES)}")
+    return DEFAULT_RELAXATION_VOLUMES[kind] if override is None else override
+
 
 @dataclass(frozen=True)
 class PointDefect:
@@ -49,15 +62,7 @@ class PointDefect:
     relaxation_volume_omega0: float | None = None
 
     def __post_init__(self):
-        if self.kind not in DEFAULT_RELAXATION_VOLUMES:
-            raise InvalidArgumentError(
-                f"unknown defect kind {self.kind!r}; expected one of "
-                f"{sorted(DEFAULT_RELAXATION_VOLUMES)}")
-
-    def relaxation_volume(self) -> float:
-        if self.relaxation_volume_omega0 is not None:
-            return self.relaxation_volume_omega0
-        return DEFAULT_RELAXATION_VOLUMES[self.kind]
+        relaxation_volume(self.kind)  # refuses an unknown kind
 
 
 # Cartesian index pairs (i, j) of the strain 6-vector components
@@ -99,7 +104,8 @@ def dilatation_strain(defect: PointDefect, points_nm,
             f"{defect.kind} at {tuple(defect.position_nm)}",
             defect_index=defect_index)
 
-    amp = defect.relaxation_volume() * params.atomic_volume_nm3 / (4.0 * np.pi)
+    amp = params.amplitude_nm3(
+        relaxation_volume(defect.kind, defect.relaxation_volume_omega0))
     out = dipole_strain(amp, rvec)
     if np.asarray(points_nm).ndim == 1:
         return out[0]

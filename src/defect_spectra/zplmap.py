@@ -20,6 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .core import (
+    STRAIN_COMPONENTS,
     RangeError,
     ValidationError,
     increasing_grid,
@@ -31,8 +32,8 @@ from .output import read_csv
 REQUIRED_AXES = ("x", "z", "xy", "xz")
 OPTIONAL_AXES = ("y", "yz", "iso")
 # tensor component index -> table axis
-_COMPONENT_AXIS = (("e_xx", "x"), ("e_yy", "y"), ("e_zz", "z"),
-                   ("e_xy", "xy"), ("e_xz", "xz"), ("e_yz", "yz"))
+_COMPONENT_AXIS = tuple(zip(STRAIN_COMPONENTS,
+                            ("x", "y", "z", "xy", "xz", "yz")))
 _SYMMETRY_SOURCE = {"y": "x", "yz": "xz"}
 
 DEFAULT_TABLE_RESOURCE = "default_response_table.csv"
@@ -98,7 +99,8 @@ def load_response_table(path) -> ResponseTable:
         if axis in curves:
             g0, s0 = curves[src]
             g1, s1 = curves[axis]
-            if not (np.array_equal(g0, g1) and np.allclose(s0, s1, atol=1e-12)):
+            if not (np.array_equal(g0, g1)
+                    and np.allclose(s0, s1, rtol=0.0, atol=1e-12)):
                 raise ValidationError(
                     f"axis {axis!r} must match {src!r} by mirror symmetry; "
                     "drop it from the file or make it identical")

@@ -6,7 +6,6 @@ listing survives pytest's output capture in any invocation. Each
 criterion also enforces its runtime budget.
 """
 
-import csv
 import itertools
 import os
 import subprocess
@@ -14,7 +13,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import minimize_scalar
 
 from defect_spectra.core import EmitterParams, delta_e_from_delta_lambda

@@ -388,6 +388,12 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
       "out"], "radiative_lifetime_ns must be positive"),
     ({"k.ini": "[emitter]\nradiative_lifetime_ns = inf\n"}, DECAY,
      "radiative_lifetime_ns must be positive"),
+    ({}, ["simulate-decay", "--config", ".", "--seed", "1", "--out", "out"],
+     "config file ."),
+    ({"k.ini": b"\xff[kinetics]\n"}, DECAY, "config parse error in k.ini"),
+    ({"s.ini": "[elastic]\n[sampler]\nvacancy_density_cm3 = 1e21\n"
+               "r_max_nm = 100\n"},
+     [*SPECTRUM, "--mode", "defect-field"], "r_max_nm 100"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
@@ -400,12 +406,14 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "table-abc", "table-two-cells", "table-nan-strain", "fit-nan-time",
         "fit-power-law-nan", "n-points-one", "config-samples-negative",
         "samples-negative", "peaks-zero", "pulses-duration-inf", "duration-flux-inf",
-        "gap-negative", "sweep-lifetime-negative", "decay-lifetime-inf"])
+        "gap-negative", "sweep-lifetime-negative", "decay-lifetime-inf",
+        "config-is-directory", "config-not-utf8", "shell-too-large"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        data = text if isinstance(text, bytes) else text.encode()
+        (tmp_path / name).write_bytes(data)
     assert main(argv) == 2
     assert field in capsys.readouterr().err
     # nothing was written

@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 
 import numpy as np
@@ -66,6 +65,18 @@ def test_uniform_sampler_basic(table):
     assert prov.mode == "uniform"
     assert prov.n_retained == 5000
     assert prov.n_raw_draws == 5000
+
+
+@pytest.mark.parametrize("sample, spec", [(sample_uniform, UniformSpec()),
+                                          (sample_biased_z, BiasedZSpec())])
+def test_normal_strain_samplers_retain_every_sample(table, sample, spec):
+    # the samplers' strain range equals the table's, and the range mask
+    # they share with defect-field keeps every sample
+    ens = sample(spec, 5000, seed=4, table=table)
+    prov = ens.provenance
+    assert (prov.n_retained, prov.n_range_rejections) == (5000, 0)
+    assert len(ens) == 5000
+    assert ens.dominant_kind == [] and ens.dominant_separation_nm is None
 
 
 def test_uniform_shifts_match_table(table):

@@ -3,7 +3,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from defect_spectra.core import (
@@ -62,9 +62,23 @@ def test_decompose_edge_cases():
         decompose_lifetimes(-1.0, 45.0)
 
 
-def test_lifetime_set_identity_enforced():
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e4), st.floats(1e-6, 1.0))
+@example(1781.75, 1.0)  # 1/(1/tau_r) rounds above tau_r
+def test_lifetime_set_derives_identity(tau_r, share):
+    tau_eff = tau_r * share
+    ls = LifetimeSet(tau_r_ns=tau_r, tau_eff_ns=tau_eff)
+    assert ls.qe == tau_eff / tau_r
+    assert 1.0 / ls.tau_eff_ns == pytest.approx(
+        1.0 / ls.tau_r_ns + 1.0 / ls.tau_nr_ns, rel=1e-12, abs=0.0)
+    assert decompose_lifetimes(tau_eff, tau_r).tau_eff_ns == tau_eff
+    again = decompose_lifetimes(
+        compose_lifetimes(tau_r, ls.tau_nr_ns).tau_eff_ns, tau_r)
+    assert again.tau_eff_ns == pytest.approx(tau_eff, rel=1e-12)
     with pytest.raises(ValidationError):
-        LifetimeSet(tau_eff_ns=10.0, tau_r_ns=45.0, tau_nr_ns=50.0, qe=0.9)
+        LifetimeSet(tau_r_ns=tau_r, tau_eff_ns=tau_r * 1.001)
+    with pytest.raises(InvalidArgumentError):
+        LifetimeSet(tau_r_ns=tau_r, tau_eff_ns=-tau_eff)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from defect_spectra.core import InvalidArgumentError
 from defect_spectra.lattice import (
-    Geometry,
     SupercellSpec,
     build_supercell,
     enumerate_candidates,

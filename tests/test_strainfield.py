@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defect_spectra.core import CoreRegionError, InvalidArgumentError
+from defect_spectra.ensemble import SingleDefectSpec
 from defect_spectra.strainfield import (
     ElasticParams,
     PointDefect,
@@ -110,8 +111,11 @@ def test_multiple_field_points():
 
 
 def test_defect_kind_validation():
-    with pytest.raises(InvalidArgumentError):
-        PointDefect("divacancy", (1.0, 0.0, 0.0))
+    with pytest.raises(InvalidArgumentError) as point:
+        PointDefect("bogus", (0.0, 0.0, 1.0))
+    with pytest.raises(InvalidArgumentError) as spec:
+        SingleDefectSpec("bogus")
+    assert str(point.value) == str(spec.value)
     with pytest.raises(InvalidArgumentError):
         dilatation_strain(PointDefect("vacancy", (1, 0, 0)), [[1, 2]])
 

@@ -141,3 +141,21 @@ def test_load_table_rejects_bad_curves(tmp_path):
     path.write_text("strain,shift\n0,0\n")
     with pytest.raises(ValidationError, match="header"):
         load_response_table(path)
+
+
+@pytest.mark.parametrize("scale, ok", [(1.0, True), (1.0 + 5e-6, False)])
+def test_mirror_curve_must_be_identical(tmp_path, table, scale, ok):
+    # a spelled-out y curve is accepted only when it repeats x exactly
+    grid, shifts = table.curves["x"]
+    rows = [f"{axis},{g:.17g},{s:.17g}" for axis, (grid_a, shifts_a)
+            in table.curves.items() for g, s in zip(grid_a, shifts_a)]
+    rows += [f"y,{g:.17g},{s * scale:.17g}" for g, s in zip(grid, shifts)]
+    path = tmp_path / "table.csv"
+    path.write_text("axis,strain,shift_mev\n" + "\n".join(rows) + "\n")
+    if ok:
+        loaded = load_response_table(path)
+        assert shift_for_strain(loaded, [0, 0.01, 0, 0, 0, 0]) == \
+            shift_for_strain(table, [0.01, 0, 0, 0, 0, 0])
+    else:
+        with pytest.raises(ValidationError, match="mirror symmetry"):
+            load_response_table(path)

@@ -1,12 +1,12 @@
 """Deterministic least-squares fits and line-shape metrics.
 
 Every fit returns a FitResult. The exponential and peak fits run one
-damped Gauss-Newton solver with analytic Jacobians, which decides
-convergence and the standard errors; starting points come from
-closed-form estimates (log-linear regression for decays, residual
-peak-picking for spectra), so results are reproducible without any
-stochastic search. The power-law fit is ordinary least squares in log-log
-space.
+variable-projection solver: amplitudes and baseline are solved exactly,
+and Gauss-Newton iterates on the decay time or the peak centers and
+widths. Starting points come from closed-form estimates (log-linear
+regression for decays, residual peak-picking for spectra), so results are
+reproducible without any stochastic search. The power-law fit is ordinary
+least squares in log-log space.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .core import (
 
 @dataclass
 class FitResult:
-    """Best-fit parameters and their standard errors, under the same keys
-    and in report order, with the fit's residual norm and iteration count."""
+    """Best-fit parameters and their standard errors, under the same keys and
+    in report order, with the residual norm and Gauss-Newton step count."""
 
     parameters: dict
     stderr: dict
@@ -39,73 +39,102 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Newton core
+# variable-projection core
 # ---------------------------------------------------------------------------
 
-def _gauss_newton(what, residual_fn, jacobian_fn, p0, accept_fn, max_iter):
-    """Minimize ||residual(p)||² by damped Gauss-Newton.
+def _column_norms(a):
+    """Euclidean norm of each column of ``a``, with 1 for a zero column."""
+    norms = np.sqrt(np.einsum("ij,ij->j", a, a))
+    norms[norms == 0] = 1.0
+    return norms
 
-    ``accept_fn(p)`` vetoes parameter vectors (e.g. negative widths);
-    vetoed trial points are treated as infinitely bad and the step is
-    halved. Returns (p, stderr, residual_norm, n_iter), with standard
-    errors from the Jacobian at the solution; raises FitError naming
-    ``what`` when ``max_iter`` iterations do not converge.
+
+def _equilibrated_lstsq(a, b):
+    """lstsq(a, b) on unit-norm columns, so the rank cutoff cannot drop a
+    column whose natural scale is many decades below the others."""
+    norms = _column_norms(a)
+    x, *_ = np.linalg.lstsq(a / norms, b, rcond=None)
+    return (x.T / norms).T
+
+
+def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
+    """Minimize ||Φ(θ)·c - y||² by variable projection.
+
+    ``basis(θ)`` returns the (n, m) basis Φ, the (n, len θ) derivatives
+    of Φ and, for each θ_j, the index of the one column of Φ it enters.
+    The linear coefficients c = lstsq(Φ, y) are solved exactly for every
+    θ, and damped Gauss-Newton runs on θ alone with Kaufman's Jacobian
+    P⊥·(∂Φ/∂θ_j)·c (Golub and Pereyra 1973; Kaufman 1975).
+
+    ``accept_fn(θ)`` vetoes θ before Φ is built and ``accept_fn(θ, c)``
+    vetoes the projected coefficients; a vetoed trial point is treated as
+    infinitely bad and the step is halved, and a vetoed start raises
+    FitError. Returns (p, stderr, residual_norm, n_iter) with p = [θ, c]
+    and standard errors from the column-equilibrated full Jacobian
+    [(∂Φ/∂θ)·c, Φ] at the solution; raises FitError naming ``what`` when
+    ``max_iter`` iterations do not converge.
     """
-    p = np.asarray(p0, dtype=float).copy()
-    r = residual_fn(p)
-    cost = float(r @ r)
-    converged = False
-    it = 0
+    def evaluate(theta):
+        if not accept_fn(theta):
+            return None
+        phi, dphi, cols = basis(theta)
+        coef = _equilibrated_lstsq(phi, np.column_stack([y, dphi]))
+        c = coef[:, 0]
+        if not accept_fn(theta, c):
+            return None
+        r = phi @ c - y
+        # P⊥·(∂Φ/∂θ_j)·c, with P⊥ = 1 - Φ·lstsq(Φ, ·)
+        return (dphi - phi @ coef[:, 1:]) * c[cols], c, r, float(r @ r)
+
+    theta = np.array(theta0, dtype=float)
+    point = evaluate(theta)
+    if point is None or not np.isfinite(point[-1]):
+        raise FitError(f"{what} fit start point is vetoed")
     for it in range(1, max_iter + 1):
-        jac = jacobian_fn(p)
-        # equilibrate columns so lstsq's rank cutoff cannot drop a
-        # parameter whose natural scale is many decades below the others
-        norms = np.linalg.norm(jac, axis=0)
-        norms[norms == 0] = 1.0
-        scaled_step, *_ = np.linalg.lstsq(jac / norms, -r, rcond=None)
-        step = scaled_step / norms
+        kaufman, _, r, cost = point
+        step = _equilibrated_lstsq(kaufman, -r)
+        scale = np.maximum(np.abs(theta), 1e-300)
         lam = 1.0
-        improved = False
-        while lam >= 2.0 ** -20:
-            p_try = p + lam * step
-            if accept_fn(p_try):
-                r_try = residual_fn(p_try)
-                cost_try = float(r_try @ r_try)
-                if np.isfinite(cost_try) and cost_try <= cost:
-                    rel_drop = (cost - cost_try) / max(cost, 1e-300)
-                    scale = np.maximum(np.abs(p), 1e-300)
-                    # a parameter at zero gives rel_step = inf, which
-                    # correctly blocks early convergence
-                    with np.errstate(over="ignore", divide="ignore"):
-                        rel_step = float(np.max(np.abs(lam * step) / scale))
-                    p, r, cost = p_try, r_try, cost_try
-                    improved = True
-                    if rel_step < 1e-12 or (lam == 1.0 and rel_drop < 1e-14):
-                        converged = True
-                    break
+        while True:
+            # a parameter at zero gives rel_step = inf, which correctly
+            # blocks early convergence
+            with np.errstate(over="ignore", divide="ignore"):
+                rel_step = float(np.max(np.abs(lam * step) / scale))
+            theta_try = theta + lam * step
+            trial = evaluate(theta_try)
+            # a NaN or infinite trial cost fails the comparison
+            if trial is not None and trial[-1] <= cost:
+                rel_drop = (cost - trial[-1]) / max(cost, 1e-300)
+                converged = rel_step < 1e-12 or (lam == 1.0
+                                                 and rel_drop < 1e-14)
+                theta, point = theta_try, trial
+                break
+            if rel_step < 1e-12 or lam <= 2.0 ** -20:
+                # no downhill step left above rounding: stationary
+                converged = True
+                break
             lam *= 0.5
-        if not improved:
-            # no downhill direction left at the smallest damping: stationary
-            converged = True
-            break
         if converged:
             break
-    if not converged:
+    else:
         raise FitError(
             f"{what} fit did not converge in {max_iter} iterations, "
-            f"residual norm {np.sqrt(cost):.4g}")
+            f"residual norm {np.sqrt(point[-1]):.4g}")
 
-    jac = jacobian_fn(p)
-    dof = jac.shape[0] - len(p)
+    _, c, _, cost = point
+    phi, dphi, cols = basis(theta)
+    jac = np.column_stack([dphi * c[cols], phi])
+    dof = jac.shape[0] - jac.shape[1]
+    norms = _column_norms(jac)
     if dof <= 0:
-        err = np.zeros(len(p))
+        err = np.zeros(len(norms))
     else:
         try:
-            cov = cost / dof * np.linalg.pinv(jac.T @ jac)
-            err = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+            cov = cost / dof * np.linalg.pinv((jac / norms).T @ (jac / norms))
+            err = np.sqrt(np.clip(np.diag(cov), 0.0, None)) / norms
         except np.linalg.LinAlgError:
-            err = np.full(len(p), np.nan)
-    return p, err, float(np.sqrt(cost)), it
+            err = np.full(len(norms), np.nan)
+    return np.concatenate([theta, c]), err, float(np.sqrt(cost)), it
 
 
 # ---------------------------------------------------------------------------
@@ -153,25 +182,18 @@ def fit_single_exponential(time_ns, counts, window_ns=None) -> FitResult:
     if yw.max() == yw.min():
         raise NoDecayError("trace is flat inside the fit window")
 
-    tau0 = _log_linear_tau(tw, yw)
-    b0 = yw.min()
-    a0 = (yw.max() - b0) * np.exp(tw[np.argmax(yw)] / tau0)
-
-    def residual(p):
-        a, tau, b = p
-        return a * np.exp(-tw / tau) + b - yw
-
-    def jacobian(p):
-        a, tau, b = p
+    def basis(theta):
+        tau = theta[0]
         e = np.exp(-tw / tau)
-        return np.column_stack([e, a * e * tw / tau ** 2, np.ones_like(tw)])
+        return (np.column_stack([e, np.ones_like(tw)]),
+                (e * tw / tau ** 2)[:, None], [0])
 
-    p, err, norm, n_iter = _gauss_newton(
-        "exponential", residual, jacobian, [a0, tau0, b0],
-        accept_fn=lambda q: q[1] > 0, max_iter=200)
+    p, err, norm, n_iter = _projected_fit(
+        "exponential", yw, [_log_linear_tau(tw, yw)], basis,
+        accept_fn=lambda theta, c=None: theta[0] > 0, max_iter=200)
     return FitResult(
-        parameters={"amplitude": p[0], "tau_ns": p[1], "baseline": p[2]},
-        stderr={"amplitude": err[0], "tau_ns": err[1], "baseline": err[2]},
+        parameters={"amplitude": p[1], "tau_ns": p[0], "baseline": p[2]},
+        stderr={"amplitude": err[1], "tau_ns": err[0], "baseline": err[2]},
         residual_norm=norm, n_iterations=n_iter)
 
 
@@ -185,9 +207,12 @@ def _wing_baseline(y):
     return float(np.median(np.concatenate([y[:n_edge], y[-n_edge:]])))
 
 
-def _pick_initial_peaks(x, resid, n_peaks, step):
+def _pick_initial_peaks(x, y, n_peaks):
+    """Starting [center_0, fwhm_0, center_1, ...] from the maxima of the
+    residual above the wing baseline."""
     peaks = []
-    resid = resid.copy()
+    resid = y - _wing_baseline(y)
+    step = float(np.median(np.diff(x)))
     for k in range(n_peaks):
         i = int(np.argmax(resid))
         amp = float(resid[i])
@@ -207,7 +232,7 @@ def _pick_initial_peaks(x, resid, n_peaks, step):
         left = x[max(j - 1, 0)]
         width = max(right - left, 2 * step)
         half = width / 2.0
-        peaks.append([x[i], width, amp])
+        peaks.extend([x[i], width])
         resid = resid - amp * half ** 2 / ((x - x[i]) ** 2 + half ** 2)
     return peaks
 
@@ -228,60 +253,32 @@ def fit_peaks(wavelength_nm, intensity, n_peaks: int) -> FitResult:
     if y.max() == y.min():
         raise FitError("spectrum is flat, no peak to fit")
 
-    base0 = _wing_baseline(y)
-    step = float(np.median(np.diff(x)))
-    starts = _pick_initial_peaks(x, y - base0, n_peaks, step)
+    theta0 = _pick_initial_peaks(x, y, n_peaks)
+    cols = np.repeat(np.arange(n_peaks), 2)
 
-    p0 = []
-    for c, w, a in starts:
-        p0.extend([c, w, a])
-    p0.append(base0)
-    p0 = np.array(p0)
+    def basis(theta):
+        d = x[:, None] - theta[0::2]
+        h = theta[1::2] / 2.0
+        denom = d ** 2 + h ** 2
+        d_c = 2 * h ** 2 * d / denom ** 2
+        d_w = h * d ** 2 / denom ** 2
+        return (np.column_stack([h ** 2 / denom, np.ones_like(x)]),
+                np.stack([d_c, d_w], axis=2).reshape(len(x), -1), cols)
 
-    def unpack(p):
-        return p[:-1].reshape(n_peaks, 3), p[-1]
+    def accept(theta, c=None):
+        return bool(np.all(theta[1::2] > 0)
+                    and (c is None or np.all(c[:-1] >= 0)))
 
-    def model(p):
-        trip, b = unpack(p)
-        out = np.full_like(x, b)
-        for c, w, a in trip:
-            h = w / 2.0
-            out += a * h ** 2 / ((x - c) ** 2 + h ** 2)
-        return out
+    p, err, norm, n_iter = _projected_fit(
+        "peak", y, theta0, basis, accept_fn=accept, max_iter=300)
 
-    def residual(p):
-        return model(p) - y
-
-    def jacobian(p):
-        trip, _ = unpack(p)
-        cols = []
-        for c, w, a in trip:
-            h = w / 2.0
-            d2 = (x - c) ** 2
-            denom = d2 + h ** 2
-            lor = h ** 2 / denom
-            d_c = a * h ** 2 * 2 * (x - c) / denom ** 2
-            d_w = a * h * d2 / denom ** 2
-            cols.extend([d_c, d_w, lor])
-        cols.append(np.ones_like(x))
-        return np.column_stack(cols)
-
-    def accept(p):
-        trip, _ = unpack(p)
-        return bool(np.all(trip[:, 1] > 0) and np.all(trip[:, 2] >= 0))
-
-    p, err, norm, n_iter = _gauss_newton(
-        "peak", residual, jacobian, p0, accept_fn=accept, max_iter=300)
-
-    parameters, stderr = {}, {}
-    for rank, i in enumerate(np.argsort(p[0:-1:3])):
-        for j, name in enumerate((f"center_{rank}_nm", f"fwhm_{rank}_nm",
-                                  f"amplitude_{rank}")):
-            parameters[name] = float(p[3 * i + j])
-            stderr[name] = float(err[3 * i + j])
-    parameters["baseline"] = float(p[-1])
-    stderr["baseline"] = float(err[-1])
-    return FitResult(parameters=parameters, stderr=stderr,
+    index = {}
+    for rank, k in enumerate(np.argsort(p[0:2 * n_peaks:2])):
+        index.update({f"center_{rank}_nm": 2 * k, f"fwhm_{rank}_nm": 2 * k + 1,
+                      f"amplitude_{rank}": 2 * n_peaks + k})
+    index["baseline"] = len(p) - 1
+    return FitResult(parameters={n: float(p[i]) for n, i in index.items()},
+                     stderr={n: float(err[i]) for n, i in index.items()},
                      residual_norm=norm, n_iterations=n_iter)
 
 

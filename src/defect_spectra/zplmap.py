@@ -77,24 +77,24 @@ def load_response_table(path) -> ResponseTable:
             for axis, strain, shift in rows]
     curves = {}
     for axis in sorted({r[0] for r in rows}):
+        where = f"response table {path}, axis {axis!r}"
         if axis not in REQUIRED_AXES + OPTIONAL_AXES:
-            raise ValidationError(f"unknown axis {axis!r} in response table")
+            raise ValidationError(f"{where}: unknown axis")
         pts = sorted(r[1:] for r in rows if r[0] == axis)
         grid, shifts = np.array(pts).T.copy()
-        increasing_grid(grid, f"axis {axis!r}: strain grid", ValidationError,
+        increasing_grid(grid, f"{where}: strain grid", ValidationError,
                         min_points=3)
         at_zero = np.flatnonzero(grid == 0.0)
         if len(at_zero) != 1 or shifts[at_zero[0]] != 0.0:
-            raise ValidationError(
-                f"axis {axis!r}: curve must pass through (0, 0)")
+            raise ValidationError(f"{where}: curve must pass through (0, 0)")
         if not np.all(np.isfinite([grid, shifts])):
             raise ValidationError(
-                f"axis {axis!r}: strains and shifts must be finite")
+                f"{where}: strains and shifts must be finite")
         curves[axis] = (grid, shifts)
 
     missing = [a for a in REQUIRED_AXES if a not in curves]
     if missing:
-        raise ValidationError(f"response table missing axes {missing}")
+        raise ValidationError(f"response table {path} missing axes {missing}")
     for axis, src in _SYMMETRY_SOURCE.items():
         if axis in curves:
             g0, s0 = curves[src]
@@ -102,8 +102,9 @@ def load_response_table(path) -> ResponseTable:
             if not (np.array_equal(g0, g1)
                     and np.allclose(s0, s1, rtol=0.0, atol=1e-12)):
                 raise ValidationError(
-                    f"axis {axis!r} must match {src!r} by mirror symmetry; "
-                    "drop it from the file or make it identical")
+                    f"response table {path}, axis {axis!r} must match "
+                    f"{src!r} by mirror symmetry; drop it from the file or "
+                    "make it identical")
     return ResponseTable(curves=curves, source=str(path))
 
 

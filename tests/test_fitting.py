@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +173,81 @@ def test_peak_count_validation():
     y = lorentzian(x, 1278.3, 0.073, 1.0)
     with pytest.raises(InvalidArgumentError):
         fit_peaks(x, y, 0)
+
+
+def test_extra_peaks_keep_the_veto():
+    # three peaks on a one-peak spectrum: every returned point satisfies
+    # widths > 0 and amplitudes >= 0, or the fit refuses, and no NaN or
+    # overflow from a degenerate trial escapes as a RuntimeWarning
+    x = np.arange(1277.5, 1279.1, 0.002)
+    rng = np.random.default_rng(4)
+    for noise in (0.0, 0.01):
+        y = lorentzian(x, 1278.3, 0.073, 1.0) + 0.01
+        y = y + rng.normal(0.0, noise, x.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                fit = fit_peaks(x, y, 3).parameters
+            except FitError:
+                continue
+        assert all(fit[f"fwhm_{k}_nm"] > 0 for k in range(3))
+        assert all(fit[f"amplitude_{k}"] >= 0 for k in range(3))
+
+
+def test_negative_tau_trials_never_reach_exp():
+    # a faint, noisy tail draws Gauss-Newton steps to tau <= 0; checked
+    # after the basis, a trial near -0 would overflow exp(-t/tau)
+    t = np.linspace(0.0, 100.0, 2001)
+    y = (1e3 * np.exp(-t / 4.0) + 100.0
+         + np.random.default_rng(4).normal(0.0, 300.0, t.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = fit_single_exponential(t, y, window_ns=(12.0, 30.0))
+    assert fit.parameters["tau_ns"] > 0
+
+
+def _noisy_decay():
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.0, 80.0, 8001)
+    y = rng.poisson(1e13 * np.exp(-t / 8.0) + 1e8).astype(float)
+    window = (5.0, 70.0)
+    sel = (t >= window[0]) & (t <= window[1])
+
+    def model(tt, a, tau, b):
+        return a * np.exp(-tt / tau) + b
+
+    fit = fit_single_exponential(t, y, window_ns=window)
+    return fit, model, t[sel], y[sel]
+
+
+def _noisy_two_peaks():
+    rng = np.random.default_rng(12)
+    x = np.arange(1277.8, 1278.8, 0.0005)
+    y = (lorentzian(x, 1278.2, 0.073, 1.0) + lorentzian(x, 1278.4, 0.073, 2.0)
+         + 0.05 + rng.normal(0.0, 0.01, x.size))
+
+    def model(xx, c0, w0, a0, c1, w1, a1, b):
+        return lorentzian(xx, c0, w0, a0) + lorentzian(xx, c1, w1, a1) + b
+
+    return fit_peaks(x, y, 2), model, x, y
+
+
+@pytest.mark.parametrize("case", [_noisy_decay, _noisy_two_peaks],
+                         ids=["decay", "two-peaks"])
+def test_stderr_matches_curve_fit(case):
+    # scipy's Levenberg-Marquardt covariance at the program's optimum is
+    # the oracle; the decay spans 13 decades between tau and amplitude
+    from scipy.optimize import curve_fit
+
+    fit, model, x, y = case()
+    names = list(fit.parameters)
+    popt, pcov = curve_fit(model, x, y, p0=[fit.parameters[k] for k in names])
+    oracle = np.sqrt(np.diag(pcov))
+    for name, value, err in zip(names, popt, oracle):
+        assert fit.stderr[name] == pytest.approx(err, rel=1e-3), name
+        if name == "tau_ns":
+            assert fit.parameters[name] == pytest.approx(value, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -122,20 +124,23 @@ def test_load_table_round_trip(tmp_path, table):
 
 def test_load_table_rejects_bad_curves(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("axis,strain,shift_mev\n"
-                    "x,-0.001,0.1\nx,0.0,0.5\nx,0.001,-0.1\n")
-    with pytest.raises(ValidationError, match="0, 0"):
-        load_response_table(path)
-    # duplicate strain nodes collapse the grid ordering
-    path.write_text("axis,strain,shift_mev\n"
-                    "x,0.001,0.1\nx,0.0,0.0\nx,0.001,-0.1\n")
-    with pytest.raises(ValidationError, match="increasing"):
-        load_response_table(path)
-    # a single axis is not enough
-    path.write_text("axis,strain,shift_mev\n"
-                    "x,-0.001,-0.1\nx,0.0,0.0\nx,0.001,-0.1\n")
-    with pytest.raises(ValidationError, match="missing axes"):
-        load_response_table(path)
+    cases = [
+        ("x,-0.001,0.1\nx,0.0,0.5\nx,0.001,-0.1\n",
+         "axis 'x': curve must pass through (0, 0)"),
+        # duplicate strain nodes collapse the grid ordering
+        ("x,0.001,0.1\nx,0.0,0.0\nx,0.001,-0.1\n",
+         "axis 'x': strain grid must be strictly increasing"),
+        ("x,-0.001,-inf\nx,0.0,0.0\nx,0.001,-0.1\n",
+         "axis 'x': strains and shifts must be finite"),
+        ("w,-0.001,-0.1\nw,0.0,0.0\nw,0.001,-0.1\n", "axis 'w': unknown axis"),
+        # a single axis is not enough
+        ("x,-0.001,-0.1\nx,0.0,0.0\nx,0.001,-0.1\n", "missing axes"),
+    ]
+    for rows, message in cases:
+        path.write_text("axis,strain,shift_mev\n" + rows)
+        with pytest.raises(ValidationError, match=re.escape(message)) as info:
+            load_response_table(path)
+        assert str(path) in str(info.value)
     with pytest.raises(FileNotFoundError):
         load_response_table(tmp_path / "missing.csv")
     path.write_text("strain,shift\n0,0\n")
@@ -157,5 +162,6 @@ def test_mirror_curve_must_be_identical(tmp_path, table, scale, ok):
         assert shift_for_strain(loaded, [0, 0.01, 0, 0, 0, 0]) == \
             shift_for_strain(table, [0.01, 0, 0, 0, 0, 0])
     else:
-        with pytest.raises(ValidationError, match="mirror symmetry"):
+        with pytest.raises(ValidationError, match="mirror symmetry") as info:
             load_response_table(path)
+        assert str(path) in str(info.value)

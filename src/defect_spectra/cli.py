@@ -4,12 +4,12 @@ Configs are INI files ([section] key = value). [emitter], [elastic],
 [damage] and most of [kinetics] take their keys and defaults from the
 fields of EmitterParams, ElasticParams, DamageParams and
 DecayModelParams; [sampler] keys fill the ensemble spec of the chosen
-mode, whose class holds their defaults. Unknown sections or keys and
-unparsable values are hard errors, so a typo cannot silently fall back
-to a default. Every file goes through defect_spectra.output (atomic
-writes, fixed number formatting), so a command repeated with the same
-seed produces byte-identical files. A run rejected for a bad input
-(exit 2) writes nothing.
+mode, whose class holds their defaults. Unknown sections or keys, keys a
+run would drop and unparsable values are hard errors, so a typo cannot
+silently fall back to a default. Every file goes through
+defect_spectra.output (atomic writes, fixed number formatting), so a
+command repeated with the same seed produces byte-identical files. A run
+rejected for a bad input (exit 2) writes nothing.
 
 Exit codes: 0 success, 2 validation or config error, 3 numerical
 failure (fit or integration).
@@ -92,7 +92,7 @@ def _float_or_none(text):
 
 # Config casts of the scalar dataclass field types; other fields, such as
 # DecayModelParams.time_grid_ns, are not config keys.
-_FIELD_CASTS = {"float": float, "float | None": _float_or_none}
+_FIELD_CASTS = {"float": float, "float | None": _float_or_none, "str": str}
 
 
 def _field_keys(cls, exclude=()):
@@ -101,34 +101,22 @@ def _field_keys(cls, exclude=()):
             if f.type in _FIELD_CASTS and f.name not in exclude}
 
 
+# [kinetics] keys that simulate-decay reads itself, the time grid and the
+# fit window; the others are the fields of DecayModelParams
+_DECAY_KEYS = {"t_max_ns": float, "n_points": int,
+               "fit_window_start_ns": float, "fit_window_stop_ns": float}
+
 _SCHEMA = {
     "emitter": _field_keys(EmitterParams),
-    "sampler": {
-        "mode": str,
-        "samples": int,
-        "strain_low": float,
-        "strain_high": float,
-        "xy_threshold": float,
-        "keep_fraction": float,
-        "defect_kind": str,
-        "separation_nm": float,
-        "vacancy_density_cm3": float,
-        "interstitial_density_cm3": float,
-        "r_min_nm": float,
-        "r_max_nm": float,
-        "bin_width_mev": float,
-    },
+    # BiasedZSpec holds UniformSpec's fields
+    "sampler": {"mode": str, "samples": int, **_field_keys(BiasedZSpec),
+                **_field_keys(SingleDefectSpec),
+                **_field_keys(DefectDensitySpec), "bin_width_mev": float},
     "elastic": _field_keys(ElasticParams),
     "response": {
         "table": str,
     },
-    "kinetics": {
-        **_field_keys(DecayModelParams),
-        "t_max_ns": float,
-        "n_points": int,
-        "fit_window_start_ns": float,
-        "fit_window_stop_ns": float,
-    },
+    "kinetics": {**_field_keys(DecayModelParams), **_DECAY_KEYS},
     # the radiative lifetime is [emitter] radiative_lifetime_ns
     "damage": _field_keys(DamageParams, exclude=("tau_r_ns",)),
     "schedule": {
@@ -208,14 +196,20 @@ def config_help_text() -> str:
 # builders from config
 # ---------------------------------------------------------------------------
 
-def _build(cls, cfg: RunConfig, section, renames=None, **given):
-    """A params dataclass from the [section] keys named like its fields (or
-    mapped to one by ``renames``); left-out keys keep the class default."""
+def _build(cls, cfg: RunConfig, section, reads=(), user=None, **given):
+    """A params dataclass from the [section] keys named like its fields;
+    left-out keys keep the class default. Any other key that is not one of
+    ``reads``, those the command reads itself, is refused, not dropped;
+    ``user`` names the run in that message."""
     names = {f.name for f in dataclasses.fields(cls)}
     for key, value in cfg.values.get(section, {}).items():
-        name = (renames or {}).get(key, key)
-        if name in names:
-            given[name] = value
+        if key in names:
+            given[key] = value
+        elif key not in reads:
+            takes = [k for k in _SCHEMA[section] if k in names or k in reads]
+            raise ValidationError(
+                f"config key [{section}] {key} is not used by "
+                f"{user or cls.__name__}, which takes {', '.join(takes)}")
     return cls(**given)
 
 
@@ -254,8 +248,8 @@ def _decay_params_from(cfg: RunConfig) -> DecayModelParams:
         raise ValidationError(f"config key [kinetics] n_points must be at "
                               f"least 2, got {n_points}")
     grid = np.linspace(0.0, t_max, n_points)
-    return _build(DecayModelParams, cfg, "kinetics", time_grid_ns=grid,
-                  **_radiative_lifetime(cfg))
+    return _build(DecayModelParams, cfg, "kinetics", reads=_DECAY_KEYS,
+                  time_grid_ns=grid, **_radiative_lifetime(cfg))
 
 
 def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedule:
@@ -358,26 +352,22 @@ def cmd_simulate_spectrum(args) -> int:
     if n < 1:
         raise ValidationError(f"{source}: n_samples must be >= 1, got {n}")
 
+    def spec_from(cls):
+        return _build(cls, cfg, "sampler",
+                      reads=("mode", "samples", "bin_width_mev"),
+                      user=f"sampler mode {mode} ({cls.__name__})")
+
     if mode == "uniform":
-        spec = _build(UniformSpec, cfg, "sampler")
-        ens = sample_uniform(spec, n, args.seed, table)
+        ens = sample_uniform(spec_from(UniformSpec), n, args.seed, table)
     elif mode == "biased-z":
-        spec = _build(BiasedZSpec, cfg, "sampler")
-        ens = sample_biased_z(spec, n, args.seed, table)
+        ens = sample_biased_z(spec_from(BiasedZSpec), n, args.seed, table)
     elif mode == "defect-field":
-        if "elastic" not in cfg.values:
-            raise ValidationError(
-                "sampler mode defect-field needs an [elastic] config "
-                "section (atomic_volume_nm3, core_cutoff_nm)")
-        elastic = _build(ElasticParams, cfg, "elastic")
-        sampler = cfg.values.get("sampler", {})
-        if ("vacancy_density_cm3" in sampler
-                or "interstitial_density_cm3" in sampler):
-            spec = _build(DefectDensitySpec, cfg, "sampler")
-        else:
-            spec = _build(SingleDefectSpec, cfg, "sampler",
-                          renames={"defect_kind": "kind"})
-        ens = sample_defect_field(spec, n, args.seed, table, elastic)
+        # a density key selects Poisson densities over a single defect
+        density = cfg.values.get("sampler", {}).keys() & {
+            "vacancy_density_cm3", "interstitial_density_cm3"}
+        spec = spec_from(DefectDensitySpec if density else SingleDefectSpec)
+        ens = sample_defect_field(spec, n, args.seed, table,
+                                  _build(ElasticParams, cfg, "elastic"))
     else:
         raise ValidationError(
             f"sampler mode {mode!r} is not one of uniform, biased-z, "
@@ -503,6 +493,12 @@ def cmd_fit(args) -> int:
             f"unrecognized CSV header {','.join(header)!r}; expected one "
             f"of: {known}")
     model = args.model or _FIT_HEADERS[tuple(header)]
+    for flag, value, owner in (("--peaks", args.peaks, "peaks"),
+                               ("--window", args.window, "exponential")):
+        if value is not None and model != owner:
+            raise ValidationError(
+                f"{flag} applies to the {owner} model only, not to the "
+                f"{model} model")
     data = np.array([[number(f"{name} cell of {args.input}", cell)
                       for name, cell in zip(header, row)] for row in rows])
     if not np.all(np.isfinite(data)):
@@ -511,18 +507,19 @@ def cmd_fit(args) -> int:
 
     if model == "exponential":
         window = None
-        if args.window:
+        if args.window is not None:
             lo, _, hi = args.window.partition(":")
             window = (number("--window start", lo), number("--window stop", hi))
         fit = fit_single_exponential(x, y, window_ns=window)
         summary = f"tau = {fit.parameters['tau_ns']:.4g} ns"
     elif model == "peaks":
-        if args.peaks < 1:
+        n_peaks = 1 if args.peaks is None else args.peaks
+        if n_peaks < 1:
             raise ValidationError(
-                f"--peaks: n_peaks must be >= 1, got {args.peaks}")
-        fit = fit_peaks(x, y, args.peaks)
+                f"--peaks: n_peaks must be >= 1, got {n_peaks}")
+        fit = fit_peaks(x, y, n_peaks)
         summary = ", ".join(f"{fit.parameters[f'center_{k}_nm']:.4f} nm"
-                            for k in range(args.peaks))
+                            for k in range(n_peaks))
     else:
         fit = fit_power_law(x, y)
         summary = f"exponent = {fit.parameters['exponent']:.4g}"
@@ -633,8 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--input", required=True, help="input CSV")
     fit.add_argument("--model", choices=["exponential", "peaks", "power-law"],
                      help="fit model; inferred from the CSV header if omitted")
-    fit.add_argument("--peaks", type=int, default=1,
-                     help="number of Lorentzian peaks (peaks model)")
+    fit.add_argument("--peaks", type=int,
+                     help="number of Lorentzian peaks (peaks model; "
+                          "default 1)")
     fit.add_argument("--window", help="fit window start:stop in ns "
                                       "(exponential model)")
     fit.add_argument("--report", help="output report path")

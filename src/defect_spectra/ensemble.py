@@ -77,21 +77,18 @@ class UniformSpec:
 
 
 @dataclass(frozen=True)
-class BiasedZSpec:
+class BiasedZSpec(UniformSpec):
     """Uniform strains with rejection against large in-plane components.
 
     A raw draw whose max(|e_xx|, |e_yy|) exceeds ``xy_threshold`` survives
     only with probability ``keep_fraction``.
     """
 
-    strain_low: float = -0.01
-    strain_high: float = 0.01
     xy_threshold: float = 0.001
     keep_fraction: float = 0.1
 
     def __post_init__(self):
-        if not self.strain_low < self.strain_high:
-            raise InvalidArgumentError("strain_low must be below strain_high")
+        super().__post_init__()
         if not 0.0 <= self.keep_fraction <= 1.0:
             raise InvalidArgumentError("keep_fraction must be within [0, 1]")
         check_fields(self, nonnegative=("xy_threshold",))
@@ -101,12 +98,11 @@ class BiasedZSpec:
 class SingleDefectSpec:
     """One defect of fixed kind at fixed separation, direction uniform."""
 
-    kind: str = "vacancy"
+    defect_kind: str = "vacancy"
     separation_nm: float = 0.9
-    relaxation_volume_omega0: float | None = None
 
     def __post_init__(self):
-        relaxation_volume(self.kind)  # refuses an unknown kind
+        relaxation_volume(self.defect_kind)  # refuses an unknown kind
         check_fields(self, positive=("separation_nm",))
 
 
@@ -118,8 +114,6 @@ class DefectDensitySpec:
     interstitial_density_cm3: float = 0.0
     r_min_nm: float = 0.9
     r_max_nm: float = 1.4
-    vacancy_volume_omega0: float | None = None
-    interstitial_volume_omega0: float | None = None
 
     def __post_init__(self):
         check_fields(self, positive=("r_max_nm",), nonnegative=(
@@ -267,9 +261,8 @@ def _directions(gen, k):
 
 def _single_defect_draws(spec: SingleDefectSpec, gen, size):
     """One defect per sample at the fixed separation."""
-    return (np.arange(size), np.full(size, spec.kind == "vacancy"),
-            np.full(size, relaxation_volume(spec.kind,
-                                            spec.relaxation_volume_omega0)),
+    return (np.arange(size), np.full(size, spec.defect_kind == "vacancy"),
+            np.full(size, relaxation_volume(spec.defect_kind)),
             _directions(gen, size) * spec.separation_nm)
 
 
@@ -288,9 +281,8 @@ def _density_draws(spec: DefectDensitySpec, gen, size):
     owner = np.concatenate([np.repeat(samples, counts_v),
                             np.repeat(samples, counts_i)])
     is_vacancy = np.arange(len(owner)) < counts_v.sum()
-    volume = np.where(
-        is_vacancy, relaxation_volume("vacancy", spec.vacancy_volume_omega0),
-        relaxation_volume("interstitial", spec.interstitial_volume_omega0))
+    volume = np.where(is_vacancy, relaxation_volume("vacancy"),
+                      relaxation_volume("interstitial"))
     u = gen.random(len(owner))
     radii = (u * (spec.r_max_nm ** 3 - spec.r_min_nm ** 3)
              + spec.r_min_nm ** 3) ** (1.0 / 3.0)

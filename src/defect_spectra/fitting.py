@@ -241,9 +241,10 @@ def fit_peaks(wavelength_nm, intensity, n_peaks: int) -> FitResult:
     """Least-squares multi-Lorentzian fit with a constant baseline.
 
     Starting peaks are picked iteratively from the highest residual
-    maximum. Peaks are numbered k = 0, 1, ... by ascending center, and
-    the parameters are ``center_k_nm``, ``fwhm_k_nm`` and ``amplitude_k``
-    (height above baseline) for each peak in turn, then ``baseline``.
+    maximum; no width may fall below the finest step of the grid. Peaks
+    are numbered k = 0, 1, ... by ascending center, and the parameters
+    are ``center_k_nm``, ``fwhm_k_nm`` and ``amplitude_k`` (height above
+    baseline) for each peak in turn, then ``baseline``.
     """
     x = increasing_grid(wavelength_nm, "wavelength grid", min_points=5,
                         y=intensity)
@@ -265,8 +266,11 @@ def fit_peaks(wavelength_nm, intensity, n_peaks: int) -> FitResult:
         return (np.column_stack([h ** 2 / denom, np.ones_like(x)]),
                 np.stack([d_c, d_w], axis=2).reshape(len(x), -1), cols)
 
+    # a peak narrower than the finest grid step is one sample, not a line
+    min_width = float(np.min(np.diff(x)))
+
     def accept(theta, c=None):
-        return bool(np.all(theta[1::2] > 0)
+        return bool(np.all(theta[1::2] >= min_width)
                     and (c is None or np.all(c[:-1] >= 0)))
 
     p, err, norm, n_iter = _projected_fit(

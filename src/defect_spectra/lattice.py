@@ -28,6 +28,9 @@ _FCC = np.array([
 ])
 _BASIS_SHIFT = np.array([0.25, 0.25, 0.25])
 _VOID_SHIFT = np.array([0.75, 0.75, 0.75])  # unoccupied tetrahedral holes
+# Most atoms a supercell may hold (repeats 50): more is refused up front
+# instead of exhausting memory.
+MAX_ATOMS = 10**6
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,10 @@ class SupercellSpec:
     lattice_constant_nm: float = SI_LATTICE_CONSTANT_NM
 
     def __post_init__(self):
-        if not self.repeats >= 1:
-            raise InvalidArgumentError("repeats must be >= 1")
+        if not (self.repeats >= 1 and self.n_atoms <= MAX_ATOMS):
+            raise InvalidArgumentError(
+                f"repeats must be >= 1 and give at most {MAX_ATOMS} atoms, "
+                f"got {self.repeats}")
         check_fields(self, positive=("lattice_constant_nm",))
 
     @property

@@ -105,11 +105,43 @@ def test_simulate_spectrum_seed_changes_output(tmp_path):
         (tmp_path / "b" / "histogram.csv").read_bytes()
 
 
-def test_defect_field_requires_elastic_section(tmp_path):
-    res = run_cli("simulate-spectrum", "--mode", "defect-field", "--samples",
-                  "50", "--seed", "1", "--out", str(tmp_path / "x"))
-    assert res.returncode == 2
-    assert "elastic" in res.stderr
+def test_defect_field_takes_elastic_defaults(tmp_path):
+    # without an [elastic] section the ElasticParams defaults apply, as an
+    # empty section gives them
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text("[elastic]\n")
+    outputs = []
+    for name, extra in (("none", []), ("empty", ["--config", str(cfg)])):
+        out = tmp_path / name
+        assert main(["simulate-spectrum", "--mode", "defect-field",
+                     "--samples", "300", "--seed", "1", "--out", str(out),
+                     "--dump-samples", *extra]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("sampler, mode, key", [
+    # the README's old minimal config: a density without a mode
+    ("samples = 20\nvacancy_density_cm3 = 1e20\n\n[elastic]\n"
+     "core_cutoff_nm = 0.25\n", None, "vacancy_density_cm3"),
+    ("keep_fraction = 0.5\n", "uniform", "keep_fraction"),
+    ("vacancy_density_cm3 = 1e20\nseparation_nm = 0.9\n", "defect-field",
+     "separation_nm"),
+    ("r_min_nm = 0.9\n", "defect-field", "r_min_nm"),
+], ids=["density-without-mode", "keep-fraction-uniform",
+        "separation-beside-density", "shell-without-density"])
+def test_sampler_key_the_mode_drops_is_refused(tmp_path, capsys, sampler,
+                                               mode, key):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[sampler]\n" + sampler)
+    out = tmp_path / "out"
+    argv = ["simulate-spectrum", "--config", str(cfg), "--samples", "20",
+            "--seed", "1", "--out", str(out)]
+    assert main(argv + (["--mode", mode] if mode else [])) == 2
+    err = capsys.readouterr().err
+    assert f"[sampler] {key}" in err
+    assert f"sampler mode {mode or 'uniform'}" in err
+    assert not out.exists()
 
 
 def test_defect_field_with_config(tmp_path):
@@ -663,6 +695,26 @@ def test_fit_power_law_from_csv(tmp_path):
     assert "exponent = 0.65" in res.stdout
     # without --report the fit lands in ./fit_report.csv
     assert (tmp_path / "fit_report.csv").exists()
+
+
+@pytest.mark.parametrize("header, flags, model", [
+    ("time_ns,counts", ["--peaks", "4"], "exponential"),
+    ("time_ns,counts", ["--model", "power-law", "--window", "1:2"],
+     "power-law"),
+    ("wavelength_nm,intensity", ["--window", "1:2"], "peaks"),
+    ("fluence_cm2,intensity", ["--peaks", "1"], "power-law"),
+])
+def test_fit_refuses_flags_its_model_drops(tmp_path, capsys, header, flags,
+                                           model):
+    data = tmp_path / "in.csv"
+    data.write_text(header + "\n" + "".join(
+        f"{x},{2.0 * x ** 0.5}\n" for x in range(1, 9)))
+    report = tmp_path / "rep.csv"
+    assert main(["fit", "--input", str(data), "--report", str(report),
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert flags[-2] in err and f"{model} model" in err
+    assert not report.exists()
 
 
 def test_fit_malformed_header(tmp_path):

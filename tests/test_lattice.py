@@ -133,6 +133,15 @@ def test_candidate_separations_cover_expected_range():
     assert cands.separation_nm.max() == pytest.approx(1.220088, abs=1e-5)
 
 
+def test_supercell_atom_cap():
+    # repeats 50 is 10^6 atoms; one more repeat is refused before anything
+    # is allocated
+    assert SupercellSpec(repeats=50).n_atoms == 10**6
+    for repeats in (51, 1000):
+        with pytest.raises(InvalidArgumentError, match="atoms"):
+            SupercellSpec(repeats=repeats)
+
+
 def test_unknown_candidate_kind():
     with pytest.raises(InvalidArgumentError):
         enumerate_candidates(build_supercell(SupercellSpec(repeats=2)), "foo")

@@ -105,6 +105,8 @@ def _field_keys(cls, exclude=()):
 # fit window; the others are the fields of DecayModelParams
 _DECAY_KEYS = {"t_max_ns": float, "n_points": int,
                "fit_window_start_ns": float, "fit_window_stop_ns": float}
+# Most points a decay time grid may have: 80 MB per grid-length array.
+MAX_DECAY_POINTS = 10**7
 
 _SCHEMA = {
     "emitter": _field_keys(EmitterParams),
@@ -244,9 +246,9 @@ def _decay_params_from(cfg: RunConfig) -> DecayModelParams:
         raise ValidationError(f"config key [kinetics] t_max_ns must be "
                               f"positive and finite, got {t_max}")
     n_points = cfg.get("kinetics", "n_points", DECAY_GRID_POINTS)
-    if n_points < 2:
-        raise ValidationError(f"config key [kinetics] n_points must be at "
-                              f"least 2, got {n_points}")
+    if not 2 <= n_points <= MAX_DECAY_POINTS:
+        raise ValidationError(f"config key [kinetics] n_points must be within "
+                              f"[2, {MAX_DECAY_POINTS}], got {n_points}")
     grid = np.linspace(0.0, t_max, n_points)
     return _build(DecayModelParams, cfg, "kinetics", reads=_DECAY_KEYS,
                   time_grid_ns=grid, **_radiative_lifetime(cfg))
@@ -442,9 +444,9 @@ def cmd_sweep_fluence(args) -> int:
         raw = cfg.get("schedule", "fluences",
                       "1e11,3.16e11,1e12,3.16e12,1e13,3.16e13,1e14")
     fluences = [number(field, tok) for tok in raw.split(",") if tok]
-    if len(fluences) < 2 or not all(0 < f < np.inf for f in fluences):
-        raise ValidationError(
-            f"{field} needs at least 2 positive finite fluences, got {raw!r}")
+    if len(set(fluences)) < 2 or not all(0 < f < np.inf for f in fluences):
+        raise ValidationError(f"{field} needs at least 2 distinct positive "
+                              f"finite fluences, got {raw!r}")
     params = _build(DamageParams, cfg, "damage", **_radiative_lifetime(cfg))
 
     n_g, n_trap, tau_eff, intensity = np.empty((4, len(fluences)))

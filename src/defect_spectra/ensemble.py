@@ -15,7 +15,7 @@ on the samples and the grid, so the output is a function of the inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +57,8 @@ MAX_RAW_DRAWS = 1e9
 MAX_CHUNK_DEFECTS = 4e6
 # Most bins a histogram may have; a narrower bin width is refused up front.
 MAX_HISTOGRAM_BINS = 10**6
+# Most points a default wavelength grid may have; more is refused up front.
+MAX_GRID_POINTS = 10**6
 _MODE_IDS = {"uniform": 1, "biased-z": 2, "defect-field": 3}
 
 
@@ -140,8 +142,6 @@ class ShiftEnsemble:
     shifts_mev: np.ndarray                  # (n,)
     strains: np.ndarray                     # (n, 6)
     provenance: EnsembleProvenance
-    dominant_kind: list = field(default_factory=list)      # per sample
-    dominant_separation_nm: np.ndarray | None = None
 
     def __len__(self):
         return len(self.shifts_mev)
@@ -161,8 +161,8 @@ def _check_table_covers(table: ResponseTable, low: float, high: float):
                 f"[{lo}, {hi}] of {component}")
 
 
-def _ensemble(mode, spec, seed, n_requested, n_raw_draws, strains, table,
-              kinds=None, separations=None) -> ShiftEnsemble:
+def _ensemble(mode, spec, seed, n_requested, n_raw_draws, strains,
+              table) -> ShiftEnsemble:
     """The samples whose strain components all lie within their table axis
     ranges, with their shifts; the others count as range rejections."""
     low, high = component_ranges(table)
@@ -174,10 +174,7 @@ def _ensemble(mode, spec, seed, n_requested, n_raw_draws, strains, table,
         n_range_rejections=int((~in_range).sum()), spec=spec)
     return ShiftEnsemble(
         shifts_mev=np.asarray(shift_for_strain(table, strains)),
-        strains=strains, provenance=prov,
-        dominant_kind=[] if kinds is None else list(kinds[in_range]),
-        dominant_separation_nm=(None if separations is None
-                                else separations[in_range]))
+        strains=strains, provenance=prov)
 
 
 def sample_uniform(spec: UniformSpec, n_samples: int, seed: int,
@@ -261,8 +258,8 @@ def _directions(gen, k):
 
 def _single_defect_draws(spec: SingleDefectSpec, gen, size):
     """One defect per sample at the fixed separation."""
-    return (np.arange(size), np.full(size, spec.defect_kind == "vacancy"),
-            np.full(size, relaxation_volume(spec.defect_kind)),
+    volume = relaxation_volume(spec.defect_kind)
+    return (np.arange(size), np.full(size, volume),
             _directions(gen, size) * spec.separation_nm)
 
 
@@ -280,36 +277,24 @@ def _density_draws(spec: DefectDensitySpec, gen, size):
     samples = np.arange(size)
     owner = np.concatenate([np.repeat(samples, counts_v),
                             np.repeat(samples, counts_i)])
-    is_vacancy = np.arange(len(owner)) < counts_v.sum()
-    volume = np.where(is_vacancy, relaxation_volume("vacancy"),
-                      relaxation_volume("interstitial"))
+    volume = np.repeat([relaxation_volume("vacancy"),
+                        relaxation_volume("interstitial")],
+                       [counts_v.sum(), counts_i.sum()])
     u = gen.random(len(owner))
     radii = (u * (spec.r_max_nm ** 3 - spec.r_min_nm ** 3)
              + spec.r_min_nm ** 3) ** (1.0 / 3.0)
-    return owner, is_vacancy, volume, _directions(gen, len(owner)) * radii[:, None]
+    return owner, volume, _directions(gen, len(owner)) * radii[:, None]
 
 
-def _defect_field_chunk(size, owner, is_vacancy, amplitude, positions):
-    """Strain at each of ``size`` emitters from the defects around them,
-    with the kind and separation of the defect of largest |A|/r^3 (the
-    first on ties; "none" and NaN for an emitter without defects).
+def _defect_field_chunk(size, owner, amplitude, positions):
+    """Strain at each of ``size`` emitters from the defects around them.
 
     Defect ``k`` of amplitude ``amplitude[k]`` sits at ``positions[k]``
     relative to emitter ``owner[k]``.
     """
     per_defect = dipole_strain(amplitude, positions)
-    strains = np.stack([np.bincount(owner, per_defect[:, c], minlength=size)
-                        for c in range(6)], axis=1)
-    r = np.linalg.norm(positions, axis=1)
-    # stable sort by owner, strongest first, so ties keep draw order
-    order = np.lexsort((-np.abs(amplitude) / r ** 3, owner))
-    dominant = order[np.diff(owner[order], prepend=-1) != 0]
-    kinds = np.full(size, "none", dtype=object)
-    kinds[owner[dominant]] = np.where(is_vacancy[dominant], "vacancy",
-                                      "interstitial")
-    separations = np.full(size, np.nan)
-    separations[owner[dominant]] = r[dominant]
-    return strains, kinds, separations
+    return np.stack([np.bincount(owner, per_defect[:, c], minlength=size)
+                     for c in range(6)], axis=1)
 
 
 def sample_defect_field(spec, n_samples: int, seed: int,
@@ -358,12 +343,11 @@ def sample_defect_field(spec, n_samples: int, seed: int,
     for j in range(-(-n_samples // CHUNK)):
         gen = make_stream(seed, _MODE_IDS["defect-field"], j)
         size = min(CHUNK, n_samples - j * CHUNK)
-        owner, is_vacancy, volume, positions = draws(spec, gen, size)
+        owner, volume, positions = draws(spec, gen, size)
         parts.append(_defect_field_chunk(
-            size, owner, is_vacancy, elastic.amplitude_nm3(volume), positions))
-    strains, kinds, separations = (np.concatenate(p) for p in zip(*parts))
+            size, owner, elastic.amplitude_nm3(volume), positions))
     return _ensemble("defect-field", spec, seed, n_samples, n_samples,
-                     strains, table, kinds, separations)
+                     np.concatenate(parts), table)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +369,13 @@ def default_wavelength_grid(shifts_mev, emitter: EmitterParams) -> np.ndarray:
     """Grid covering every shifted line plus ten homogeneous widths, eight
     points per homogeneous FWHM."""
     step = emitter.homogeneous_fwhm_nm / 8
-    half = int(np.ceil(_lines(shifts_mev, emitter)[1] / step))
+    margin = _lines(shifts_mev, emitter)[1]
+    if margin > step * ((MAX_GRID_POINTS - 1) // 2):
+        raise InvalidArgumentError(
+            f"homogeneous_fwhm_nm {emitter.homogeneous_fwhm_nm:g} with "
+            f"largest shift {np.max(np.abs(shifts_mev)):.4g} meV needs more "
+            f"than {MAX_GRID_POINTS} grid points")
+    half = int(np.ceil(margin / step))
     return emitter.zpl_wavelength_nm + step * np.arange(-half, half + 1)
 
 

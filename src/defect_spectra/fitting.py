@@ -338,12 +338,15 @@ def fit_power_law(fluence_cm2, intensity) -> FitResult:
     if np.any(x <= 0) or np.any(y <= 0):
         raise InvalidArgumentError("power-law fit needs positive values")
     lx, ly = np.log(x), np.log(y)
+    if lx.min() == lx.max():
+        raise InvalidArgumentError(
+            "power-law fit needs at least 2 distinct fluences")
     n = len(lx)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ssr = float(resid @ resid)
     sxx = float(np.sum((lx - lx.mean()) ** 2))
-    if n > 2 and sxx > 0:
+    if n > 2:
         s2 = ssr / (n - 2)
         slope_err = np.sqrt(s2 / sxx)
         inter_err = np.sqrt(s2 * (1.0 / n + lx.mean() ** 2 / sxx))

@@ -31,6 +31,9 @@ _VOID_SHIFT = np.array([0.75, 0.75, 0.75])  # unoccupied tetrahedral holes
 # Most atoms a supercell may hold (repeats 50): more is refused up front
 # instead of exhausting memory.
 MAX_ATOMS = 10**6
+# Voids excluded around an embedded G-center (see enumerate_candidates).
+EXCLUSION_RADIUS_NM = 0.20
+BLOCKED_NEIGHBORS = 1
 
 
 @dataclass(frozen=True)
@@ -188,23 +191,20 @@ def place_gcenter(geom: Geometry) -> Geometry:
                     gcenter=placement)
 
 
-def enumerate_candidates(geom: Geometry, kind: str,
-                         exclusion_radius_nm: float = 0.20,
-                         blocked_neighbor_count: int = 1) -> Candidates:
+def enumerate_candidates(geom: Geometry, kind: str) -> Candidates:
     """List candidate defect sites of one kind.
 
     kind = "vacancy": every silicon atom (substitutional carbons are not
     removable as silicon vacancies, the added interstitial is).
 
     kind = "interstitial-void": the ideal tetrahedral holes, minus any hole
-    within ``exclusion_radius_nm`` of a G-center atom (this always covers
-    the hole the interstitial itself occupies), minus the
-    ``blocked_neighbor_count`` holes nearest the interstitial after that.
-    A plain radius cannot isolate the occupied hole plus exactly one
-    neighbor, because the remaining holes come in symmetry multiplets of
-    three or four; the neighbor-count knob reproduces the two-site
-    exclusion that a relaxed interstitial footprint suggests. Both knobs
-    are configurable, and pristine cells see no exclusion at all.
+    within EXCLUSION_RADIUS_NM of a G-center atom (this always covers the
+    hole the interstitial itself occupies), minus the BLOCKED_NEIGHBORS
+    holes nearest the interstitial after that. A plain radius cannot
+    isolate the occupied hole plus exactly one neighbor, because the
+    remaining holes come in symmetry multiplets of three or four; the
+    neighbor count reproduces the two-site exclusion that a relaxed
+    interstitial footprint suggests. Pristine cells see no exclusion.
     """
     if kind == "vacancy":
         mask = np.array([e == "Si" for e in geom.elements])
@@ -221,13 +221,11 @@ def enumerate_candidates(geom: Geometry, kind: str,
             d_anchor = np.stack([
                 min_image_distance_nm(pos, a, geom.spec) for a in anchors
             ]).min(axis=0)
-            keep = d_anchor > exclusion_radius_nm
-            pos = pos[keep]
-            if blocked_neighbor_count > 0:
-                d_int = min_image_distance_nm(
-                    pos, np.asarray(g.interstitial_frac), geom.spec)
-                order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], d_int))
-                pos = np.delete(pos, order[:blocked_neighbor_count], axis=0)
+            pos = pos[d_anchor > EXCLUSION_RADIUS_NM]
+            d_int = min_image_distance_nm(
+                pos, np.asarray(g.interstitial_frac), geom.spec)
+            order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], d_int))
+            pos = np.delete(pos, order[:BLOCKED_NEIGHBORS], axis=0)
     else:
         raise InvalidArgumentError(
             f"unknown candidate kind {kind!r}; expected 'vacancy' or "

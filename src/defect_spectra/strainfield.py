@@ -44,13 +44,13 @@ class ElasticParams:
         return volume * (self.atomic_volume_nm3 / (4.0 * np.pi))
 
 
-def relaxation_volume(kind: str, override: float | None = None) -> float:
-    """Relaxation volume of ``kind`` in atomic volumes; ``override`` if set."""
+def relaxation_volume(kind: str) -> float:
+    """Relaxation volume of ``kind`` in atomic volumes."""
     if kind not in DEFAULT_RELAXATION_VOLUMES:
         raise InvalidArgumentError(
             f"unknown defect kind {kind!r}; expected one of "
             f"{sorted(DEFAULT_RELAXATION_VOLUMES)}")
-    return DEFAULT_RELAXATION_VOLUMES[kind] if override is None else override
+    return DEFAULT_RELAXATION_VOLUMES[kind]
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class PointDefect:
 
     kind: str
     position_nm: tuple
-    relaxation_volume_omega0: float | None = None
 
     def __post_init__(self):
         relaxation_volume(self.kind)  # refuses an unknown kind
@@ -104,9 +103,8 @@ def dilatation_strain(defect: PointDefect, points_nm,
             f"{defect.kind} at {tuple(defect.position_nm)}",
             defect_index=defect_index)
 
-    amp = params.amplitude_nm3(
-        relaxation_volume(defect.kind, defect.relaxation_volume_omega0))
-    out = dipole_strain(amp, rvec)
+    out = dipole_strain(params.amplitude_nm3(relaxation_volume(defect.kind)),
+                        rvec)
     if np.asarray(points_nm).ndim == 1:
         return out[0]
     return out

@@ -265,6 +265,12 @@ def test_empty_config_builds_dataclass_defaults():
                                       getattr(default, field.name))
 
 
+def test_decay_grid_point_cap():
+    cfg = cli.RunConfig({"kinetics": {"n_points": 10**7 + 1}})
+    with pytest.raises(ValidationError, match=r"\[kinetics\] n_points"):
+        cli._decay_params_from(cfg)
+
+
 def test_readme_config_block_loads(tmp_path):
     with open(os.path.join(PKG_ROOT, "README.md")) as fh:
         readme = fh.read()
@@ -426,6 +432,17 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"s.ini": "[elastic]\n[sampler]\nvacancy_density_cm3 = 1e21\n"
                "r_max_nm = 100\n"},
      [*SPECTRUM, "--mode", "defect-field"], "r_max_nm 100"),
+    ({"t.csv": CW_TEMPLATE},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "1e12,1e12",
+      "--out", "out"], "--fluences"),
+    ({"t.csv": CW_TEMPLATE, "f.ini": "[schedule]\nfluences = 1e12,1e12\n"},
+     ["sweep-fluence", "--config", "f.ini", "--template", "t.csv", "--out",
+      "out"], "[schedule] fluences"),
+    ({"d.csv": "fluence_cm2,intensity\n1e12,5\n1e12,7\n1e12,6\n"},
+     ["fit", "--input", "d.csv", "--report", "r.csv"], "2 distinct fluences"),
+    ({"e.ini": "[emitter]\nhomogeneous_fwhm_nm = 1.5e-4\n"},
+     ["simulate-spectrum", "--config", "e.ini", "--seed", "1", "--samples",
+      "200", "--out", "out"], "homogeneous_fwhm_nm"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
@@ -439,7 +456,9 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "fit-power-law-nan", "n-points-one", "config-samples-negative",
         "samples-negative", "peaks-zero", "pulses-duration-inf", "duration-flux-inf",
         "gap-negative", "sweep-lifetime-negative", "decay-lifetime-inf",
-        "config-is-directory", "config-not-utf8", "shell-too-large"])
+        "config-is-directory", "config-not-utf8", "shell-too-large",
+        "fluences-repeated", "config-fluences-repeated",
+        "fit-power-law-one-fluence", "grid-too-large"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)

@@ -76,7 +76,6 @@ def test_normal_strain_samplers_retain_every_sample(table, sample, spec):
     prov = ens.provenance
     assert (prov.n_retained, prov.n_range_rejections) == (5000, 0)
     assert len(ens) == 5000
-    assert ens.dominant_kind == [] and ens.dominant_separation_nm is None
 
 
 def test_uniform_shifts_match_table(table):
@@ -240,23 +239,18 @@ def test_density_mode_counts_and_kinds(table):
                              interstitial_density_cm3=1e20)
     ens = sample_defect_field(spec, 2000, seed=5, table=table)
     assert len(ens) == 2000
-    kinds = set(ens.dominant_kind)
-    assert kinds <= {"vacancy", "interstitial", "none"}
-    n_vac = ens.dominant_kind.count("vacancy")
-    n_int = ens.dominant_kind.count("interstitial")
-    assert n_vac > 0 and n_int > 0
-    seps = ens.dominant_separation_nm
-    has_defect = np.array([k != "none" for k in ens.dominant_kind])
-    assert np.all(seps[has_defect] >= spec.r_min_nm)
-    assert np.all(seps[has_defect] <= spec.r_max_nm)
-    assert np.all(np.isnan(seps[~has_defect]))
+    # both kinds are drawn: a sample is defect-free with the Poisson
+    # probability of the summed density over the 0.9-1.4 nm shell
+    shell_cm3 = 4 / 3 * np.pi * (1.4**3 - 0.9**3) * 1e-21
+    frac_none = np.mean(np.all(ens.strains == 0.0, axis=1))
+    assert frac_none == pytest.approx(np.exp(-4e20 * shell_cm3), abs=0.01)
 
 
 def test_density_zero_gives_zero_shifts(table):
     spec = DefectDensitySpec()
     ens = sample_defect_field(spec, 100, seed=1, table=table)
     assert np.all(ens.shifts_mev == 0.0)
-    assert all(k == "none" for k in ens.dominant_kind)
+    assert np.all(ens.strains == 0.0)
 
 
 def test_density_mean_defect_count(table):
@@ -266,7 +260,7 @@ def test_density_mean_defect_count(table):
     shell_nm3 = 4 / 3 * np.pi * (1.4**3 - 0.9**3)
     expect = 3e20 * 1e-21 * shell_nm3
     ens = sample_defect_field(spec, 4000, seed=19, table=table)
-    frac_none = np.mean([k == "none" for k in ens.dominant_kind])
+    frac_none = np.mean(np.all(ens.strains == 0.0, axis=1))
     assert frac_none == pytest.approx(np.exp(-expect), abs=0.02)
 
 
@@ -305,8 +299,6 @@ def test_defect_field_range_checked_per_axis(table):
         rej = ens.provenance.n_range_rejections
         assert 0 < rej < 4000
         assert len(ens) == 4000 - rej
-        assert len(ens.dominant_kind) == len(ens.dominant_separation_nm) \
-            == len(ens)
         assert np.all((ens.strains >= low) & (ens.strains <= high))
 
 
@@ -330,11 +322,8 @@ def test_defect_field_chunk_matches_superpose(defects):
     volume = np.where(is_vacancy, -0.25, 0.60)
     amplitude = volume * 0.0200 / (4 * np.pi)
 
-    strains, dom_kind, dom_sep = _defect_field_chunk(
-        size, owner, is_vacancy, amplitude, positions)
+    strains = _defect_field_chunk(size, owner, amplitude, positions)
 
-    r = np.linalg.norm(positions, axis=1)
-    score = np.abs(amplitude) / r ** 3
     for i in range(size):
         mine = np.flatnonzero(owner == i)
         want = superpose([PointDefect(str(kinds[k]), tuple(positions[k]))
@@ -342,12 +331,6 @@ def test_defect_field_chunk_matches_superpose(defects):
         scale = np.abs(amplitude[mine]).max() / 0.9 ** 3 if len(mine) else 0
         np.testing.assert_allclose(strains[i], want, rtol=1e-12,
                                    atol=1e-12 * scale)
-        if len(mine) == 0:
-            assert dom_kind[i] == "none" and np.isnan(dom_sep[i])
-            continue
-        dom = mine[np.argmax(score[mine])]
-        assert dom_kind[i] == kinds[dom]
-        assert dom_sep[i] == r[dom]
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +515,12 @@ def test_default_grid_properties():
     margin = abs(-4.0) * 1278.3**2 * 1e-3 / 1239.842 + 10 * 0.073
     assert grid[0] <= 1278.3 - margin + step[0]
     assert grid[-1] >= 1278.3 + margin - step[0]
+
+
+def test_default_grid_point_cap():
+    # a 10 meV shift at 1.5e-4 nm width needs 1.41e6 points
+    with pytest.raises(InvalidArgumentError, match="homogeneous_fwhm_nm"):
+        synthesize_spectrum([10.0], EmitterParams(homogeneous_fwhm_nm=1.5e-4))
 
 
 def test_empty_ensemble_errors():

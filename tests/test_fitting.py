@@ -329,6 +329,8 @@ def test_power_law_validation():
         fit_power_law([1e11, 1e12], [1.0, 0.0])
     with pytest.raises(InvalidArgumentError):
         fit_power_law([1e11, -1e12], [1.0, 2.0])
+    with pytest.raises(InvalidArgumentError, match="2 distinct fluences"):
+        fit_power_law([1e12, 1e12], [5.0, 7.0])
 
 
 # ---------------------------------------------------------------------------

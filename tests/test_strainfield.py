@@ -60,9 +60,9 @@ def test_field_is_traceless(r, ux, uy, uz):
 
 def test_custom_relaxation_volume():
     base = dilatation_strain(PointDefect("vacancy", (0, 0, 1.0)), [0, 0, 0])
-    doubled = dilatation_strain(
-        PointDefect("vacancy", (0, 0, 1.0), relaxation_volume_omega0=-0.5),
-        [0, 0, 0])
+    params = ElasticParams(atomic_volume_nm3=2 * OMEGA0)
+    doubled = dilatation_strain(PointDefect("vacancy", (0, 0, 1.0)),
+                                [0, 0, 0], params)
     assert np.allclose(doubled, 2 * base)
 
 

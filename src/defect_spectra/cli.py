@@ -1,15 +1,17 @@
 """Command-line interface: config-driven simulation, fitting, and export.
 
-Configs are INI files ([section] key = value). [emitter], [elastic],
-[damage] and most of [kinetics] take their keys and defaults from the
-fields of EmitterParams, ElasticParams, DamageParams and
-DecayModelParams; [sampler] keys fill the ensemble spec of the chosen
-mode, whose class holds their defaults. Unknown sections or keys, keys a
-run would drop and unparsable values are hard errors, so a typo cannot
-silently fall back to a default. Every file goes through
-defect_spectra.output (atomic writes, fixed number formatting), so a
-command repeated with the same seed produces byte-identical files. A run
-rejected for a bad input (exit 2) writes nothing.
+Flags say what to run, how many samples and where to write; --help
+prints their defaults. An INI config ([section] key = value) holds the
+model parameters: [emitter], [elastic], [damage] and most of [kinetics]
+take their keys and defaults from the fields of EmitterParams,
+ElasticParams, DamageParams and DecayModelParams, and [sampler] keys
+fill the ensemble spec of the --mode, whose class holds their defaults.
+Unknown sections or keys, keys a run would drop and unparsable values
+are hard errors, so a typo cannot silently fall back to a default. Every
+file goes through defect_spectra.output (atomic writes, fixed number
+formatting), so a command repeated with the same seed produces
+byte-identical files. A run rejected for a bad input (exit 2) writes
+nothing.
 
 Exit codes: 0 success, 2 validation or config error, 3 numerical
 failure (fit or integration).
@@ -111,7 +113,7 @@ MAX_DECAY_POINTS = 10**7
 _SCHEMA = {
     "emitter": _field_keys(EmitterParams),
     # BiasedZSpec holds UniformSpec's fields
-    "sampler": {"mode": str, "samples": int, **_field_keys(BiasedZSpec),
+    "sampler": {**_field_keys(BiasedZSpec),
                 **_field_keys(SingleDefectSpec),
                 **_field_keys(DefectDensitySpec), "bin_width_mev": float},
     "elastic": _field_keys(ElasticParams),
@@ -121,13 +123,6 @@ _SCHEMA = {
     "kinetics": {**_field_keys(DecayModelParams), **_DECAY_KEYS},
     # the radiative lifetime is [emitter] radiative_lifetime_ns
     "damage": _field_keys(DamageParams, exclude=("tau_r_ns",)),
-    "schedule": {
-        "template": str,
-        "fluences": str,
-    },
-    "output": {
-        "directory": str,
-    },
 }
 
 
@@ -177,11 +172,10 @@ def load_config(path=None) -> RunConfig:
             values[section][key] = number(f"config key [{section}] {key}",
                                           raw, _SCHEMA[section][key])
     cfg = RunConfig(values, base_dir=os.path.dirname(os.path.abspath(path)))
-    for section, key in (("response", "table"), ("schedule", "template")):
-        ref = cfg.path(section, key)
-        if ref is not None and not os.path.exists(ref):
-            raise ValidationError(
-                f"config key [{section}] {key} points to a missing file: {ref}")
+    table = cfg.path("response", "table")
+    if table is not None and not os.path.exists(table):
+        raise ValidationError(
+            f"config key [response] table points to a missing file: {table}")
     return cfg
 
 
@@ -345,56 +339,45 @@ def cmd_simulate_spectrum(args) -> int:
     cfg = load_config(args.config)
     emitter = _build(EmitterParams, cfg, "emitter")
     table = _table_from(cfg)
-    mode = args.mode or cfg.get("sampler", "mode", "uniform")
-    if args.samples is not None:
-        source, n = "--samples", args.samples
-    else:
-        source = "config key [sampler] samples"
-        n = cfg.get("sampler", "samples", 10000)
+    mode, n = args.mode, args.samples
     if n < 1:
-        raise ValidationError(f"{source}: n_samples must be >= 1, got {n}")
+        raise ValidationError(f"--samples: n_samples must be >= 1, got {n}")
 
     def spec_from(cls):
-        return _build(cls, cfg, "sampler",
-                      reads=("mode", "samples", "bin_width_mev"),
+        return _build(cls, cfg, "sampler", reads=("bin_width_mev",),
                       user=f"sampler mode {mode} ({cls.__name__})")
 
     if mode == "uniform":
         ens = sample_uniform(spec_from(UniformSpec), n, args.seed, table)
     elif mode == "biased-z":
         ens = sample_biased_z(spec_from(BiasedZSpec), n, args.seed, table)
-    elif mode == "defect-field":
-        # a density key selects Poisson densities over a single defect
+    else:
+        # defect-field: a density key picks Poisson densities over one defect
         density = cfg.values.get("sampler", {}).keys() & {
             "vacancy_density_cm3", "interstitial_density_cm3"}
         spec = spec_from(DefectDensitySpec if density else SingleDefectSpec)
         ens = sample_defect_field(spec, n, args.seed, table,
                                   _build(ElasticParams, cfg, "elastic"))
-    else:
-        raise ValidationError(
-            f"sampler mode {mode!r} is not one of uniform, biased-z, "
-            "defect-field")
 
-    out = args.out or cfg.get("output", "directory", "out")
     edges, counts = histogram_shifts(
         ens.shifts_mev, cfg.get("sampler", "bin_width_mev", 0.25))
     grid, intensity = synthesize_spectrum(ens.shifts_mev, emitter)
-    write_csv(os.path.join(out, "spectrum.csv"),
+    write_csv(os.path.join(args.out, "spectrum.csv"),
               ["wavelength_nm", "intensity"], [grid, intensity])
-    write_csv(os.path.join(out, "histogram.csv"), ["shift_mev", "count"],
+    write_csv(os.path.join(args.out, "histogram.csv"), ["shift_mev", "count"],
               [0.5 * (edges[:-1] + edges[1:]), counts])
-    write_atomic(os.path.join(out, "spectrum.svg"),
+    write_atomic(os.path.join(args.out, "spectrum.svg"),
                  svg_line_plot(grid, intensity, "wavelength (nm)",
                                "intensity (peak-normalized)"))
     if args.dump_samples:
         header = ["sample_id", *STRAIN_COMPONENTS, "shift_mev"]
-        write_csv(os.path.join(out, "samples.csv"), header,
+        write_csv(os.path.join(args.out, "samples.csv"), header,
                   [np.arange(len(ens)), *ens.strains.T, ens.shifts_mev])
     prov = ens.provenance
     print(f"{mode}: {prov.n_retained} samples "
           f"({prov.n_raw_draws} raw draws, "
           f"{prov.n_range_rejections} out of table range), "
-          f"spectrum/histogram/svg written to {out}")
+          f"spectrum/histogram/svg written to {args.out}")
     return 0
 
 
@@ -418,48 +401,38 @@ def cmd_simulate_decay(args) -> int:
     report = _report_columns(fit, tau_eff_ns=lifetimes.tau_eff_ns,
                              tau_nr_ns=lifetimes.tau_nr_ns, qe=lifetimes.qe,
                              rise_time_ns=rise_time(trace))
-    out = args.out or cfg.get("output", "directory", "out")
-    write_csv(os.path.join(out, "trace.csv"), ["time_ns", "counts"],
+    write_csv(os.path.join(args.out, "trace.csv"), ["time_ns", "counts"],
               [trace.time_ns, trace.intensity])
-    write_atomic(os.path.join(out, "trace.svg"),
+    write_atomic(os.path.join(args.out, "trace.svg"),
                  svg_line_plot(trace.time_ns, trace.intensity, "time (ns)",
                                "photon rate"))
-    write_csv(os.path.join(out, "fit_report.csv"), _REPORT_HEADER, report)
+    write_csv(os.path.join(args.out, "fit_report.csv"), _REPORT_HEADER, report)
     print(f"decay: tau_eff {lifetimes.tau_eff_ns:.3f} ns, "
-          f"qe {lifetimes.qe:.3f}, outputs in {out}")
+          f"qe {lifetimes.qe:.3f}, outputs in {args.out}")
     return 0
 
 
 def cmd_sweep_fluence(args) -> int:
     cfg = load_config(args.config)
-    template = args.template or cfg.path("schedule", "template")
-    if template is None:
-        raise ValidationError(
-            "sweep-fluence needs a schedule template "
-            "(--template or [schedule] template)")
-    if args.fluences:
-        field, raw = "--fluences", args.fluences
-    else:
-        field = "config key [schedule] fluences"
-        raw = cfg.get("schedule", "fluences",
-                      "1e11,3.16e11,1e12,3.16e12,1e13,3.16e13,1e14")
-    fluences = [number(field, tok) for tok in raw.split(",") if tok]
-    if len(set(fluences)) < 2 or not all(0 < f < np.inf for f in fluences):
-        raise ValidationError(f"{field} needs at least 2 distinct positive "
-                              f"finite fluences, got {raw!r}")
+    fluences = [number("--fluences", tok)
+                for tok in args.fluences.split(",") if tok]
+    # distinct as fit_power_law counts them: by their logs
+    if not all(0 < f < np.inf for f in fluences) or \
+            len(set(np.log(fluences))) < 2:
+        raise ValidationError(f"--fluences needs at least 2 distinct positive "
+                              f"finite fluences, got {args.fluences!r}")
     params = _build(DamageParams, cfg, "damage", **_radiative_lifetime(cfg))
 
     n_g, n_trap, tau_eff, intensity = np.empty((4, len(fluences)))
     for i, fluence in enumerate(fluences):
-        history = integrate_damage(schedule_from_template(template, fluence),
-                                   params)
+        history = integrate_damage(
+            schedule_from_template(args.template, fluence), params)
         n_g[i] = history.n_g_cm2[-1]
         n_trap[i] = history.n_trap_cm2[-1]
         tau_eff[i] = history.tau_eff_ns[-1]
         intensity[i] = n_g[i] * history.qe[-1]
 
-    out = args.out or cfg.get("output", "directory", "out")
-    write_csv(os.path.join(out, "sweep.csv"),
+    write_csv(os.path.join(args.out, "sweep.csv"),
               ["fluence_cm2", "n_G", "n_trap", "tau_eff_ns", "intensity"],
               [fluences, n_g, n_trap, tau_eff, intensity])
     try:
@@ -468,15 +441,15 @@ def cmd_sweep_fluence(args) -> int:
         # data-driven failure of the scaling fit is a numerical error,
         # not a config problem
         raise FitError(f"power-law fit of the sweep failed: {exc}")
-    write_csv(os.path.join(out, "scaling_fit.csv"), _REPORT_HEADER,
+    write_csv(os.path.join(args.out, "scaling_fit.csv"), _REPORT_HEADER,
               _report_columns(fit))
-    write_atomic(os.path.join(out, "sweep.svg"),
+    write_atomic(os.path.join(args.out, "sweep.svg"),
                  svg_line_plot(np.log10(fluences),
                                np.log10(np.maximum(intensity, 1e-300)),
                                "log10 fluence (cm^-2)", "log10 intensity"))
     print(f"sweep: {len(fluences)} fluences, exponent "
           f"{fit.parameters['exponent']:.3f} "
-          f"+- {fit.stderr['exponent']:.3f}, outputs in {out}")
+          f"+- {fit.stderr['exponent']:.3f}, outputs in {args.out}")
     return 0
 
 
@@ -526,9 +499,8 @@ def cmd_fit(args) -> int:
         fit = fit_power_law(x, y)
         summary = f"exponent = {fit.parameters['exponent']:.4g}"
 
-    path = args.report or "fit_report.csv"
-    write_csv(path, _REPORT_HEADER, _report_columns(fit))
-    print(f"fit ({model}): {summary}; report written to {path}")
+    write_csv(args.report, _REPORT_HEADER, _report_columns(fit))
+    print(f"fit ({model}): {summary}; report written to {args.report}")
     return 0
 
 
@@ -540,16 +512,15 @@ def cmd_enumerate_sites(args) -> int:
              else [args.kind])
     cands = [enumerate_candidates(geom, kind) for kind in kinds]
     counts = [len(c.separation_nm) for c in cands]
-    out = args.out or "out"
-    write_csv(os.path.join(out, "sites.csv"),
+    write_csv(os.path.join(args.out, "sites.csv"),
               ["kind", "frac_x", "frac_y", "frac_z", "separation_nm"],
               [np.repeat(kinds, counts),
                *np.concatenate([c.positions_frac for c in cands]).T,
                np.concatenate([c.separation_nm for c in cands])])
     if args.xyz:
-        write_atomic(os.path.join(out, "supercell.xyz"), xyz_text(geom))
+        write_atomic(os.path.join(args.out, "supercell.xyz"), xyz_text(geom))
     print("sites: " + ", ".join(f"{n} {k}" for k, n in zip(kinds, counts))
-          + f", written to {out}")
+          + f", written to {args.out}")
     return 0
 
 
@@ -596,15 +567,18 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    out_help = "output directory (default: %(default)s)"
 
     sim = sub.add_parser("simulate-spectrum",
                          help="sample a strain ensemble and synthesize the "
                               "inhomogeneous spectrum")
     sim.add_argument("--config", help="INI config file")
-    sim.add_argument("--mode", choices=["uniform", "biased-z", "defect-field"])
-    sim.add_argument("--samples", type=int)
+    sim.add_argument("--mode", choices=["uniform", "biased-z", "defect-field"],
+                     default="uniform", help="sampler (default: %(default)s)")
+    sim.add_argument("--samples", type=int, default=10000,
+                     help="ensemble size (default: %(default)s)")
     sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--out", help="output directory")
+    sim.add_argument("--out", default="out", help=out_help)
     sim.add_argument("--dump-samples", action="store_true",
                      help="also write per-sample strains and shifts")
     sim.set_defaults(func=cmd_simulate_spectrum)
@@ -616,16 +590,18 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--seed", type=int, required=True,
                      help="unused until runs write a manifest; the decay "
                           "model itself is deterministic")
-    dec.add_argument("--out", help="output directory")
+    dec.add_argument("--out", default="out", help=out_help)
     dec.set_defaults(func=cmd_simulate_decay)
 
     swp = sub.add_parser("sweep-fluence",
                          help="run the damage model over a fluence sweep "
                               "and fit the intensity power law")
     swp.add_argument("--config", help="INI config file")
-    swp.add_argument("--template", help="schedule template CSV")
-    swp.add_argument("--fluences", help="comma-separated fluences (cm^-2)")
-    swp.add_argument("--out", help="output directory")
+    swp.add_argument("--template", required=True, help="schedule template CSV")
+    swp.add_argument("--fluences", help="comma-separated fluences in cm^-2 "
+                     "(default: %(default)s)",
+                     default="1e11,3.16e11,1e12,3.16e12,1e13,3.16e13,1e14")
+    swp.add_argument("--out", default="out", help=out_help)
     swp.set_defaults(func=cmd_sweep_fluence)
 
     fit = sub.add_parser("fit", help="fit a CSV data file")
@@ -637,7 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "default 1)")
     fit.add_argument("--window", help="fit window start:stop in ns "
                                       "(exponential model)")
-    fit.add_argument("--report", help="output report path")
+    fit.add_argument("--report", default="fit_report.csv",
+                     help="output report path (default: %(default)s)")
     fit.set_defaults(func=cmd_fit)
 
     enum = sub.add_parser("enumerate-sites",
@@ -645,9 +622,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "embedded emitter")
     enum.add_argument("--kind",
                       choices=["vacancy", "interstitial-void", "both"],
-                      default="both")
-    enum.add_argument("--repeats", type=int, default=3)
-    enum.add_argument("--out", help="output directory")
+                      default="both",
+                      help="candidate kind (default: %(default)s)")
+    enum.add_argument("--repeats", type=int, default=3,
+                      help="supercell repeats per axis (default: %(default)s)")
+    enum.add_argument("--out", default="out", help=out_help)
     enum.add_argument("--xyz", action="store_true",
                       help="also write the supercell as XYZ")
     enum.set_defaults(func=cmd_enumerate_sites)
@@ -659,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--shift-nm", type=float, dest="shift_nm")
     conv.add_argument("--reference-nm", type=float, dest="reference_nm",
                       default=ZPL_WAVELENGTH_NM,
-                      help="reference line for shift conversions")
+                      help="reference line in nm (default: %(default)s)")
     conv.set_defaults(func=cmd_convert)
     return parser
 

@@ -127,12 +127,9 @@ class DefectDensitySpec:
 @dataclass
 class EnsembleProvenance:
     mode: str
-    seed: int
-    n_requested: int
     n_retained: int
-    n_raw_draws: int = 0
-    n_range_rejections: int = 0
-    spec: object = None
+    n_raw_draws: int
+    n_range_rejections: int
 
 
 @dataclass
@@ -161,17 +158,15 @@ def _check_table_covers(table: ResponseTable, low: float, high: float):
                 f"[{lo}, {hi}] of {component}")
 
 
-def _ensemble(mode, spec, seed, n_requested, n_raw_draws, strains,
-              table) -> ShiftEnsemble:
+def _ensemble(mode, n_raw_draws, strains, table) -> ShiftEnsemble:
     """The samples whose strain components all lie within their table axis
     ranges, with their shifts; the others count as range rejections."""
     low, high = component_ranges(table)
     in_range = np.all((strains >= low) & (strains <= high), axis=1)
     strains = strains[in_range]
     prov = EnsembleProvenance(
-        mode=mode, seed=seed, n_requested=n_requested,
-        n_retained=len(strains), n_raw_draws=n_raw_draws,
-        n_range_rejections=int((~in_range).sum()), spec=spec)
+        mode=mode, n_retained=len(strains), n_raw_draws=n_raw_draws,
+        n_range_rejections=int((~in_range).sum()))
     return ShiftEnsemble(
         shifts_mev=np.asarray(shift_for_strain(table, strains)),
         strains=strains, provenance=prov)
@@ -186,8 +181,7 @@ def sample_uniform(spec: UniformSpec, n_samples: int, seed: int,
     strains = np.vstack([
         _normal_strains(spec, make_stream(seed, _MODE_IDS["uniform"], j))
         for j in range(-(-n_samples // CHUNK))])[:n_samples]
-    return _ensemble("uniform", spec, seed, n_samples, n_samples, strains,
-                     table)
+    return _ensemble("uniform", n_samples, strains, table)
 
 
 def _normal_strains(spec, gen):
@@ -247,7 +241,7 @@ def sample_biased_z(spec: BiasedZSpec, n_samples: int, seed: int,
         kept.append(block[keep])
         n_kept += len(kept[-1])
 
-    return _ensemble("biased-z", spec, seed, n_samples, len(kept) * CHUNK,
+    return _ensemble("biased-z", len(kept) * CHUNK,
                      np.vstack(kept)[:n_samples], table)
 
 
@@ -346,8 +340,7 @@ def sample_defect_field(spec, n_samples: int, seed: int,
         owner, volume, positions = draws(spec, gen, size)
         parts.append(_defect_field_chunk(
             size, owner, elastic.amplitude_nm3(volume), positions))
-    return _ensemble("defect-field", spec, seed, n_samples, n_samples,
-                     np.concatenate(parts), table)
+    return _ensemble("defect-field", n_samples, np.concatenate(parts), table)
 
 
 # ---------------------------------------------------------------------------

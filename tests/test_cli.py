@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import os
@@ -122,8 +123,8 @@ def test_defect_field_takes_elastic_defaults(tmp_path):
 
 @pytest.mark.parametrize("sampler, mode, key", [
     # the README's old minimal config: a density without a mode
-    ("samples = 20\nvacancy_density_cm3 = 1e20\n\n[elastic]\n"
-     "core_cutoff_nm = 0.25\n", None, "vacancy_density_cm3"),
+    ("vacancy_density_cm3 = 1e20\n\n[elastic]\ncore_cutoff_nm = 0.25\n",
+     None, "vacancy_density_cm3"),
     ("keep_fraction = 0.5\n", "uniform", "keep_fraction"),
     ("vacancy_density_cm3 = 1e20\nseparation_nm = 0.9\n", "defect-field",
      "separation_nm"),
@@ -186,8 +187,6 @@ CONFIG_KEYS = (
     ("emitter", "zpl_wavelength_nm"),
     ("emitter", "homogeneous_fwhm_nm"),
     ("emitter", "radiative_lifetime_ns"),
-    ("sampler", "mode"),
-    ("sampler", "samples"),
     ("sampler", "strain_low"),
     ("sampler", "strain_high"),
     ("sampler", "xy_threshold"),
@@ -230,9 +229,6 @@ CONFIG_KEYS = (
     ("damage", "trap_clustering_exponent"),
     ("damage", "trap_lifetime_coupling_cm2_ns"),
     ("damage", "background_tau_nr_ns"),
-    ("schedule", "template"),
-    ("schedule", "fluences"),
-    ("output", "directory"),
 )
 
 
@@ -306,6 +302,8 @@ CW_TEMPLATE ="flux_cm2_s,duration_s,gap_s\n8e11,{duration},0\n"
 DECAY = ["simulate-decay", "--config", "k.ini", "--seed", "1", "--out", "out"]
 SPECTRUM = ["simulate-spectrum", "--config", "s.ini", "--seed", "1",
             "--samples", "200", "--out", "out"]
+SWEEP = ["sweep-fluence", "--config", "s.ini", "--template", "t.csv",
+         "--out", "out"]
 TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
 
 
@@ -385,9 +383,6 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"t.csv": CW_TEMPLATE},
      ["sweep-fluence", "--template", "t.csv", "--fluences=-1e12,1e13",
       "--out", "out"], "--fluences"),
-    ({"t.csv": CW_TEMPLATE, "f.ini": "[schedule]\nfluences = -1e12,1e13\n"},
-     ["sweep-fluence", "--config", "f.ini", "--template", "t.csv", "--out",
-      "out"], "[schedule] fluences"),
     ({"s.ini": "[response]\ntable = r.csv\n",
       "r.csv": "axis,strain,shift_mev\nx,abc,0\n"},
      SPECTRUM, "r.csv"),
@@ -403,9 +398,6 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
      ["fit", "--input", "d.csv", "--model", "power-law", "--report",
       "r.csv"], "d.csv"),
     ({"k.ini": "[kinetics]\nn_points = 1\n"}, DECAY, "[kinetics] n_points"),
-    ({"s.ini": "[sampler]\nsamples = -3\n"},
-     ["simulate-spectrum", "--config", "s.ini", "--seed", "1", "--out",
-      "out"], "[sampler] samples: n_samples must be >= 1"),
     ({}, ["simulate-spectrum", "--samples", "-3", "--seed", "1", "--out",
           "out"], "--samples: n_samples must be >= 1"),
     ({"d.csv": TRACE},
@@ -435,9 +427,9 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"t.csv": CW_TEMPLATE},
      ["sweep-fluence", "--template", "t.csv", "--fluences", "1e12,1e12",
       "--out", "out"], "--fluences"),
-    ({"t.csv": CW_TEMPLATE, "f.ini": "[schedule]\nfluences = 1e12,1e12\n"},
-     ["sweep-fluence", "--config", "f.ini", "--template", "t.csv", "--out",
-      "out"], "[schedule] fluences"),
+    ({"t.csv": CW_TEMPLATE},
+     ["sweep-fluence", "--template", "t.csv", "--fluences",
+      "1e12,1000000000000.0001220703125", "--out", "out"], "--fluences"),
     ({"d.csv": "fluence_cm2,intensity\n1e12,5\n1e12,7\n1e12,6\n"},
      ["fit", "--input", "d.csv", "--report", "r.csv"], "2 distinct fluences"),
     ({"e.ini": "[emitter]\nhomogeneous_fwhm_nm = 1.5e-4\n"},
@@ -451,13 +443,13 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "bin-width-tiny", "vacancy-density-above-sites",
         "atomic-volume-nan", "xy-threshold-nan", "temperature-nan",
         "fluences-nan", "fluences-inf", "placeholder-flux-nan",
-        "fluences-zero", "fluences-negative", "config-fluences-negative",
+        "fluences-zero", "fluences-negative",
         "table-abc", "table-two-cells", "table-nan-strain", "fit-nan-time",
-        "fit-power-law-nan", "n-points-one", "config-samples-negative",
+        "fit-power-law-nan", "n-points-one",
         "samples-negative", "peaks-zero", "pulses-duration-inf", "duration-flux-inf",
         "gap-negative", "sweep-lifetime-negative", "decay-lifetime-inf",
         "config-is-directory", "config-not-utf8", "shell-too-large",
-        "fluences-repeated", "config-fluences-repeated",
+        "fluences-repeated", "fluences-equal-logs",
         "fit-power-law-one-fluence", "grid-too-large"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
@@ -469,6 +461,37 @@ def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
     assert field in capsys.readouterr().err
     # nothing was written
     assert sorted(os.listdir(tmp_path)) == sorted(files)
+
+
+@pytest.mark.parametrize("section, key, value, argv, named", [
+    ("sampler", "mode", "biased-z", SPECTRUM, "[sampler] mode"),
+    ("sampler", "samples", "300", SPECTRUM, "[sampler] samples"),
+    ("schedule", "template", "t.csv", SWEEP, "[schedule]"),
+    ("schedule", "fluences", "1e11,1e12", SWEEP, "[schedule]"),
+    ("output", "directory", "elsewhere", SPECTRUM, "[output]"),
+], ids=["mode", "samples", "template", "fluences", "directory"])
+def test_config_spelling_of_a_flag_is_refused(tmp_path, monkeypatch, capsys,
+                                              section, key, value, argv,
+                                              named):
+    # a run input that is a flag has no config spelling
+    monkeypatch.chdir(tmp_path)
+    files = {"t.csv": CW_TEMPLATE, "s.ini": f"[{section}]\n{key} = {value}\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
+
+
+def test_no_flag_shadows_a_config_key():
+    # a run input has one spelling: a flag or a config key, never both
+    keys = {key for section in cli._SCHEMA.values() for key in section}
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    shadowed = [(command, action.dest)
+                for command, parser in sub.choices.items()
+                for action in parser._actions if action.dest in keys]
+    assert shadowed == []
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +535,7 @@ def test_simulate_decay_no_traps_recovers_radiative(tmp_path):
 
 def test_simulate_decay_missing_schedule_file(tmp_path):
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[schedule]\ntemplate = does_not_exist.csv\n")
+    cfg.write_text("[response]\ntable = does_not_exist.csv\n")
     res = run_cli("simulate-decay", "--config", str(cfg), "--seed", "1",
                   "--out", str(tmp_path / "x"))
     assert res.returncode == 2

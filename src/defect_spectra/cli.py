@@ -43,6 +43,7 @@ from .core import (
     number,
 )
 from .ensemble import (
+    MAX_SAMPLES,
     BiasedZSpec,
     DefectDensitySpec,
     SingleDefectSpec,
@@ -340,8 +341,9 @@ def cmd_simulate_spectrum(args) -> int:
     emitter = _build(EmitterParams, cfg, "emitter")
     table = _table_from(cfg)
     mode, n = args.mode, args.samples
-    if n < 1:
-        raise ValidationError(f"--samples: n_samples must be >= 1, got {n}")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise ValidationError(f"--samples: n_samples must be >= 1 and <= "
+                              f"{MAX_SAMPLES}, got {n}")
 
     def spec_from(cls):
         return _build(cls, cfg, "sampler", reads=("bin_width_mev",),
@@ -576,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mode", choices=["uniform", "biased-z", "defect-field"],
                      default="uniform", help="sampler (default: %(default)s)")
     sim.add_argument("--samples", type=int, default=10000,
-                     help="ensemble size (default: %(default)s)")
+                     help=f"ensemble size, at most {MAX_SAMPLES} "
+                          "(default: %(default)s)")
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--out", default="out", help=out_help)
     sim.add_argument("--dump-samples", action="store_true",

@@ -59,6 +59,10 @@ MAX_CHUNK_DEFECTS = 4e6
 MAX_HISTOGRAM_BINS = 10**6
 # Most points a default wavelength grid may have; more is refused up front.
 MAX_GRID_POINTS = 10**6
+# Most samples a sampler may be asked for, refused before any draw. A run
+# holds about 150 bytes per sample at its peak (six strains and a shift,
+# the stacked chunks and the in-range copy), so 10**7 samples need 1.5 GB.
+MAX_SAMPLES = 10**7
 _MODE_IDS = {"uniform": 1, "biased-z": 2, "defect-field": 3}
 
 
@@ -158,6 +162,12 @@ def _check_table_covers(table: ResponseTable, low: float, high: float):
                 f"[{lo}, {hi}] of {component}")
 
 
+def _check_n_samples(n_samples):
+    if not 1 <= n_samples <= MAX_SAMPLES:
+        raise InvalidArgumentError(
+            f"n_samples must be >= 1 and <= {MAX_SAMPLES}, got {n_samples}")
+
+
 def _ensemble(mode, n_raw_draws, strains, table) -> ShiftEnsemble:
     """The samples whose strain components all lie within their table axis
     ranges, with their shifts; the others count as range rejections."""
@@ -175,8 +185,7 @@ def _ensemble(mode, n_raw_draws, strains, table) -> ShiftEnsemble:
 def sample_uniform(spec: UniformSpec, n_samples: int, seed: int,
                    table: ResponseTable) -> ShiftEnsemble:
     """Uniform normal-strain ensemble of exactly ``n_samples``."""
-    if n_samples < 1:
-        raise InvalidArgumentError("n_samples must be >= 1")
+    _check_n_samples(n_samples)
     _check_table_covers(table, spec.strain_low, spec.strain_high)
     strains = np.vstack([
         _normal_strains(spec, make_stream(seed, _MODE_IDS["uniform"], j))
@@ -220,8 +229,7 @@ def sample_biased_z(spec: BiasedZSpec, n_samples: int, seed: int,
     chunks. A rule expected to need more than MAX_RAW_DRAWS raw draws, or
     one that retains nothing, is refused before any draw.
     """
-    if n_samples < 1:
-        raise InvalidArgumentError("n_samples must be >= 1")
+    _check_n_samples(n_samples)
     # a raw draw is kept when both in-plane components lie within the
     # threshold, a share s of the strain range each, or by the coin
     t = spec.xy_threshold
@@ -302,8 +310,7 @@ def sample_defect_field(spec, n_samples: int, seed: int,
     response-table axis range are discarded and counted in the provenance,
     not resampled, so the returned ensemble can be shorter than requested.
     """
-    if n_samples < 1:
-        raise InvalidArgumentError("n_samples must be >= 1")
+    _check_n_samples(n_samples)
     if isinstance(spec, SingleDefectSpec):
         draws, inner_nm = _single_defect_draws, spec.separation_nm
     elif isinstance(spec, DefectDensitySpec):

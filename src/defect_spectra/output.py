@@ -4,10 +4,11 @@ atomic writes, and the one reader of CSV input.
 A CSV is written from columns. Each column gets one format from its dtype:
 integers as ``%d``, floats as ``%.10g``, anything else (parameter names,
 site kinds) as ``%s``. No cell or header the toolkit writes holds a comma,
-quote or newline, so no cell is quoted. Every file goes to a temp file in
-its target directory and is then renamed into place, so a reader never
-sees a partial file and a command repeated with the same seed produces
-byte-identical files.
+quote or newline, so no cell is quoted. Rows are formatted and written in
+blocks of ``CSV_BLOCK`` (4096) rows, so the memory a write takes does not
+grow with the file. Every file goes to a temp file in its target directory
+and is then renamed into place, so a reader never sees a partial file and a
+command repeated with the same seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,16 +22,20 @@ import numpy as np
 from .core import ValidationError
 
 _COLUMN_FORMATS = {"i": "%d", "u": "%d", "f": "%.10g"}
+# Rows per block of a CSV write: each block's cells are converted, formatted
+# and written before the next is touched.
+CSV_BLOCK = 4096
 
 
-def write_atomic(path: str, text: str):
-    """Write text to path via a temp file and rename, never partially."""
+def write_atomic(path: str, text):
+    """Write ``text``, a string or an iterable of strings, to path via a
+    temp file and rename, never partially."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -42,9 +47,20 @@ def write_csv(path: str, header, columns):
     """Write equal-length columns under a header row; unequal lengths raise
     ValueError before anything is written."""
     columns = [np.asarray(column) for column in columns]
-    row = ",".join(_COLUMN_FORMATS.get(c.dtype.kind, "%s") for c in columns)
-    rows = map(row.__mod__, zip(*(c.tolist() for c in columns), strict=True))
-    write_atomic(path, "\n".join([",".join(header), *rows]) + "\n")
+    n_rows = {len(column) for column in columns}
+    if len(n_rows) > 1:
+        raise ValueError(f"columns of {path} have unequal lengths "
+                         f"{sorted(n_rows)}")
+    row = ",".join(_COLUMN_FORMATS.get(c.dtype.kind, "%s")
+                   for c in columns) + "\n"
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for start in range(0, max(n_rows, default=0), CSV_BLOCK):
+            cells = (c[start:start + CSV_BLOCK].tolist() for c in columns)
+            yield "".join(map(row.__mod__, zip(*cells)))
+
+    write_atomic(path, blocks())
 
 
 def read_csv(path):

@@ -400,6 +400,11 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"k.ini": "[kinetics]\nn_points = 1\n"}, DECAY, "[kinetics] n_points"),
     ({}, ["simulate-spectrum", "--samples", "-3", "--seed", "1", "--out",
           "out"], "--samples: n_samples must be >= 1"),
+    # biased-z: were the count let through, the sampler's raw-draw limit
+    # would refuse it before drawing, so the case never allocates
+    ({}, ["simulate-spectrum", "--mode", "biased-z", "--samples",
+          "2000000000", "--seed", "1", "--out", "out"],
+     "--samples: n_samples must be >= 1 and <= 10000000"),
     ({"d.csv": TRACE},
      ["fit", "--input", "d.csv", "--model", "peaks", "--peaks", "0",
       "--report", "r.csv"], "--peaks: n_peaks must be >= 1"),
@@ -446,7 +451,8 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "fluences-zero", "fluences-negative",
         "table-abc", "table-two-cells", "table-nan-strain", "fit-nan-time",
         "fit-power-law-nan", "n-points-one",
-        "samples-negative", "peaks-zero", "pulses-duration-inf", "duration-flux-inf",
+        "samples-negative", "samples-above-cap", "peaks-zero",
+        "pulses-duration-inf", "duration-flux-inf",
         "gap-negative", "sweep-lifetime-negative", "decay-lifetime-inf",
         "config-is-directory", "config-not-utf8", "shell-too-large",
         "fluences-repeated", "fluences-equal-logs",

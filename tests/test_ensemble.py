@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from defect_spectra import ensemble
 from defect_spectra.core import (
     EmitterParams,
     EmptyEnsembleError,
@@ -15,6 +16,7 @@ from defect_spectra.core import (
 )
 from defect_spectra.ensemble import (
     CHUNK,
+    MAX_SAMPLES,
     SYNTH_BLOCK,
     TREE_BOX,
     TREE_TERMS,
@@ -194,6 +196,30 @@ def test_biased_z_low_retention_within_limit_runs(table):
     ens = sample_biased_z(spec, 20, seed=1, table=table)
     assert len(ens) == 20
     assert np.all(np.abs(ens.strains[:, :2]) <= spec.xy_threshold)
+
+
+class _Drawn(Exception):
+    """Raised in place of the first random stream a sampler asks for."""
+
+
+def _no_draw(*key):
+    raise _Drawn
+
+
+@pytest.mark.parametrize("sampler, spec", [
+    (sample_uniform, UniformSpec()), (sample_biased_z, BiasedZSpec()),
+    (sample_defect_field, SingleDefectSpec()),
+    (sample_defect_field, DefectDensitySpec(vacancy_density_cm3=1e19))],
+    ids=["uniform", "biased-z", "single-defect", "density"])
+def test_sampler_refuses_too_many_samples_before_any_draw(
+        table, monkeypatch, sampler, spec):
+    monkeypatch.setattr(ensemble, "make_stream", _no_draw)
+    # the cap itself passes the check and reaches the first draw
+    with pytest.raises(_Drawn):
+        sampler(spec, MAX_SAMPLES, seed=1, table=table)
+    for n in (0, MAX_SAMPLES + 1):
+        with pytest.raises(InvalidArgumentError, match="n_samples"):
+            sampler(spec, n, seed=1, table=table)
 
 
 # ---------------------------------------------------------------------------

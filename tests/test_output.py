@@ -1,7 +1,15 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from defect_spectra.output import svg_line_plot, write_csv
+from defect_spectra.output import (
+    CSV_BLOCK,
+    svg_line_plot,
+    write_atomic,
+    write_csv,
+)
 
 EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300,
                -1e300, 1e-300, -1e-300, 1.0, 1.0 / 3.0, 123456789012.5,
@@ -40,6 +48,49 @@ def test_write_csv_unequal_columns_raise(tmp_path):
         write_csv(str(tmp_path / "t.csv"), ["a", "b"],
                   [np.arange(3), np.arange(4.0)])
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK - 1, CSV_BLOCK,
+                               CSV_BLOCK + 1])
+def test_write_csv_block_boundaries(tmp_path, n):
+    rng = np.random.default_rng(n)
+    ints = rng.integers(-2**62, 2**62, n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    strings = [f"site-{i}" for i in range(n)]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["i", "x", "kind"], [ints, floats, strings])
+    expected = "i,x,kind\n" + "".join(
+        f"{_cell(a)},{_cell(x)},{s}\n" for a, x, s in zip(ints, floats,
+                                                          strings))
+    assert path.read_bytes() == expected.encode()
+
+
+def test_write_csv_memory_does_not_grow_with_the_file(tmp_path):
+    n = 200_000
+    rng = np.random.default_rng(3)
+    columns = [np.arange(n), rng.standard_normal(n), rng.uniform(0, 1e3, n)]
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        write_csv(str(path), ["i", "x", "y"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+
+
+def test_write_atomic_failing_stream_keeps_the_old_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old,contents\n1,2\n")
+
+    def blocks():
+        yield "a,b\n" + "1,2\n" * CSV_BLOCK
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        write_atomic(str(path), blocks())
+    assert path.read_bytes() == b"old,contents\n1,2\n"
+    assert os.listdir(tmp_path) == ["t.csv"]
 
 
 def _polyline(x, y, drawn):

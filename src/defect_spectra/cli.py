@@ -10,8 +10,8 @@ Unknown sections or keys, keys a run would drop and unparsable values
 are hard errors, so a typo cannot silently fall back to a default. Every
 file goes through defect_spectra.output (atomic writes, fixed number
 formatting), so a command repeated with the same seed produces
-byte-identical files. A run rejected for a bad input (exit 2) writes
-nothing.
+byte-identical files. A run rejected for a bad input (exit 2) or a
+failed fit (exit 3) writes nothing.
 
 Exit codes: 0 success, 2 validation or config error, 3 numerical
 failure (fit or integration).
@@ -434,15 +434,15 @@ def cmd_sweep_fluence(args) -> int:
         tau_eff[i] = history.tau_eff_ns[-1]
         intensity[i] = n_g[i] * history.qe[-1]
 
-    write_csv(os.path.join(args.out, "sweep.csv"),
-              ["fluence_cm2", "n_G", "n_trap", "tau_eff_ns", "intensity"],
-              [fluences, n_g, n_trap, tau_eff, intensity])
     try:
         fit = fit_power_law(fluences, intensity)
     except InvalidArgumentError as exc:
         # data-driven failure of the scaling fit is a numerical error,
         # not a config problem
         raise FitError(f"power-law fit of the sweep failed: {exc}")
+    write_csv(os.path.join(args.out, "sweep.csv"),
+              ["fluence_cm2", "n_G", "n_trap", "tau_eff_ns", "intensity"],
+              [fluences, n_g, n_trap, tau_eff, intensity])
     write_csv(os.path.join(args.out, "scaling_fit.csv"), _REPORT_HEADER,
               _report_columns(fit))
     write_atomic(os.path.join(args.out, "sweep.svg"),

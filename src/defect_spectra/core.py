@@ -185,10 +185,15 @@ def validate_strain(strain) -> np.ndarray:
     if arr.shape[-1] != 6:
         raise InvalidArgumentError(
             f"strain vector needs 6 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not arr.size:
+        return arr
+    # NaN propagates to both extremes and an infinity is one of them, so
+    # two reductions check the array without an array-sized temporary
+    low, high = float(arr.min()), float(arr.max())
+    if not np.isfinite(low) or not np.isfinite(high):
         raise InvalidArgumentError("strain components must be finite")
-    if np.any(np.abs(arr) > STRAIN_CAP):
-        worst = float(np.max(np.abs(arr)))
+    worst = max(-low, high)
+    if worst > STRAIN_CAP:
         raise RangeError(
             f"strain component magnitude {worst:.4g} exceeds the physical cap "
             f"{STRAIN_CAP}")

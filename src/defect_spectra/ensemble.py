@@ -3,7 +3,10 @@
 Sampling is organized in fixed-size chunks of 4096 samples; chunk ``j`` of
 a run draws from its own counter-based stream ``(seed, mode_id, j)``, and
 the chunks are stitched in index order, so a longer run re-yields a shorter
-one with the same seed as an exact prefix.
+one with the same seed as an exact prefix. Every mode collects its chunks
+into one preallocated samples-by-6 array, dropping the samples outside the
+response table's range as it goes, and evaluates the shifts of the
+retained prefix in one call.
 
 A spectrum is a sum of one Lorentzian per sample over a wavelength grid,
 taken by a treecode over boxes of ``TREE_BOX`` grid points. The samples of
@@ -15,6 +18,7 @@ on the samples and the grid, so the output is a function of the inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,11 @@ from .core import (
     increasing_grid,
     make_stream,
 )
-from .strainfield import ElasticParams, dipole_strain, relaxation_volume
+from .strainfield import (
+    ElasticParams,
+    dipole_strain_columns,
+    relaxation_volume,
+)
 from .zplmap import ResponseTable, component_ranges, shift_for_strain
 
 CHUNK = 4096
@@ -51,17 +59,19 @@ TREE_REACH = 4.0
 # few of them is refused up front instead of running for hours or forever.
 MAX_RAW_DRAWS = 1e9
 # Most defects one chunk of a density run may expect to draw. Each costs
-# about 200 bytes of working arrays, so a shell too large for its densities
-# is refused up front instead of exhausting memory. One defect per lattice
-# site in both kinds on the default shell expects 3.46e6.
+# about 120 bytes of working arrays (its draws, and one strain component at
+# a time), so a shell too large for its densities is refused up front
+# instead of exhausting memory. One defect per lattice site in both kinds
+# on the default shell expects 3.46e6.
 MAX_CHUNK_DEFECTS = 4e6
 # Most bins a histogram may have; a narrower bin width is refused up front.
 MAX_HISTOGRAM_BINS = 10**6
 # Most points a default wavelength grid may have; more is refused up front.
 MAX_GRID_POINTS = 10**6
 # Most samples a sampler may be asked for, refused before any draw. A run
-# holds about 150 bytes per sample at its peak (six strains and a shift,
-# the stacked chunks and the in-range copy), so 10**7 samples need 1.5 GB.
+# holds about 73 bytes per sample at its peak (the collected strains and
+# shifts, and the shift evaluation's working columns), so 10**7 samples
+# need about 0.73 GB.
 MAX_SAMPLES = 10**7
 _MODE_IDS = {"uniform": 1, "biased-z": 2, "defect-field": 3}
 
@@ -168,15 +178,37 @@ def _check_n_samples(n_samples):
             f"n_samples must be >= 1 and <= {MAX_SAMPLES}, got {n_samples}")
 
 
-def _ensemble(mode, n_raw_draws, strains, table) -> ShiftEnsemble:
-    """The samples whose strain components all lie within their table axis
-    ranges, with their shifts; the others count as range rejections."""
+def _chunks(n_samples):
+    """Index and size of each chunk of an ``n_samples`` run."""
+    return ((j, min(CHUNK, n_samples - j * CHUNK))
+            for j in range(-(-n_samples // CHUNK)))
+
+
+def _ensemble(mode, blocks, n_samples, table) -> ShiftEnsemble:
+    """Collect the first ``n_samples`` rows of ``blocks``, an iterable of
+    (raw draws, strain rows) pairs, into one preallocated array.
+
+    Rows with a component outside its table axis range count as range
+    rejections and are dropped; the retained prefix gets its shifts in one
+    call. No block is drawn after the first ``n_samples`` rows.
+    """
     low, high = component_ranges(table)
-    in_range = np.all((strains >= low) & (strains <= high), axis=1)
-    strains = strains[in_range]
+    strains = np.empty((n_samples, 6))
+    n_raw = n_seen = n_kept = 0
+    for draws, rows in blocks:
+        rows = rows[:n_samples - n_seen]
+        in_range = np.all((rows >= low) & (rows <= high), axis=1)
+        n_in = int(np.count_nonzero(in_range))
+        strains[n_kept:n_kept + n_in] = rows[in_range]
+        n_raw += draws
+        n_seen += len(rows)
+        n_kept += n_in
+        if n_seen == n_samples:
+            break
+    strains = strains[:n_kept]
     prov = EnsembleProvenance(
-        mode=mode, n_retained=len(strains), n_raw_draws=n_raw_draws,
-        n_range_rejections=int((~in_range).sum()))
+        mode=mode, n_retained=n_kept, n_raw_draws=n_raw,
+        n_range_rejections=n_seen - n_kept)
     return ShiftEnsemble(
         shifts_mev=np.asarray(shift_for_strain(table, strains)),
         strains=strains, provenance=prov)
@@ -187,10 +219,10 @@ def sample_uniform(spec: UniformSpec, n_samples: int, seed: int,
     """Uniform normal-strain ensemble of exactly ``n_samples``."""
     _check_n_samples(n_samples)
     _check_table_covers(table, spec.strain_low, spec.strain_high)
-    strains = np.vstack([
-        _normal_strains(spec, make_stream(seed, _MODE_IDS["uniform"], j))
-        for j in range(-(-n_samples // CHUNK))])[:n_samples]
-    return _ensemble("uniform", n_samples, strains, table)
+    blocks = ((size, _normal_strains(
+        spec, make_stream(seed, _MODE_IDS["uniform"], j)))
+        for j, size in _chunks(n_samples))
+    return _ensemble("uniform", blocks, n_samples, table)
 
 
 def _normal_strains(spec, gen):
@@ -243,14 +275,9 @@ def sample_biased_z(spec: BiasedZSpec, n_samples: int, seed: int,
             f"samples within {MAX_RAW_DRAWS:.0e} draws")
     _check_table_covers(table, spec.strain_low, spec.strain_high)
 
-    kept, n_kept = [], 0
-    while n_kept < n_samples:
-        block, keep = _biased_chunk(spec, seed, len(kept))
-        kept.append(block[keep])
-        n_kept += len(kept[-1])
-
-    return _ensemble("biased-z", len(kept) * CHUNK,
-                     np.vstack(kept)[:n_samples], table)
+    chunks = (_biased_chunk(spec, seed, j) for j in itertools.count())
+    blocks = ((CHUNK, block[keep]) for block, keep in chunks)
+    return _ensemble("biased-z", blocks, n_samples, table)
 
 
 def _directions(gen, k):
@@ -294,9 +321,9 @@ def _defect_field_chunk(size, owner, amplitude, positions):
     Defect ``k`` of amplitude ``amplitude[k]`` sits at ``positions[k]``
     relative to emitter ``owner[k]``.
     """
-    per_defect = dipole_strain(amplitude, positions)
-    return np.stack([np.bincount(owner, per_defect[:, c], minlength=size)
-                     for c in range(6)], axis=1)
+    return np.stack([np.bincount(owner, column, minlength=size)
+                     for column in dipole_strain_columns(amplitude, positions)],
+                    axis=1)
 
 
 def sample_defect_field(spec, n_samples: int, seed: int,
@@ -340,14 +367,15 @@ def sample_defect_field(spec, n_samples: int, seed: int,
                 f"defects per chunk of {size} samples, more than "
                 f"{MAX_CHUNK_DEFECTS:.0e}; use a smaller shell or density")
 
-    parts = []
-    for j in range(-(-n_samples // CHUNK)):
-        gen = make_stream(seed, _MODE_IDS["defect-field"], j)
-        size = min(CHUNK, n_samples - j * CHUNK)
-        owner, volume, positions = draws(spec, gen, size)
-        parts.append(_defect_field_chunk(
-            size, owner, elastic.amplitude_nm3(volume), positions))
-    return _ensemble("defect-field", n_samples, np.concatenate(parts), table)
+    def block(j, size):
+        owner, volume, positions = draws(
+            spec, make_stream(seed, _MODE_IDS["defect-field"], j), size)
+        return size, _defect_field_chunk(
+            size, owner, elastic.amplitude_nm3(volume), positions)
+
+    return _ensemble("defect-field",
+                     (block(j, size) for j, size in _chunks(n_samples)),
+                     n_samples, table)
 
 
 # ---------------------------------------------------------------------------

@@ -646,18 +646,22 @@ def test_sweep_fluence_needs_two_points(tmp_path):
 
 
 def test_sweep_zero_flux_template_fit_fails(tmp_path):
-    template = tmp_path / "zero.csv"
-    template.write_text("flux_cm2_s,duration_s,gap_s\n0,{duration},0\n")
-    out = tmp_path / "x"
-    res = run_cli("sweep-fluence", "--template", str(template),
-                  "--fluences", "1e11,1e12", "--out", str(out))
-    assert res.returncode == 3
-    # the sweep itself was written before the fit failed
-    assert (out / "sweep.csv").exists()
-    assert not (out / "scaling_fit.csv").exists()
-    with open(out / "sweep.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert all(float(r[4]) == 0.0 for r in rows[1:])
+    # a sweep whose intensities are all zero cannot be fitted; the fit runs
+    # before the first write, so the failed run leaves no file behind
+    zero_flux = tmp_path / "zero.csv"
+    zero_flux.write_text("flux_cm2_s,duration_s,gap_s\n0,{duration},0\n")
+    _, cw = write_templates(tmp_path)
+    no_carbon = tmp_path / "no_carbon.ini"
+    no_carbon.write_text("[damage]\ncarbon_areal_density_cm2 = 0.0\n")
+    for name, argv in (("zero-flux", ["--template", str(zero_flux)]),
+                       ("no-carbon", ["--config", str(no_carbon),
+                                      "--template", str(cw)])):
+        out = tmp_path / name
+        res = run_cli("sweep-fluence", *argv, "--fluences", "1e11,1e12",
+                      "--out", str(out))
+        assert res.returncode == 3, (name, res.stderr)
+        assert "power-law fit of the sweep failed" in res.stderr
+        assert not out.exists() or not any(out.iterdir()), name
 
 
 def test_sweep_missing_template(tmp_path):

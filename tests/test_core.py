@@ -4,14 +4,17 @@ from hypothesis import given, strategies as st
 
 from defect_spectra.core import (
     HC_EV_NM,
+    STRAIN_CAP,
     ZPL_WAVELENGTH_NM,
     EmitterParams,
     InvalidArgumentError,
+    RangeError,
     delta_e_from_delta_lambda,
     delta_lambda_from_delta_e,
     make_stream,
     validate_strain,
 )
+from defect_spectra.zplmap import default_table, shift_for_strain
 
 
 def test_zpl_constants():
@@ -53,9 +56,42 @@ def test_validate_strain_shapes():
     with pytest.raises(InvalidArgumentError):
         validate_strain([np.nan, 0, 0, 0, 0, 0])
     # magnitudes beyond any physical lattice strain are rejected outright
-    from defect_spectra.core import RangeError
     with pytest.raises(RangeError):
         validate_strain([0.5, 0, 0, 0, 0, 0])
+
+
+def _validate_strain_reference(arr):
+    """The elementwise checks of validate_strain: isfinite, then abs."""
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("strain components must be finite")
+    if np.any(np.abs(arr) > STRAIN_CAP):
+        worst = float(np.max(np.abs(arr)))
+        raise RangeError(
+            f"strain component magnitude {worst:.4g} exceeds the physical cap "
+            f"{STRAIN_CAP}")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0625, -0.0625],
+                         ids=str)
+def test_validate_strain_matches_elementwise_checks(bad):
+    # one bad component in a large array that also holds an over-cap
+    # component of the other sign and a smaller magnitude; the error's
+    # class and message are the reference's
+    arr = make_stream(1, 99).uniform(-0.01, 0.01, size=(50_000, 6))
+    arr[20_000, 1] = -0.055 if bad > 0 else 0.055
+    arr[31_337, 4] = bad
+    with pytest.raises((InvalidArgumentError, RangeError)) as want:
+        _validate_strain_reference(arr)
+    with pytest.raises(want.type) as got:
+        validate_strain(arr)
+    assert str(got.value) == str(want.value)
+
+
+def test_validate_strain_keeps_an_empty_array():
+    empty = np.empty((0, 6))
+    assert validate_strain(empty) is empty
+    shifts = shift_for_strain(default_table(), empty)
+    assert isinstance(shifts, np.ndarray) and shifts.shape == (0,)
 
 
 def test_emitter_params_validation():

@@ -37,7 +37,12 @@ from defect_spectra.ensemble import (
     synthesize_spectrum,
 )
 from defect_spectra.fitting import numerical_fwhm
-from defect_spectra.strainfield import PointDefect, superpose
+from defect_spectra.strainfield import (
+    ElasticParams,
+    PointDefect,
+    dipole_strain,
+    superpose,
+)
 from defect_spectra.zplmap import (
     ResponseTable,
     component_ranges,
@@ -222,6 +227,46 @@ def test_sampler_refuses_too_many_samples_before_any_draw(
             sampler(spec, n, seed=1, table=table)
 
 
+def _traced_peak(call):
+    """The result of ``call()`` and the tracemalloc peak it reached."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("sampler, spec", [
+    (sample_uniform, UniformSpec()), (sample_biased_z, BiasedZSpec())],
+    ids=["uniform", "biased-z"])
+def test_sampler_peak_memory_is_one_copy(table, sampler, spec):
+    # the samples are collected into the array the ensemble returns; a
+    # list of chunks, its stacked copy and an in-range copy would be
+    # 2.7 times the returned bytes
+    sampler(spec, 100, seed=2, table=table)
+    ens, peak = _traced_peak(lambda: sampler(spec, 200_000, seed=2,
+                                             table=table))
+    assert len(ens) == 200_000
+    assert peak < 1.5 * (ens.strains.nbytes + ens.shifts_mev.nbytes)
+
+
+def test_density_chunk_peak_memory_per_defect(table):
+    # one 4096-sample chunk at the densest point of a density series;
+    # holding every defect's six strain components at once costs 184
+    # bytes per defect
+    spec = DefectDensitySpec(vacancy_density_cm3=1e21,
+                             interstitial_density_cm3=1e21 / 3)
+    sample_defect_field(spec, 100, seed=2, table=table)
+    _, peak = _traced_peak(lambda: sample_defect_field(spec, CHUNK, seed=2,
+                                                       table=table))
+    owner, _, _ = ensemble._density_draws(spec, ensemble.make_stream(
+        2, ensemble._MODE_IDS["defect-field"], 0), CHUNK)
+    assert len(owner) > 40_000
+    assert peak / len(owner) < 150
+
+
 # ---------------------------------------------------------------------------
 # defect-field sampler
 # ---------------------------------------------------------------------------
@@ -326,6 +371,49 @@ def test_defect_field_range_checked_per_axis(table):
         assert 0 < rej < 4000
         assert len(ens) == 4000 - rej
         assert np.all((ens.strains >= low) & (ens.strains <= high))
+
+
+def _vstack_then_mask(spec, n_samples, seed, table):
+    """The defect-field ensemble as a list of whole chunks, each summed
+    from the (k, 6) strains of all its defects, stacked and then masked:
+    (strains, shifts, range rejections)."""
+    draws = (ensemble._single_defect_draws
+             if isinstance(spec, SingleDefectSpec) else ensemble._density_draws)
+    elastic = ElasticParams()
+    parts = []
+    for j in range(-(-n_samples // CHUNK)):
+        size = min(CHUNK, n_samples - j * CHUNK)
+        owner, volume, positions = draws(spec, ensemble.make_stream(
+            seed, ensemble._MODE_IDS["defect-field"], j), size)
+        per_defect = dipole_strain(elastic.amplitude_nm3(volume), positions)
+        parts.append(np.stack([
+            np.bincount(owner, per_defect[:, c], minlength=size)
+            for c in range(6)], axis=1))
+    strains = np.concatenate(parts)
+    low, high = component_ranges(table)
+    in_range = np.all((strains >= low) & (strains <= high), axis=1)
+    return (strains[in_range], shift_for_strain(table, strains[in_range]),
+            int((~in_range).sum()))
+
+
+@pytest.mark.parametrize("spec", [
+    SingleDefectSpec("interstitial", 0.6),
+    DefectDensitySpec(vacancy_density_cm3=1e21, interstitial_density_cm3=1e21)],
+    ids=["single-defect", "density"])
+def test_defect_field_collector_matches_vstack_then_mask(table, spec):
+    # a narrowed xz curve forces range rejections, and 9000 samples end in
+    # a partial chunk
+    grid, shifts = table.curves["xz"]
+    keep = np.abs(grid) <= 0.003
+    narrow = ResponseTable({**table.curves, "xz": (grid[keep], shifts[keep])})
+    ens = sample_defect_field(spec, 9000, seed=5, table=narrow)
+    strains, shifts_mev, rejections = _vstack_then_mask(spec, 9000, 5, narrow)
+    assert 0 < rejections < 9000
+    assert np.array_equal(ens.strains, strains)
+    assert np.array_equal(ens.shifts_mev, shifts_mev)
+    prov = ens.provenance
+    assert (prov.n_range_rejections, prov.n_raw_draws,
+            prov.n_retained) == (rejections, 9000, 9000 - rejections)
 
 
 _defect = st.tuples(

@@ -8,6 +8,8 @@ from defect_spectra.strainfield import (
     ElasticParams,
     PointDefect,
     dilatation_strain,
+    dipole_strain,
+    dipole_strain_columns,
     superpose,
 )
 
@@ -56,6 +58,23 @@ def test_field_is_traceless(r, ux, uy, uz):
     strain = dilatation_strain(PointDefect("interstitial", tuple(pos)),
                                [0.0, 0.0, 0.0])
     assert strain[:3].sum() == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (5000,), (7, 9)], ids=str)
+def test_dipole_strain_stacks_its_columns_bit_for_bit(shape):
+    # the (..., 6) expression the component columns were split from
+    gen = np.random.default_rng(17)
+    d = gen.normal(size=shape + (3,)) * gen.uniform(0.3, 3.0, size=shape + (1,))
+    amp = gen.normal(size=shape) * 1e-3
+    r = np.linalg.norm(d, axis=-1)
+    n = d / r[..., None]
+    i, j = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+    want = (amp / r ** 3)[..., None] * ((i == j) - 3.0 * n[..., i] * n[..., j])
+    got = dipole_strain(amp, d)
+    assert got.shape == shape + (6,)
+    assert np.array_equal(got, want)
+    assert all(np.array_equal(column, want[..., c]) for c, column in
+               enumerate(dipole_strain_columns(amp, d)))
 
 
 def test_custom_relaxation_volume():

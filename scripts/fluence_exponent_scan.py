@@ -32,8 +32,7 @@ CW_FLUX = 8e11
 
 def endpoint(schedule, params):
     hist = integrate_damage(schedule, params)
-    n_g = hist.n_g_cm2[-1]
-    return n_g, hist.tau_eff_ns[-1], n_g * hist.qe[-1]
+    return hist.n_g_cm2[-1], hist.tau_eff_ns[-1], hist.intensity[-1]
 
 
 def main(argv=None):

@@ -252,12 +252,13 @@ def _decay_params_from(cfg: RunConfig) -> DecayModelParams:
 def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedule:
     """Instantiate a schedule template at a target fluence.
 
-    Placeholder cells: {duration} (duration = fluence share / flux),
-    {flux} (flux = share / duration), or {pulses} in the repeat column
-    (the row becomes a pulse train delivering the share). The target
-    fluence minus any fixed rows is split equally across placeholder
-    rows. A {duration} row with zero flux gets duration zero: it cannot
-    deliver fluence.
+    Placeholder cells, each only in its own column: {flux} in flux_cm2_s
+    (flux = fluence share / duration), {duration} in duration_s
+    (duration = share / flux), or {pulses} in repeat (the row becomes a
+    pulse train delivering the share); in another column a placeholder
+    is an invalid number. The target fluence minus any fixed rows is
+    split equally across placeholder rows. A {duration} row with zero
+    flux gets duration zero: it cannot deliver fluence.
     """
     header, rows = read_csv(path)
     if header[:3] != ["flux_cm2_s", "duration_s", "gap_s"] or \
@@ -281,7 +282,8 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
     parsed = []
     for row in rows:
         cells = row + [""] * (4 - len(row))
-        if "{duration}" in cells or "{flux}" in cells or "{pulses}" in cells:
+        if (cells[0] == "{flux}" or cells[1] == "{duration}"
+                or cells[3] == "{pulses}"):
             parsed.append(cells)
         else:
             repeat = cell(cells, 3, int) if has_repeat and cells[3] else 1
@@ -311,7 +313,7 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
                 segments.extend(build(pulsed_schedule, share, flux, duration,
                                       duration + gap).segments)
             continue
-        if "{duration}" in cells:
+        if cells[1] == "{duration}":
             flux = cell(cells, 0)
             duration = share / flux if flux > 0 else 0.0
         else:
@@ -402,7 +404,8 @@ def cmd_simulate_decay(args) -> int:
                                     params.tau_r_ns)
     report = _report_columns(fit, tau_eff_ns=lifetimes.tau_eff_ns,
                              tau_nr_ns=lifetimes.tau_nr_ns, qe=lifetimes.qe,
-                             rise_time_ns=rise_time(trace))
+                             rise_time_ns=rise_time(trace.time_ns,
+                                                    trace.intensity))
     write_csv(os.path.join(args.out, "trace.csv"), ["time_ns", "counts"],
               [trace.time_ns, trace.intensity])
     write_atomic(os.path.join(args.out, "trace.svg"),
@@ -432,7 +435,7 @@ def cmd_sweep_fluence(args) -> int:
         n_g[i] = history.n_g_cm2[-1]
         n_trap[i] = history.n_trap_cm2[-1]
         tau_eff[i] = history.tau_eff_ns[-1]
-        intensity[i] = n_g[i] * history.qe[-1]
+        intensity[i] = history.intensity[-1]
 
     try:
         fit = fit_power_law(fluences, intensity)

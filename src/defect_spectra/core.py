@@ -144,10 +144,6 @@ class EmitterParams:
         check_fields(self, positive=("zpl_wavelength_nm", "homogeneous_fwhm_nm",
                                      "radiative_lifetime_ns"))
 
-    @property
-    def zpl_energy_ev(self) -> float:
-        return HC_EV_NM / self.zpl_wavelength_nm
-
 
 # ---------------------------------------------------------------------------
 # unit conversion

@@ -140,7 +140,6 @@ class DefectDensitySpec:
 
 @dataclass
 class EnsembleProvenance:
-    mode: str
     n_retained: int
     n_raw_draws: int
     n_range_rejections: int
@@ -184,7 +183,7 @@ def _chunks(n_samples):
             for j in range(-(-n_samples // CHUNK)))
 
 
-def _ensemble(mode, blocks, n_samples, table) -> ShiftEnsemble:
+def _ensemble(blocks, n_samples, table) -> ShiftEnsemble:
     """Collect the first ``n_samples`` rows of ``blocks``, an iterable of
     (raw draws, strain rows) pairs, into one preallocated array.
 
@@ -206,9 +205,8 @@ def _ensemble(mode, blocks, n_samples, table) -> ShiftEnsemble:
         if n_seen == n_samples:
             break
     strains = strains[:n_kept]
-    prov = EnsembleProvenance(
-        mode=mode, n_retained=n_kept, n_raw_draws=n_raw,
-        n_range_rejections=n_seen - n_kept)
+    prov = EnsembleProvenance(n_retained=n_kept, n_raw_draws=n_raw,
+                              n_range_rejections=n_seen - n_kept)
     return ShiftEnsemble(
         shifts_mev=np.asarray(shift_for_strain(table, strains)),
         strains=strains, provenance=prov)
@@ -222,7 +220,7 @@ def sample_uniform(spec: UniformSpec, n_samples: int, seed: int,
     blocks = ((size, _normal_strains(
         spec, make_stream(seed, _MODE_IDS["uniform"], j)))
         for j, size in _chunks(n_samples))
-    return _ensemble("uniform", blocks, n_samples, table)
+    return _ensemble(blocks, n_samples, table)
 
 
 def _normal_strains(spec, gen):
@@ -277,7 +275,7 @@ def sample_biased_z(spec: BiasedZSpec, n_samples: int, seed: int,
 
     chunks = (_biased_chunk(spec, seed, j) for j in itertools.count())
     blocks = ((CHUNK, block[keep]) for block, keep in chunks)
-    return _ensemble("biased-z", blocks, n_samples, table)
+    return _ensemble(blocks, n_samples, table)
 
 
 def _directions(gen, k):
@@ -373,8 +371,7 @@ def sample_defect_field(spec, n_samples: int, seed: int,
         return size, _defect_field_chunk(
             size, owner, elastic.amplitude_nm3(volume), positions)
 
-    return _ensemble("defect-field",
-                     (block(j, size) for j, size in _chunks(n_samples)),
+    return _ensemble((block(j, size) for j, size in _chunks(n_samples)),
                      n_samples, table)
 
 

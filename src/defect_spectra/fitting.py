@@ -20,7 +20,6 @@ from .core import (
     FitError,
     InvalidArgumentError,
     NoDecayError,
-    RangeError,
     UnboundedLineError,
     ValidationError,
     increasing_grid,
@@ -358,20 +357,3 @@ def fit_power_law(fluence_cm2, intensity) -> FitResult:
         stderr={"exponent": float(slope_err),
                 "prefactor": prefactor * float(inter_err)},
         residual_norm=float(np.sqrt(ssr)), n_iterations=1)
-
-
-def transient_initial_intensity(time_ns, counts, window_ns=0.1,
-                                resolution_ns=0.1) -> float:
-    """Mean counts over [t_peak, t_peak + window]."""
-    t = increasing_grid(time_ns, "time grid", y=counts)
-    y = np.asarray(counts, dtype=float)
-    if window_ns < resolution_ns:
-        raise ValidationError(
-            f"window {window_ns} ns is below the {resolution_ns} ns resolution")
-    t_peak = t[int(np.argmax(y))]
-    t_end = t_peak + window_ns
-    if t_end > t[-1]:
-        raise RangeError(
-            f"window [{t_peak:g}, {t_end:g}] ns runs past the trace end {t[-1]:g}")
-    sel = (t >= t_peak) & (t <= t_end)
-    return float(y[sel].mean())

@@ -64,14 +64,6 @@ def decompose_lifetimes(tau_eff_ns: float,
     return LifetimeSet(tau_r_ns=tau_r_ns, tau_eff_ns=tau_eff_ns)
 
 
-def compose_lifetimes(tau_r_ns: float, tau_nr_ns: float) -> LifetimeSet:
-    if tau_r_ns <= 0 or tau_nr_ns <= 0:
-        raise InvalidArgumentError("lifetimes must be positive")
-    # 1/(1/tau_r) can round one ulp above tau_r
-    return LifetimeSet(tau_r_ns=tau_r_ns, tau_eff_ns=min(
-        tau_r_ns, 1.0 / (1.0 / tau_r_ns + 1.0 / tau_nr_ns)))
-
-
 # ---------------------------------------------------------------------------
 # pump-decay model
 # ---------------------------------------------------------------------------
@@ -313,17 +305,14 @@ def simulate_decay(params: DecayModelParams) -> DecayTrace:
                       steps_rejected=rejected)
 
 
-def rise_time(trace, intensity=None) -> float:
+def rise_time(time_ns, intensity) -> float:
     """Time from excitation to the trace maximum.
 
-    Accepts a DecayTrace or a (time, intensity) array pair. A trace that
-    never turns over (still rising at the end, or constant) has no
-    defined rise time.
+    A trace that never turns over (still rising at the end, or constant)
+    has no defined rise time.
     """
-    t, y = ((trace.time_ns, trace.intensity) if intensity is None
-            else (trace, intensity))
-    t = increasing_grid(t, "time grid", y=y)
-    y = np.asarray(y, dtype=float)
+    t = increasing_grid(time_ns, "time grid", y=intensity)
+    y = np.asarray(intensity, dtype=float)
     if y.max() == y.min():
         raise NoRiseError("trace is constant")
     i = int(np.argmax(y))
@@ -489,6 +478,12 @@ class DamageHistory:
     tau_eff_ns: np.ndarray
     qe: np.ndarray
 
+    @property
+    def intensity(self) -> np.ndarray:
+        """Integrated emission per row, n_G * qe: photons per excitation
+        summed over the emitters."""
+        return self.n_g_cm2 * self.qe
+
 
 def _linear_update(value, source, loss_rate, dt):
     """Advance dy/dt = source - loss_rate*y exactly over dt.
@@ -550,21 +545,3 @@ def integrate_damage(schedule: IrradiationSchedule,
                          flux_cm2_s=arr[:, 2], n_g_cm2=arr[:, 3],
                          n_trap_cm2=arr[:, 4], tau_eff_ns=tau_eff,
                          qe=tau_eff / params.tau_r_ns)
-
-
-def pl_proxy(n_g_cm2, lifetimes: LifetimeSet) -> dict:
-    """Emission proxies for a given emitter density.
-
-    transient_initial_intensity scales as n_G/tau_r (radiative rate at
-    zero delay); integrated_intensity as n_G*qe (photons per excitation).
-    """
-    n_g = np.asarray(n_g_cm2, dtype=float)
-    if np.any(n_g < 0):
-        raise InvalidArgumentError("emitter density must be nonnegative")
-    transient = n_g / lifetimes.tau_r_ns
-    integrated = n_g * lifetimes.qe
-    if np.ndim(n_g_cm2) == 0:
-        return {"transient_initial_intensity": float(transient),
-                "integrated_intensity": float(integrated)}
-    return {"transient_initial_intensity": transient,
-            "integrated_intensity": integrated}

@@ -8,8 +8,8 @@ mirror symmetry unless a file spells them out. Shifts compose additively,
           + f_xy(e_xy) + f_xz(e_xz) + f_xz(e_yz)
 
 in meV with positive = blueshift. Interpolation is linear between grid
-nodes and never extrapolates. An optional isotropic curve is used only to
-cross-check the additive composition, not for evaluation.
+nodes and never extrapolates. An optional isotropic (iso) curve is
+loaded and validated like any axis but never evaluated.
 """
 
 from __future__ import annotations
@@ -144,26 +144,3 @@ def shift_for_strain(table: ResponseTable, strain) -> np.ndarray:
     if arr.ndim == 1:
         return float(total[0])
     return total
-
-
-def isotropic_consistency(table: ResponseTable) -> dict:
-    """Compare the optional iso curve against the additive composition.
-
-    Returns the shared strain grid, both evaluations and the maximum
-    absolute discrepancy in meV. Raises ValidationError when the table
-    ships no iso curve.
-    """
-    if "iso" not in table.curves:
-        raise ValidationError("response table has no iso curve to check")
-    grid, iso = table.curves["iso"]
-    strain = np.zeros((len(grid), 6))
-    strain[:, 0] = grid
-    strain[:, 1] = grid
-    strain[:, 2] = grid
-    composed = shift_for_strain(table, strain)
-    return {
-        "strain": grid.copy(),
-        "iso_mev": iso.copy(),
-        "composed_mev": np.asarray(composed),
-        "max_discrepancy_mev": float(np.max(np.abs(composed - iso))),
-    }

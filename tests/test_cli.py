@@ -417,6 +417,14 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"t.csv": "flux_cm2_s,duration_s,gap_s\n8e11,{duration},-1\n"},
      ["sweep-fluence", "--template", "t.csv", "--out", "out"],
      "schedule template t.csv"),
+    # a placeholder counts only in its own column
+    ({"t.csv": "flux_cm2_s,duration_s,gap_s\n{pulses},1e-8,45\n"},
+     ["sweep-fluence", "--template", "t.csv", "--out", "out"],
+     "flux_cm2_s cell of schedule t.csv has invalid value '{pulses}'"),
+    ({"t.csv": "flux_cm2_s,duration_s,gap_s,repeat\n"
+               "7.9e18,1e-8,45,{duration}\n"},
+     ["sweep-fluence", "--template", "t.csv", "--out", "out"],
+     "repeat cell of schedule t.csv has invalid value '{duration}'"),
     ({"t.csv": CW_TEMPLATE,
       "d.ini": "[emitter]\nradiative_lifetime_ns = -1\n"},
      ["sweep-fluence", "--config", "d.ini", "--template", "t.csv", "--out",
@@ -453,7 +461,8 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "fit-power-law-nan", "n-points-one",
         "samples-negative", "samples-above-cap", "peaks-zero",
         "pulses-duration-inf", "duration-flux-inf",
-        "gap-negative", "sweep-lifetime-negative", "decay-lifetime-inf",
+        "gap-negative", "pulses-in-flux", "duration-in-repeat",
+        "sweep-lifetime-negative", "decay-lifetime-inf",
         "config-is-directory", "config-not-utf8", "shell-too-large",
         "fluences-repeated", "fluences-equal-logs",
         "fit-power-law-one-fluence", "grid-too-large"])

@@ -19,8 +19,6 @@ from defect_spectra.zplmap import default_table, shift_for_strain
 
 def test_zpl_constants():
     assert ZPL_WAVELENGTH_NM == 1278.3
-    emitter = EmitterParams()
-    assert emitter.zpl_energy_ev == pytest.approx(HC_EV_NM / 1278.3)
 
 
 def test_shift_conversion_sign_and_magnitude():

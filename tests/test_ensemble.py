@@ -69,7 +69,6 @@ def test_uniform_sampler_basic(table):
     assert np.all(ens.strains[:, :3] <= 0.01)
     assert np.all(ens.strains[:, 3:] == 0.0)
     prov = ens.provenance
-    assert prov.mode == "uniform"
     assert prov.n_retained == 5000
     assert prov.n_raw_draws == 5000
 

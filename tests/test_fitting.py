@@ -8,7 +8,6 @@ from defect_spectra.core import (
     FitError,
     InvalidArgumentError,
     NoDecayError,
-    RangeError,
     UnboundedLineError,
     ValidationError,
 )
@@ -17,7 +16,6 @@ from defect_spectra.fitting import (
     fit_power_law,
     fit_single_exponential,
     numerical_fwhm,
-    transient_initial_intensity,
 )
 
 
@@ -331,26 +329,3 @@ def test_power_law_validation():
         fit_power_law([1e11, -1e12], [1.0, 2.0])
     with pytest.raises(InvalidArgumentError, match="2 distinct fluences"):
         fit_power_law([1e12, 1e12], [5.0, 7.0])
-
-
-# ---------------------------------------------------------------------------
-# transient initial intensity
-# ---------------------------------------------------------------------------
-
-def test_transient_initial_intensity_window_average():
-    t = np.arange(0.0, 50.0, 0.02)
-    counts = 700.0 * np.exp(-t / 9.3)
-    est = transient_initial_intensity(t, counts, window_ns=0.1)
-    # mean of the first window of an exponential, slightly below A
-    assert est == pytest.approx(700.0, rel=1e-2)
-    assert est < 700.0
-
-
-def test_transient_initial_intensity_validation():
-    t = np.arange(0.0, 10.0, 0.1)
-    counts = np.exp(-t / 3.0)
-    with pytest.raises(ValidationError):
-        transient_initial_intensity(t, counts, window_ns=0.01,
-                                    resolution_ns=0.1)
-    with pytest.raises(RangeError):
-        transient_initial_intensity(t, counts, window_ns=100.0)

@@ -13,9 +13,8 @@ import numpy as np
 
 from defect_spectra.fitting import fit_single_exponential
 from defect_spectra.kinetics import (
-    DECAY_T_MAX_NS,
     DecayModelParams,
-    decompose_lifetimes,
+    LifetimeSet,
     simulate_decay,
 )
 from defect_spectra.output import write_csv
@@ -27,16 +26,16 @@ TRAPS_CM3 = (0.0, 1e16, 1e17, 3e17, 1e18)
 DEFAULTS = DecayModelParams()
 
 
-def time_grid_for(trap_density_cm3):
-    """Grid fine enough for the fastest capture rate in the cell."""
+def points_for(trap_density_cm3):
+    """Time grid points fine enough for the fastest capture rate in the
+    cell."""
     fastest_rate = max(1.0 / DEFAULTS.tau_r_ns,
                        DEFAULTS.capture_coefficient_g_cm3_ns
                        * DEFAULTS.g_center_density_cm3,
                        DEFAULTS.capture_coefficient_trap_cm3_ns
                        * trap_density_cm3)
     step_ns = min(0.025, 1.0 / (12.0 * fastest_rate))
-    n = int(np.ceil(DECAY_T_MAX_NS / step_ns)) + 1
-    return np.linspace(0.0, DECAY_T_MAX_NS, n)
+    return int(np.ceil(DEFAULTS.t_max_ns / step_ns)) + 1
 
 
 def main(argv=None):
@@ -47,18 +46,17 @@ def main(argv=None):
 
     taus = {}
     for n_trap in TRAPS_CM3:
-        grid = time_grid_for(n_trap)
+        n_points = points_for(n_trap)
         for pump in PUMPS_MW:
             params = DecayModelParams(trap_density_cm3=n_trap,
-                                      pump_power_mw=pump,
-                                      time_grid_ns=grid)
+                                      pump_power_mw=pump, n_points=n_points)
             trace = simulate_decay(params)
             fit = fit_single_exponential(trace.time_ns, trace.intensity)
             taus[(n_trap, pump)] = fit.parameters["tau_ns"]
     # tail fits can land a hair above tau_r on trap-free traces; clamp
     # before decomposing so qe stays <= 1
     tau_r = DEFAULTS.tau_r_ns
-    qe = [decompose_lifetimes(min(tau, tau_r), tau_r).qe
+    qe = [LifetimeSet(tau_r_ns=tau_r, tau_eff_ns=min(tau, tau_r)).qe
           for tau in taus.values()]
     traps, pumps = np.array(list(taus)).T
 

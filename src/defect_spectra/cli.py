@@ -6,8 +6,10 @@ model parameters: [emitter], [elastic], [damage] and most of [kinetics]
 take their keys and defaults from the fields of EmitterParams,
 ElasticParams, DamageParams and DecayModelParams, and [sampler] keys
 fill the ensemble spec of the --mode, whose class holds their defaults.
-Unknown sections or keys, keys a run would drop and unparsable values
-are hard errors, so a typo cannot silently fall back to a default. Every
+A run asks for its keys through RunConfig.get and, once its inputs are
+built, refuses any section or key it did not ask for, so a typo or a
+key the run would drop cannot silently fall back to a default; an
+unparsable value is refused as the file is loaded. Every
 file goes through defect_spectra.output (atomic writes, fixed number
 formatting), so a command repeated with the same seed produces
 byte-identical files. A run rejected for a bad input (exit 2) or a
@@ -60,13 +62,11 @@ from .fitting import (
     fit_single_exponential,
 )
 from .kinetics import (
-    DECAY_GRID_POINTS,
-    DECAY_T_MAX_NS,
     DamageParams,
     DecayModelParams,
     IrradiationSchedule,
+    LifetimeSet,
     ScheduleSegment,
-    decompose_lifetimes,
     integrate_damage,
     pulsed_schedule,
     rise_time,
@@ -93,9 +93,9 @@ def _float_or_none(text):
     return float(text)
 
 
-# Config casts of the scalar dataclass field types; other fields, such as
-# DecayModelParams.time_grid_ns, are not config keys.
-_FIELD_CASTS = {"float": float, "float | None": _float_or_none, "str": str}
+# Config casts of the scalar dataclass field types.
+_FIELD_CASTS = {"float": float, "float | None": _float_or_none, "int": int,
+                "str": str}
 
 
 def _field_keys(cls, exclude=()):
@@ -103,13 +103,6 @@ def _field_keys(cls, exclude=()):
     return {f.name: _FIELD_CASTS[f.type] for f in dataclasses.fields(cls)
             if f.type in _FIELD_CASTS and f.name not in exclude}
 
-
-# [kinetics] keys that simulate-decay reads itself, the time grid and the
-# fit window; the others are the fields of DecayModelParams
-_DECAY_KEYS = {"t_max_ns": float, "n_points": int,
-               "fit_window_start_ns": float, "fit_window_stop_ns": float}
-# Most points a decay time grid may have: 80 MB per grid-length array.
-MAX_DECAY_POINTS = 10**7
 
 _SCHEMA = {
     "emitter": _field_keys(EmitterParams),
@@ -121,32 +114,43 @@ _SCHEMA = {
     "response": {
         "table": str,
     },
-    "kinetics": {**_field_keys(DecayModelParams), **_DECAY_KEYS},
+    # simulate-decay reads the fit window itself
+    "kinetics": {**_field_keys(DecayModelParams),
+                 "fit_window_start_ns": float, "fit_window_stop_ns": float},
     # the radiative lifetime is [emitter] radiative_lifetime_ns
     "damage": _field_keys(DamageParams, exclude=("tau_r_ns",)),
 }
 
 
 class RunConfig:
-    """Validated config: the typed values the file sets, and no defaults."""
+    """The typed values a config file sets, and no defaults; ``read``
+    holds every (section, key) a run has asked for, in the order asked."""
 
     def __init__(self, values, base_dir="."):
         self.values = values
         self.base_dir = base_dir
+        self.read = {}
 
     def get(self, section, key, fallback=None):
+        self.read[section, key] = None
         return self.values.get(section, {}).get(key, fallback)
 
-    def path(self, section, key):
-        """Resolve a configured path relative to the config file."""
-        raw = self.get(section, key)
-        if raw is None:
-            return None
-        return raw if os.path.isabs(raw) else os.path.join(self.base_dir, raw)
+    def refuse_unread(self, run):
+        """Refuse the first key the run has not asked for, so a config
+        key is never dropped; ``run`` names the run in the message."""
+        for section, keys in self.values.items():
+            for key, value in keys.items():
+                if (section, key) not in self.read:
+                    reads = [k for s, k in self.read if s == section]
+                    raise ValidationError(
+                        f"config key [{section}] {key} = {value} is not read "
+                        f"by {run}, which reads "
+                        + (", ".join(reads) or f"no [{section}] key"))
 
 
 def load_config(path=None) -> RunConfig:
-    """Parse and validate an INI config; None means all defaults."""
+    """Parse an INI config and cast each value by the schema (keys it does
+    not list stay text); None means all defaults."""
     if path is None:
         return RunConfig({})
     parser = configparser.ConfigParser(interpolation=None)
@@ -160,24 +164,12 @@ def load_config(path=None) -> RunConfig:
         raise ValidationError(f"config parse error in {path}: {exc}")
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ValidationError(
-                f"unknown config section [{section}] in {path}; known "
-                f"sections: {', '.join(sorted(_SCHEMA))}")
-        values[section] = {}
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ValidationError(
-                    f"unknown config key [{section}] {key} in {path}; known "
-                    f"keys: {', '.join(sorted(_SCHEMA[section]))}")
-            values[section][key] = number(f"config key [{section}] {key}",
-                                          raw, _SCHEMA[section][key])
-    cfg = RunConfig(values, base_dir=os.path.dirname(os.path.abspath(path)))
-    table = cfg.path("response", "table")
-    if table is not None and not os.path.exists(table):
-        raise ValidationError(
-            f"config key [response] table points to a missing file: {table}")
-    return cfg
+        casts = _SCHEMA.get(section, {})
+        values[section] = {
+            key: number(f"config key [{section}] {key}", raw,
+                        casts.get(key, str))
+            for key, raw in parser.items(section)}
+    return RunConfig(values, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def config_help_text() -> str:
@@ -193,28 +185,27 @@ def config_help_text() -> str:
 # builders from config
 # ---------------------------------------------------------------------------
 
-def _build(cls, cfg: RunConfig, section, reads=(), user=None, **given):
-    """A params dataclass from the [section] keys named like its fields;
-    left-out keys keep the class default. Any other key that is not one of
-    ``reads``, those the command reads itself, is refused, not dropped;
-    ``user`` names the run in that message."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key, value in cfg.values.get(section, {}).items():
-        if key in names:
-            given[key] = value
-        elif key not in reads:
-            takes = [k for k in _SCHEMA[section] if k in names or k in reads]
-            raise ValidationError(
-                f"config key [{section}] {key} is not used by "
-                f"{user or cls.__name__}, which takes {', '.join(takes)}")
-    return cls(**given)
+def _build(cls, cfg: RunConfig, section, **given):
+    """A params dataclass from the [section] keys named like its fields,
+    over ``given``; left-out keys keep the class default. An invalid value
+    raises with the section named."""
+    for field in dataclasses.fields(cls):
+        if field.name in _SCHEMA[section]:
+            value = cfg.get(section, field.name)
+            if value is not None:
+                given[field.name] = value
+    try:
+        return cls(**given)
+    except DefectSpectraError as exc:
+        raise type(exc)(f"[{section}] {exc}") from None
 
 
 def _table_from(cfg: RunConfig):
-    path = cfg.path("response", "table")
+    """The [response] table, its path relative to the config file."""
+    path = cfg.get("response", "table")
     if path is None:
         return default_table()
-    return load_response_table(path)
+    return load_response_table(os.path.join(cfg.base_dir, path))
 
 
 def _radiative_lifetime(cfg: RunConfig) -> dict:
@@ -235,20 +226,6 @@ def _radiative_lifetime(cfg: RunConfig) -> dict:
     return {"tau_r_ns": value for value in given.values()}
 
 
-def _decay_params_from(cfg: RunConfig) -> DecayModelParams:
-    t_max = cfg.get("kinetics", "t_max_ns", DECAY_T_MAX_NS)
-    if not 0 < t_max < np.inf:
-        raise ValidationError(f"config key [kinetics] t_max_ns must be "
-                              f"positive and finite, got {t_max}")
-    n_points = cfg.get("kinetics", "n_points", DECAY_GRID_POINTS)
-    if not 2 <= n_points <= MAX_DECAY_POINTS:
-        raise ValidationError(f"config key [kinetics] n_points must be within "
-                              f"[2, {MAX_DECAY_POINTS}], got {n_points}")
-    grid = np.linspace(0.0, t_max, n_points)
-    return _build(DecayModelParams, cfg, "kinetics", reads=_DECAY_KEYS,
-                  time_grid_ns=grid, **_radiative_lifetime(cfg))
-
-
 def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedule:
     """Instantiate a schedule template at a target fluence.
 
@@ -257,8 +234,9 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
     (duration = share / flux), or {pulses} in repeat (the row becomes a
     pulse train delivering the share); in another column a placeholder
     is an invalid number. The target fluence minus any fixed rows is
-    split equally across placeholder rows. A {duration} row with zero
-    flux gets duration zero: it cannot deliver fluence.
+    split equally across placeholder rows. A {flux} row with zero
+    duration, or a {duration} row with zero flux, cannot deliver its
+    share and is refused.
     """
     header, rows = read_csv(path)
     if header[:3] != ["flux_cm2_s", "duration_s", "gap_s"] or \
@@ -272,6 +250,16 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
     def cell(cells, column, cast=float):
         return number(f"{header[column]} cell of schedule {path}",
                       cells[column], cast)
+
+    def divisor(cells, column):
+        # the flux of a {duration} row or the duration of a {flux} row
+        value = cell(cells, column)
+        if value == 0:
+            raise ValidationError(
+                f"schedule template {path}: the {header[column]} cell of a "
+                f"{cells[1 - column]} row is {cells[column]}, so the row "
+                "cannot deliver fluence")
+        return value
 
     def build(make, *args):
         try:
@@ -314,11 +302,11 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
                                       duration + gap).segments)
             continue
         if cells[1] == "{duration}":
-            flux = cell(cells, 0)
-            duration = share / flux if flux > 0 else 0.0
+            flux = divisor(cells, 0)
+            duration = share / flux
         else:
-            duration = cell(cells, 1)
-            flux = share / duration if duration > 0 else 0.0
+            duration = divisor(cells, 1)
+            flux = share / duration
         segments.append(build(ScheduleSegment, flux, duration, gap))
     return IrradiationSchedule(tuple(segments))
 
@@ -347,24 +335,27 @@ def cmd_simulate_spectrum(args) -> int:
         raise ValidationError(f"--samples: n_samples must be >= 1 and <= "
                               f"{MAX_SAMPLES}, got {n}")
 
-    def spec_from(cls):
-        return _build(cls, cfg, "sampler", reads=("bin_width_mev",),
-                      user=f"sampler mode {mode} ({cls.__name__})")
+    if mode == "defect-field":
+        # a density key picks Poisson densities over one defect
+        density = any(cfg.get("sampler", key) is not None for key in
+                      ("vacancy_density_cm3", "interstitial_density_cm3"))
+        spec = _build(DefectDensitySpec if density else SingleDefectSpec,
+                      cfg, "sampler")
+        elastic = _build(ElasticParams, cfg, "elastic")
+    else:
+        spec = _build(UniformSpec if mode == "uniform" else BiasedZSpec, cfg,
+                      "sampler")
+    bin_width = cfg.get("sampler", "bin_width_mev", 0.25)
+    cfg.refuse_unread(f"sampler mode {mode} ({type(spec).__name__})")
 
     if mode == "uniform":
-        ens = sample_uniform(spec_from(UniformSpec), n, args.seed, table)
+        ens = sample_uniform(spec, n, args.seed, table)
     elif mode == "biased-z":
-        ens = sample_biased_z(spec_from(BiasedZSpec), n, args.seed, table)
+        ens = sample_biased_z(spec, n, args.seed, table)
     else:
-        # defect-field: a density key picks Poisson densities over one defect
-        density = cfg.values.get("sampler", {}).keys() & {
-            "vacancy_density_cm3", "interstitial_density_cm3"}
-        spec = spec_from(DefectDensitySpec if density else SingleDefectSpec)
-        ens = sample_defect_field(spec, n, args.seed, table,
-                                  _build(ElasticParams, cfg, "elastic"))
+        ens = sample_defect_field(spec, n, args.seed, table, elastic)
 
-    edges, counts = histogram_shifts(
-        ens.shifts_mev, cfg.get("sampler", "bin_width_mev", 0.25))
+    edges, counts = histogram_shifts(ens.shifts_mev, bin_width)
     grid, intensity = synthesize_spectrum(ens.shifts_mev, emitter)
     write_csv(os.path.join(args.out, "spectrum.csv"),
               ["wavelength_nm", "intensity"], [grid, intensity])
@@ -394,14 +385,16 @@ def cmd_simulate_decay(args) -> int:
         raise ValidationError(
             f"config key [kinetics] fit_window_{missing}_ns is missing; a "
             "fit window needs both ends")
-    params = _decay_params_from(cfg)
+    params = _build(DecayModelParams, cfg, "kinetics",
+                    **_radiative_lifetime(cfg))
+    cfg.refuse_unread("simulate-decay")
     trace = simulate_decay(params)
     window = None if start is None else (start, stop)
     fit = fit_single_exponential(trace.time_ns, trace.intensity,
                                  window_ns=window)
     tau_fit = fit.parameters["tau_ns"]
-    lifetimes = decompose_lifetimes(min(tau_fit, params.tau_r_ns),
-                                    params.tau_r_ns)
+    lifetimes = LifetimeSet(tau_r_ns=params.tau_r_ns,
+                            tau_eff_ns=min(tau_fit, params.tau_r_ns))
     report = _report_columns(fit, tau_eff_ns=lifetimes.tau_eff_ns,
                              tau_nr_ns=lifetimes.tau_nr_ns, qe=lifetimes.qe,
                              rise_time_ns=rise_time(trace.time_ns,
@@ -427,6 +420,7 @@ def cmd_sweep_fluence(args) -> int:
         raise ValidationError(f"--fluences needs at least 2 distinct positive "
                               f"finite fluences, got {args.fluences!r}")
     params = _build(DamageParams, cfg, "damage", **_radiative_lifetime(cfg))
+    cfg.refuse_unread("sweep-fluence")
 
     n_g, n_trap, tau_eff, intensity = np.empty((4, len(fluences)))
     for i, fluence in enumerate(fluences):

@@ -10,7 +10,7 @@ exponential updates instead of a stepped solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,22 +58,12 @@ class LifetimeSet:
         return self.tau_eff_ns / self.tau_r_ns
 
 
-def decompose_lifetimes(tau_eff_ns: float,
-                        tau_r_ns: float = RADIATIVE_LIFETIME_NS) -> LifetimeSet:
-    """Split an effective lifetime into radiative and nonradiative parts."""
-    return LifetimeSet(tau_r_ns=tau_r_ns, tau_eff_ns=tau_eff_ns)
-
-
 # ---------------------------------------------------------------------------
 # pump-decay model
 # ---------------------------------------------------------------------------
 
-DECAY_T_MAX_NS = 100.0
-DECAY_GRID_POINTS = 4001
-
-
-def _default_grid():
-    return np.linspace(0.0, DECAY_T_MAX_NS, DECAY_GRID_POINTS)
+# Most points a decay time grid may have: 80 MB per grid-length array.
+MAX_DECAY_POINTS = 10**7
 
 
 @dataclass
@@ -86,6 +76,8 @@ class DecayModelParams:
     filled traps approach ``trap_saturation_density`` (None means equal
     to the trap density, inf disables saturation). Pump power converts
     to an initial carrier density through a single linear calibration.
+    The equations are integrated from 0 to ``t_max_ns`` and reported on
+    ``n_points`` evenly spaced times (``time_grid_ns``).
     """
 
     tau_r_ns: float = RADIATIVE_LIFETIME_NS
@@ -96,7 +88,8 @@ class DecayModelParams:
     trap_saturation_density_cm3: float | None = None
     pump_power_mw: float = 0.3
     carrier_density_per_mw_cm3: float = 3.5e15
-    time_grid_ns: np.ndarray = field(default_factory=_default_grid)
+    t_max_ns: float = 100.0
+    n_points: int = 4001
 
     def __post_init__(self):
         check_fields(self, positive=("tau_r_ns",), nonnegative=(
@@ -108,18 +101,24 @@ class DecayModelParams:
         if (self.trap_saturation_density_cm3 is not None
                 and not self.trap_saturation_density_cm3 > 0):
             raise ValidationError("trap_saturation_density_cm3 must be positive")
-        grid = increasing_grid(self.time_grid_ns, "time grid", ValidationError)
-        if grid[0] < 0:
-            raise ValidationError("time grid must start at t >= 0")
-        self.time_grid_ns = grid
+        if not 0 < self.t_max_ns < np.inf:
+            raise ValidationError(f"t_max_ns must be positive and finite, "
+                                  f"got {self.t_max_ns}")
+        if not 2 <= self.n_points <= MAX_DECAY_POINTS:
+            raise ValidationError(f"n_points must be within [2, "
+                                  f"{MAX_DECAY_POINTS}], got {self.n_points}")
         rates = [1.0 / self.tau_r_ns,
                  self.capture_coefficient_g_cm3_ns * self.g_center_density_cm3,
                  self.capture_coefficient_trap_cm3_ns * self.trap_density_cm3]
         fastest = 1.0 / max(r for r in rates if r > 0)
-        if float(np.max(np.diff(grid))) > fastest / 10.0:
+        if float(np.max(np.diff(self.time_grid_ns))) > fastest / 10.0:
             raise ValidationError(
                 f"time grid step exceeds a tenth of the fastest timescale "
                 f"({fastest:.3g} ns); refine the grid")
+
+    @property
+    def time_grid_ns(self) -> np.ndarray:
+        return np.linspace(0.0, self.t_max_ns, self.n_points)
 
 
 @dataclass

@@ -34,8 +34,8 @@ from defect_spectra.fitting import (
 from defect_spectra.kinetics import (
     DamageParams,
     DecayModelParams,
+    LifetimeSet,
     cw_schedule,
-    decompose_lifetimes,
     integrate_damage,
     pulsed_schedule,
     simulate_decay,
@@ -61,8 +61,8 @@ def _budget(num, t0, limit_s):
 
 def test_criterion_1_lifetime_arithmetic(acceptance_record):
     t0 = time.monotonic()
-    slow = decompose_lifetimes(13.0, 45.0)
-    fast = decompose_lifetimes(6.0, 45.0)
+    slow = LifetimeSet(tau_r_ns=45.0, tau_eff_ns=13.0)
+    fast = LifetimeSet(tau_r_ns=45.0, tau_eff_ns=6.0)
     ok = (abs(slow.tau_nr_ns - 18.3) <= 0.1
           and abs(slow.qe - 0.289) <= 0.002
           and abs(fast.tau_nr_ns - 6.9) <= 0.1
@@ -269,8 +269,8 @@ def test_criterion_8_kinetics_directional_claims(acceptance_record):
         taus = []
         for f in fluences:
             hist = integrate_damage(make_schedule(f), params)
-            lifetimes = decompose_lifetimes(hist.tau_eff_ns[-1],
-                                            params.tau_r_ns)
+            lifetimes = LifetimeSet(tau_r_ns=params.tau_r_ns,
+                                    tau_eff_ns=hist.tau_eff_ns[-1])
             intensities.append(hist.n_g_cm2[-1] * lifetimes.qe)
             taus.append(hist.tau_eff_ns[-1])
         fit = fit_power_law(fluences, intensities)

@@ -253,27 +253,28 @@ def test_empty_config_builds_dataclass_defaults():
                          (UniformSpec, "sampler"),
                          (BiasedZSpec, "sampler"),
                          (DefectDensitySpec, "sampler"),
-                         (SingleDefectSpec, "sampler")):
+                         (SingleDefectSpec, "sampler"),
+                         (DecayModelParams, "kinetics")):
         assert cli._build(cls, cfg, section) == cls()
-    built, default = cli._decay_params_from(cfg), DecayModelParams()
-    for field in dataclasses.fields(DecayModelParams):
-        np.testing.assert_array_equal(getattr(built, field.name),
-                                      getattr(default, field.name))
 
 
 def test_decay_grid_point_cap():
     cfg = cli.RunConfig({"kinetics": {"n_points": 10**7 + 1}})
     with pytest.raises(ValidationError, match=r"\[kinetics\] n_points"):
-        cli._decay_params_from(cfg)
+        cli._build(DecayModelParams, cfg, "kinetics")
 
 
-def test_readme_config_block_loads(tmp_path):
+def test_readme_config_block_loads(tmp_path, capsys):
+    # the README's minimal config is a defect-field run's config: a run
+    # refuses any key it does not read, so running it checks every key
     with open(os.path.join(PKG_ROOT, "README.md")) as fh:
         readme = fh.read()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     config = tmp_path / "readme.ini"
     config.write_text(block)
-    assert load_config(str(config)).values
+    assert main(["simulate-spectrum", "--config", str(config), "--mode",
+                 "defect-field", "--samples", "300", "--seed", "1", "--out",
+                 str(tmp_path / "out")]) == 0, capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
@@ -448,6 +449,16 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"e.ini": "[emitter]\nhomogeneous_fwhm_nm = 1.5e-4\n"},
      ["simulate-spectrum", "--config", "e.ini", "--seed", "1", "--samples",
       "200", "--out", "out"], "homogeneous_fwhm_nm"),
+    # a row that cannot deliver fluence would take a share of every target
+    # fluence and deliver none
+    ({"t.csv": "flux_cm2_s,duration_s,gap_s\n8e11,10,0\n{flux},0,0\n"},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "1e13,1e14",
+      "--out", "out"],
+     "schedule template t.csv: the duration_s cell of a {flux} row is 0"),
+    ({"t.csv": "flux_cm2_s,duration_s,gap_s\n8e11,10,0\n0,{duration},0\n"},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "1e13,1e14",
+      "--out", "out"],
+     "schedule template t.csv: the flux_cm2_s cell of a {duration} row is 0"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
@@ -465,7 +476,8 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "sweep-lifetime-negative", "decay-lifetime-inf",
         "config-is-directory", "config-not-utf8", "shell-too-large",
         "fluences-repeated", "fluences-equal-logs",
-        "fit-power-law-one-fluence", "grid-too-large"])
+        "fit-power-law-one-fluence", "grid-too-large",
+        "flux-zero-duration", "duration-zero-flux"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)
@@ -495,6 +507,63 @@ def test_config_spelling_of_a_flag_is_refused(tmp_path, monkeypatch, capsys,
         (tmp_path / name).write_text(text)
     assert main(argv) == 2
     assert named in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
+
+
+def _fields(*classes):
+    return {f.name for cls in classes for f in dataclasses.fields(cls)}
+
+
+# the config keys each run reads, by section: the fields of the params
+# classes it builds and the keys it reads itself
+_SPECTRUM_READS = {"emitter": _fields(EmitterParams), "response": {"table"}}
+_LIFETIME_READS = {"emitter": _fields(EmitterParams)}
+RUN_READS = {
+    "uniform": {**_SPECTRUM_READS,
+                "sampler": _fields(UniformSpec) | {"bin_width_mev"}},
+    "biased-z": {**_SPECTRUM_READS,
+                 "sampler": _fields(BiasedZSpec) | {"bin_width_mev"}},
+    "defect-field": {**_SPECTRUM_READS, "elastic": _fields(ElasticParams),
+                     "sampler": _fields(SingleDefectSpec, DefectDensitySpec)
+                     | {"bin_width_mev"}},
+    "simulate-decay": {**_LIFETIME_READS,
+                       "kinetics": set(cli._SCHEMA["kinetics"])},
+    "sweep-fluence": {**_LIFETIME_READS, "kinetics": {"tau_r_ns"},
+                      "damage": _fields(DamageParams)},
+}
+# one key of every section, or of the keys of a section, a run does not read
+UNREAD = [(run, section, unread[0])
+          for run, reads in RUN_READS.items()
+          for section, keys in cli._SCHEMA.items()
+          if (unread := [k for k in keys if k not in reads.get(section, ())])]
+RUN_ARGV = {
+    **{mode: ["simulate-spectrum", "--mode", mode, "--samples", "200",
+              "--seed", "1"] for mode in ("uniform", "biased-z",
+                                          "defect-field")},
+    "simulate-decay": ["simulate-decay", "--seed", "1"],
+    "sweep-fluence": ["sweep-fluence", "--template", "t.csv"],
+}
+TABLE = os.path.join(PKG_ROOT, "src", "defect_spectra", "data",
+                     "default_response_table.csv")
+
+
+@pytest.mark.parametrize("run, section, key", UNREAD,
+                         ids=[f"{run}-{key}" for run, _, key in UNREAD])
+def test_key_the_run_does_not_read_is_refused(tmp_path, monkeypatch, capsys,
+                                              run, section, key):
+    # a key that parses but that the run would drop exits 2, naming it,
+    # before anything is sampled, integrated or written
+    monkeypatch.chdir(tmp_path)
+    value = {"table": TABLE, "defect_kind": "vacancy"}.get(
+        key, {float: "1.0", int: "11"}.get(cli._SCHEMA[section][key]))
+    files = {"t.csv": CW_TEMPLATE, "s.ini": f"[{section}]\n{key} = {value}\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = RUN_ARGV[run]
+    assert main([*argv, "--config", "s.ini", "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}] {key} = " in err
+    assert (run if argv[0] == run else f"sampler mode {run}") in err
     assert sorted(os.listdir(tmp_path)) == sorted(files)
 
 
@@ -655,21 +724,24 @@ def test_sweep_fluence_needs_two_points(tmp_path):
 
 
 def test_sweep_zero_flux_template_fit_fails(tmp_path):
-    # a sweep whose intensities are all zero cannot be fitted; the fit runs
-    # before the first write, so the failed run leaves no file behind
+    # a zero-flux {duration} row cannot deliver fluence and is refused; a
+    # sweep whose intensities are all zero cannot be fitted, and the fit
+    # runs before the first write; neither run leaves a file behind
     zero_flux = tmp_path / "zero.csv"
     zero_flux.write_text("flux_cm2_s,duration_s,gap_s\n0,{duration},0\n")
     _, cw = write_templates(tmp_path)
     no_carbon = tmp_path / "no_carbon.ini"
     no_carbon.write_text("[damage]\ncarbon_areal_density_cm2 = 0.0\n")
-    for name, argv in (("zero-flux", ["--template", str(zero_flux)]),
-                       ("no-carbon", ["--config", str(no_carbon),
-                                      "--template", str(cw)])):
+    for name, argv, code, message in (
+            ("zero-flux", ["--template", str(zero_flux)], 2,
+             "cannot deliver fluence"),
+            ("no-carbon", ["--config", str(no_carbon), "--template", str(cw)],
+             3, "power-law fit of the sweep failed")):
         out = tmp_path / name
         res = run_cli("sweep-fluence", *argv, "--fluences", "1e11,1e12",
                       "--out", str(out))
-        assert res.returncode == 3, (name, res.stderr)
-        assert "power-law fit of the sweep failed" in res.stderr
+        assert res.returncode == code, (name, res.stderr)
+        assert message in res.stderr
         assert not out.exists() or not any(out.iterdir()), name
 
 

@@ -40,7 +40,7 @@ CHECKED_FIELDS = [
     (DefectDensitySpec, "r_max_nm", {}),
     *((DecayModelParams, f.name, {})
       for f in dataclasses.fields(DecayModelParams)
-      if f.name not in ("trap_saturation_density_cm3", "time_grid_ns")),
+      if f.name != "trap_saturation_density_cm3"),
     (ScheduleSegment, "flux_cm2_s", SEGMENT),
     (ScheduleSegment, "duration_s", SEGMENT),
     (ScheduleSegment, "gap_s", SEGMENT),

@@ -21,8 +21,8 @@ from defect_spectra.kinetics import (
     ScheduleSegment,
     _decay_rhs,
     _dormand_prince,
+    MAX_DECAY_POINTS,
     cw_schedule,
-    decompose_lifetimes,
     integrate_damage,
     pulsed_schedule,
     rise_time,
@@ -35,22 +35,22 @@ from defect_spectra.kinetics import (
 # ---------------------------------------------------------------------------
 
 def test_decompose_reference_points():
-    slow = decompose_lifetimes(13.0, 45.0)
+    slow = LifetimeSet(tau_r_ns=45.0, tau_eff_ns=13.0)
     assert slow.tau_nr_ns == pytest.approx(18.28125, abs=1e-9)
     assert slow.qe == pytest.approx(13.0 / 45.0)
-    fast = decompose_lifetimes(6.0, 45.0)
+    fast = LifetimeSet(tau_r_ns=45.0, tau_eff_ns=6.0)
     assert fast.tau_nr_ns == pytest.approx(6.9230769, abs=1e-6)
     assert fast.qe == pytest.approx(6.0 / 45.0)
 
 
 def test_decompose_edge_cases():
-    pure = decompose_lifetimes(45.0, 45.0)
+    pure = LifetimeSet(tau_r_ns=45.0, tau_eff_ns=45.0)
     assert pure.tau_nr_ns == np.inf
     assert pure.qe == 1.0
     with pytest.raises(ValidationError):
-        decompose_lifetimes(46.0, 45.0)
+        LifetimeSet(tau_r_ns=45.0, tau_eff_ns=46.0)
     with pytest.raises(InvalidArgumentError):
-        decompose_lifetimes(-1.0, 45.0)
+        LifetimeSet(tau_r_ns=45.0, tau_eff_ns=-1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,7 +62,6 @@ def test_lifetime_set_derives_identity(tau_r, share):
     assert ls.qe == tau_eff / tau_r
     assert 1.0 / ls.tau_eff_ns == pytest.approx(
         1.0 / ls.tau_r_ns + 1.0 / ls.tau_nr_ns, rel=1e-12, abs=0.0)
-    assert decompose_lifetimes(tau_eff, tau_r).tau_eff_ns == tau_eff
     with pytest.raises(ValidationError):
         LifetimeSet(tau_r_ns=tau_r, tau_eff_ns=tau_r * 1.001)
     with pytest.raises(InvalidArgumentError):
@@ -144,7 +143,7 @@ def test_rise_time_shrinks_with_faster_capture():
         capture_coefficient_trap_cm3_ns=(
             2 * base.capture_coefficient_trap_cm3_ns),
         trap_saturation_density_cm3=float("inf"),
-        time_grid_ns=np.linspace(0.0, 100.0, 8001))
+        n_points=8001)
     r0, r1 = (rise_time(trace.time_ns, trace.intensity)
               for trace in (simulate_decay(base), simulate_decay(fast)))
     assert r1 < r0
@@ -171,13 +170,10 @@ def test_zero_pump_gives_zero_trace():
     assert (trace.nfev, trace.steps_accepted, trace.steps_rejected) == (0, 0, 0)
 
 
-BENCH_GRID = np.linspace(0.0, 100.0, 40001)
-
-
 @pytest.mark.parametrize("params", [
     DecayModelParams(),
-    DecayModelParams(pump_power_mw=0.3, time_grid_ns=BENCH_GRID),
-    DecayModelParams(pump_power_mw=2.0, time_grid_ns=BENCH_GRID,
+    DecayModelParams(pump_power_mw=0.3, n_points=40001),
+    DecayModelParams(pump_power_mw=2.0, n_points=40001,
                      trap_saturation_density_cm3=float("inf")),
     DecayModelParams(trap_density_cm3=1e17, pump_power_mw=5.0),
 ], ids=["default", "saturated-40001", "unsaturated-40001", "dense-traps"])
@@ -238,12 +234,25 @@ def test_tau_eff_decreases_with_trap_density():
 
 def test_grid_step_guard():
     with pytest.raises(ValidationError, match="grid step"):
-        DecayModelParams(time_grid_ns=np.linspace(0.0, 100.0, 11))
+        DecayModelParams(n_points=11)
 
 
-def test_grid_must_increase():
-    with pytest.raises(ValidationError):
-        DecayModelParams(time_grid_ns=np.array([0.0, 1.0, 0.5]))
+@pytest.mark.parametrize("kwargs", [
+    {"n_points": 1}, {"n_points": MAX_DECAY_POINTS + 1},
+    {"t_max_ns": 0.0}, {"t_max_ns": -1.0},
+], ids=["one-point", "above-cap", "zero-span", "negative-span"])
+def test_grid_bounds(kwargs):
+    # the grid is 0 to t_max_ns in n_points even steps, so only its span
+    # and size can be wrong; both are refused before any allocation
+    with pytest.raises(ValidationError, match=next(iter(kwargs))):
+        DecayModelParams(**kwargs)
+
+
+def test_grid_is_evenly_spaced():
+    params = DecayModelParams(t_max_ns=0.05, n_points=2)
+    assert np.array_equal(params.time_grid_ns, [0.0, 0.05])
+    assert np.array_equal(DecayModelParams().time_grid_ns,
+                          np.linspace(0.0, 100.0, 4001))
 
 
 def test_decay_params_validation():

@@ -15,8 +15,9 @@ formatting), so a command repeated with the same seed produces
 byte-identical files. A run rejected for a bad input (exit 2) or a
 failed fit (exit 3) writes nothing.
 
-Exit codes: 0 success, 2 validation or config error, 3 numerical
-failure (fit or integration).
+Exit codes: 0 success, 2 a bad input (ValidationError, or a file that
+cannot be read or written), 3 a fit or integration that failed on valid
+input (NumericalError).
 """
 
 from __future__ import annotations
@@ -34,11 +35,8 @@ from .core import (
     HC_EV_NM,
     STRAIN_COMPONENTS,
     ZPL_WAVELENGTH_NM,
-    DefectSpectraError,
     EmitterParams,
-    FitError,
-    IntegrationError,
-    InvalidArgumentError,
+    NumericalError,
     ValidationError,
     delta_e_from_delta_lambda,
     delta_lambda_from_delta_e,
@@ -196,8 +194,8 @@ def _build(cls, cfg: RunConfig, section, **given):
                 given[field.name] = value
     try:
         return cls(**given)
-    except DefectSpectraError as exc:
-        raise type(exc)(f"[{section}] {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"[{section}] {exc}") from None
 
 
 def _table_from(cfg: RunConfig):
@@ -212,12 +210,15 @@ def _radiative_lifetime(cfg: RunConfig) -> dict:
     """``{"tau_r_ns": value}`` for the radiative lifetime a config sets, or
     ``{}``. ``[emitter] radiative_lifetime_ns`` names it; ``[kinetics]
     tau_r_ns`` still loads as its older name, and the two may not differ.
-    The [emitter] section is checked as simulate-spectrum checks it."""
-    _build(EmitterParams, cfg, "emitter")
+    Each is checked under its own name."""
     given = {f"[{section}] {key}": cfg.get(section, key)
              for section, key in (("emitter", "radiative_lifetime_ns"),
                                   ("kinetics", "tau_r_ns"))
              if cfg.get(section, key) is not None}
+    for name, value in given.items():
+        if not 0 < value < np.inf:
+            raise ValidationError(
+                f"{name} must be positive and finite, got {value}")
     if len(set(given.values())) > 1:
         raise ValidationError(
             "config keys " + " and ".join(f"{k} = {v}" for k, v in
@@ -264,7 +265,7 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
     def build(make, *args):
         try:
             return make(*args)
-        except DefectSpectraError as exc:
+        except ValidationError as exc:
             raise ValidationError(f"schedule template {path}: {exc}") from None
 
     parsed = []
@@ -282,8 +283,7 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
         raise ValidationError(
             f"schedule template {path} has no {{flux}}, {{duration}}, or "
             "{pulses} placeholder to absorb the target fluence")
-    fixed_fluence = sum(run.flux_cm2_s * run.duration_s * run.repeat
-                        for run in fixed)
+    fixed_fluence = sum(run.fluence_cm2 for run in fixed)
     share = (target_fluence_cm2 - fixed_fluence) / (len(parsed) - len(fixed))
     if share < 0:
         raise ValidationError(
@@ -433,10 +433,10 @@ def cmd_sweep_fluence(args) -> int:
 
     try:
         fit = fit_power_law(fluences, intensity)
-    except InvalidArgumentError as exc:
+    except ValidationError as exc:
         # data-driven failure of the scaling fit is a numerical error,
         # not a config problem
-        raise FitError(f"power-law fit of the sweep failed: {exc}")
+        raise NumericalError(f"power-law fit of the sweep failed: {exc}")
     write_csv(os.path.join(args.out, "sweep.csv"),
               ["fluence_cm2", "n_G", "n_trap", "tau_eff_ns", "intensity"],
               [fluences, n_g, n_trap, tau_eff, intensity])
@@ -530,19 +530,26 @@ def cmd_convert(args) -> int:
         raise ValidationError(
             "convert needs exactly one of --wavelength-nm, --energy-ev, "
             "--shift-mev, --shift-nm")
+    flag = "--" + given[0].replace("_", "-")
     ref = args.reference_nm
-    for name in (given[0], "reference_nm"):
-        value = getattr(args, name)
-        if not np.isfinite(value):
-            raise InvalidArgumentError(
-                f"--{name.replace('_', '-')} must be finite, got {value}")
+    if ref is not None and given[0] in ("wavelength_nm", "energy_ev"):
+        raise ValidationError(f"--reference-nm applies to --shift-mev and "
+                              f"--shift-nm only, not to {flag}")
+    for name, value in ((flag, getattr(args, given[0])),
+                        ("--reference-nm", ref)):
+        if value is not None and not np.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
+    if ref is None:
+        ref = ZPL_WAVELENGTH_NM
+    elif ref <= 0:
+        raise ValidationError(f"--reference-nm must be positive, got {ref}")
     if args.wavelength_nm is not None:
         if args.wavelength_nm <= 0:
-            raise InvalidArgumentError("wavelength must be positive")
+            raise ValidationError("wavelength must be positive")
         print(f"energy_ev = {HC_EV_NM / args.wavelength_nm:.10g}")
     elif args.energy_ev is not None:
         if args.energy_ev <= 0:
-            raise InvalidArgumentError("energy must be positive")
+            raise ValidationError("energy must be positive")
         print(f"wavelength_nm = {HC_EV_NM / args.energy_ev:.10g}")
     elif args.shift_mev is not None:
         dl = delta_lambda_from_delta_e(args.shift_mev, ref)
@@ -637,8 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--shift-mev", type=float, dest="shift_mev")
     conv.add_argument("--shift-nm", type=float, dest="shift_nm")
     conv.add_argument("--reference-nm", type=float, dest="reference_nm",
-                      default=ZPL_WAVELENGTH_NM,
-                      help="reference line in nm (default: %(default)s)")
+                      help="reference line in nm for --shift-mev and "
+                           f"--shift-nm (default: {ZPL_WAVELENGTH_NM})")
     conv.set_defaults(func=cmd_convert)
     return parser
 
@@ -648,10 +655,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FitError, IntegrationError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DefectSpectraError, OSError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

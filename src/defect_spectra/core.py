@@ -34,59 +34,16 @@ STRAIN_CAP = 0.05  # hard physical cap on any single strain component
 
 
 # ---------------------------------------------------------------------------
-# error taxonomy
+# errors: one class per exit code
 # ---------------------------------------------------------------------------
 
-class DefectSpectraError(Exception):
-    """Base class for all package errors."""
+class ValidationError(ValueError):
+    """An input breaks a documented contract (bad value, grid, table,
+    config key or flag); the CLI exits 2."""
 
 
-class InvalidArgumentError(DefectSpectraError, ValueError):
-    """An argument is structurally invalid (wrong sign, wrong shape, ...)."""
-
-
-class ValidationError(DefectSpectraError, ValueError):
-    """Input data violates a documented contract (bad table, bad config key)."""
-
-
-class RangeError(DefectSpectraError, ValueError):
-    """A value falls outside the supported range and no extrapolation is done."""
-
-
-class ResolutionError(DefectSpectraError, ValueError):
-    """A grid is too coarse for the structure it must resolve."""
-
-
-class CoreRegionError(DefectSpectraError, ValueError):
-    """A field was evaluated inside the excluded defect core region."""
-
-    def __init__(self, message: str, defect_index: int | None = None):
-        super().__init__(message)
-        self.defect_index = defect_index
-
-
-class EmptyEnsembleError(DefectSpectraError, ValueError):
-    """An operation that needs samples received none."""
-
-
-class FitError(DefectSpectraError, RuntimeError):
-    """A fit could not be initialized or did not converge."""
-
-
-class NoDecayError(FitError):
-    """Trace shows no decaying section to fit."""
-
-
-class NoRiseError(DefectSpectraError, ValueError):
-    """Trace has no interior maximum, so a rise time is undefined."""
-
-
-class UnboundedLineError(DefectSpectraError, ValueError):
-    """A spectrum never crosses half maximum on both sides of its peak."""
-
-
-class IntegrationError(DefectSpectraError, RuntimeError):
-    """A rate-equation integration failed or produced nonphysical state."""
+class NumericalError(RuntimeError):
+    """A fit or an integration failed on valid input; the CLI exits 3."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +62,7 @@ def number(field, text, cast=float):
         raise ValidationError(f"{field} has invalid value {text!r}") from None
 
 
-def check_fields(obj, positive=(), nonnegative=(), error=InvalidArgumentError):
+def check_fields(obj, positive=(), nonnegative=()):
     """Require each named field of ``obj`` that is not None to be finite
     and > 0 (``positive``) or >= 0 (``nonnegative``); NaN fails both."""
     for names, rule, low in ((positive, "positive", np.greater),
@@ -113,18 +70,20 @@ def check_fields(obj, positive=(), nonnegative=(), error=InvalidArgumentError):
         for name in names:
             value = getattr(obj, name)
             if value is not None and not (np.isfinite(value) and low(value, 0)):
-                raise error(f"{name} must be {rule} and finite, got {value}")
+                raise ValidationError(
+                    f"{name} must be {rule} and finite, got {value}")
 
 
-def increasing_grid(x, what, error=InvalidArgumentError, min_points=2, y=None):
+def increasing_grid(x, what, min_points=2, y=None):
     """``x`` as a float array, once it is a strictly increasing 1-D grid of
     ``min_points`` or more (NaN fails) that ``y``, if given, matches."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) < min_points or not np.all(np.diff(x) > 0):
-        raise error(f"{what} must be strictly increasing 1-D with at least "
-                    f"{min_points} points")
+        raise ValidationError(f"{what} must be strictly increasing 1-D with "
+                              f"at least {min_points} points")
     if y is not None and np.shape(y) != x.shape:
-        raise error(f"{what} and its values must be matching 1-D arrays")
+        raise ValidationError(
+            f"{what} and its values must be matching 1-D arrays")
     return x
 
 
@@ -157,7 +116,7 @@ def delta_lambda_from_delta_e(delta_e_mev, lambda0_nm=ZPL_WAVELENGTH_NM):
     arrays.
     """
     if lambda0_nm <= 0:
-        raise InvalidArgumentError("lambda0_nm must be positive")
+        raise ValidationError("lambda0_nm must be positive")
     delta_e_mev = np.asarray(delta_e_mev, dtype=float)
     out = -(lambda0_nm ** 2) * delta_e_mev * 1e-3 / HC_EV_NM
     return float(out) if out.ndim == 0 else out
@@ -166,7 +125,7 @@ def delta_lambda_from_delta_e(delta_e_mev, lambda0_nm=ZPL_WAVELENGTH_NM):
 def delta_e_from_delta_lambda(delta_lambda_nm, lambda0_nm=ZPL_WAVELENGTH_NM):
     """Inverse of :func:`delta_lambda_from_delta_e` (same linearization)."""
     if lambda0_nm <= 0:
-        raise InvalidArgumentError("lambda0_nm must be positive")
+        raise ValidationError("lambda0_nm must be positive")
     delta_lambda_nm = np.asarray(delta_lambda_nm, dtype=float)
     out = -delta_lambda_nm * HC_EV_NM * 1e3 / lambda0_nm ** 2
     return float(out) if out.ndim == 0 else out
@@ -179,7 +138,7 @@ def validate_strain(strain) -> np.ndarray:
     """
     arr = np.asarray(strain, dtype=float)
     if arr.shape[-1] != 6:
-        raise InvalidArgumentError(
+        raise ValidationError(
             f"strain vector needs 6 components, got shape {arr.shape}")
     if not arr.size:
         return arr
@@ -187,10 +146,10 @@ def validate_strain(strain) -> np.ndarray:
     # two reductions check the array without an array-sized temporary
     low, high = float(arr.min()), float(arr.max())
     if not np.isfinite(low) or not np.isfinite(high):
-        raise InvalidArgumentError("strain components must be finite")
+        raise ValidationError("strain components must be finite")
     worst = max(-low, high)
     if worst > STRAIN_CAP:
-        raise RangeError(
+        raise ValidationError(
             f"strain component magnitude {worst:.4g} exceeds the physical cap "
             f"{STRAIN_CAP}")
     return arr
@@ -208,6 +167,6 @@ def make_stream(seed: int, *key: int) -> np.random.Generator:
     fixed-size chunk, so a chunk's draws do not depend on the run's length.
     """
     if seed < 0:
-        raise InvalidArgumentError("seed must be a non-negative integer")
+        raise ValidationError("seed must be a non-negative integer")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))

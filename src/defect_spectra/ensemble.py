@@ -26,10 +26,7 @@ import numpy as np
 from .core import (
     STRAIN_COMPONENTS,
     EmitterParams,
-    EmptyEnsembleError,
-    InvalidArgumentError,
-    RangeError,
-    ResolutionError,
+    ValidationError,
     check_fields,
     delta_lambda_from_delta_e,
     increasing_grid,
@@ -89,7 +86,7 @@ class UniformSpec:
 
     def __post_init__(self):
         if not self.strain_low < self.strain_high:
-            raise InvalidArgumentError("strain_low must be below strain_high")
+            raise ValidationError("strain_low must be below strain_high")
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ class BiasedZSpec(UniformSpec):
     def __post_init__(self):
         super().__post_init__()
         if not 0.0 <= self.keep_fraction <= 1.0:
-            raise InvalidArgumentError("keep_fraction must be within [0, 1]")
+            raise ValidationError("keep_fraction must be within [0, 1]")
         check_fields(self, nonnegative=("xy_threshold",))
 
 
@@ -135,7 +132,7 @@ class DefectDensitySpec:
         check_fields(self, positive=("r_max_nm",), nonnegative=(
             "vacancy_density_cm3", "interstitial_density_cm3"))
         if not 0 < self.r_min_nm < self.r_max_nm:
-            raise InvalidArgumentError("need 0 < r_min_nm < r_max_nm")
+            raise ValidationError("need 0 < r_min_nm < r_max_nm")
 
 
 @dataclass
@@ -166,14 +163,14 @@ def _check_table_covers(table: ResponseTable, low: float, high: float):
     for component, lo, hi in zip(STRAIN_COMPONENTS[:3],
                                  *component_ranges(table)):
         if low < lo or high > hi:
-            raise RangeError(
+            raise ValidationError(
                 f"sampler strain range [{low}, {high}] exceeds table range "
                 f"[{lo}, {hi}] of {component}")
 
 
 def _check_n_samples(n_samples):
     if not 1 <= n_samples <= MAX_SAMPLES:
-        raise InvalidArgumentError(
+        raise ValidationError(
             f"n_samples must be >= 1 and <= {MAX_SAMPLES}, got {n_samples}")
 
 
@@ -243,7 +240,7 @@ def _biased_chunk(spec: BiasedZSpec, seed: int, j: int):
 def biased_z_retention(spec: BiasedZSpec, n_raw: int, seed: int) -> float:
     """Fraction of ``n_raw`` raw draws the rejection rule retains."""
     if n_raw < 1:
-        raise InvalidArgumentError("n_raw must be >= 1")
+        raise ValidationError("n_raw must be >= 1")
     kept = 0
     for j in range(-(-n_raw // CHUNK)):
         kept += int(_biased_chunk(spec, seed, j)[1][:n_raw - j * CHUNK].sum())
@@ -267,7 +264,7 @@ def sample_biased_z(spec: BiasedZSpec, n_samples: int, seed: int,
         spec.strain_high - spec.strain_low)
     retention = s * s + (1.0 - s * s) * spec.keep_fraction
     if not n_samples <= MAX_RAW_DRAWS * retention:
-        raise InvalidArgumentError(
+        raise ValidationError(
             f"keep_fraction {spec.keep_fraction:g} with xy_threshold {t:g} "
             f"retains {retention:.3g} of raw draws, too few for {n_samples} "
             f"samples within {MAX_RAW_DRAWS:.0e} draws")
@@ -341,16 +338,16 @@ def sample_defect_field(spec, n_samples: int, seed: int,
     elif isinstance(spec, DefectDensitySpec):
         draws, inner_nm = _density_draws, spec.r_min_nm
     else:
-        raise InvalidArgumentError(
+        raise ValidationError(
             "spec must be SingleDefectSpec or DefectDensitySpec")
     if inner_nm < elastic.core_cutoff_nm:
-        raise InvalidArgumentError(
+        raise ValidationError(
             f"defects at {inner_nm} nm would sit inside the core cutoff "
             f"{elastic.core_cutoff_nm} nm")
     sites_cm3 = 1e21 / elastic.atomic_volume_nm3
     for key in ("vacancy_density_cm3", "interstitial_density_cm3"):
         if getattr(spec, key, 0.0) > sites_cm3:
-            raise InvalidArgumentError(
+            raise ValidationError(
                 f"{key} {getattr(spec, key):g} exceeds one defect per "
                 f"lattice site, {sites_cm3:.3g} cm^-3")
     if isinstance(spec, DefectDensitySpec):
@@ -358,7 +355,7 @@ def sample_defect_field(spec, n_samples: int, seed: int,
         expected = size * _shell_cm3(spec) * (spec.vacancy_density_cm3
                                               + spec.interstitial_density_cm3)
         if expected > MAX_CHUNK_DEFECTS:
-            raise InvalidArgumentError(
+            raise ValidationError(
                 f"r_max_nm {spec.r_max_nm:g} with vacancy_density_cm3 "
                 f"{spec.vacancy_density_cm3:g} and interstitial_density_cm3 "
                 f"{spec.interstitial_density_cm3:g} expects {expected:.3g} "
@@ -384,7 +381,7 @@ def _lines(shifts_mev, emitter: EmitterParams):
     line that a grid must cover: the largest shift plus ten FWHM."""
     shifts_mev = np.atleast_1d(np.asarray(shifts_mev, dtype=float))
     if shifts_mev.size == 0:
-        raise EmptyEnsembleError("no samples to place lines for")
+        raise ValidationError("no samples to place lines for")
     dl = delta_lambda_from_delta_e(shifts_mev, emitter.zpl_wavelength_nm)
     margin = float(np.max(np.abs(dl))) + 10.0 * emitter.homogeneous_fwhm_nm
     return emitter.zpl_wavelength_nm + dl, margin
@@ -396,7 +393,7 @@ def default_wavelength_grid(shifts_mev, emitter: EmitterParams) -> np.ndarray:
     step = emitter.homogeneous_fwhm_nm / 8
     margin = _lines(shifts_mev, emitter)[1]
     if margin > step * ((MAX_GRID_POINTS - 1) // 2):
-        raise InvalidArgumentError(
+        raise ValidationError(
             f"homogeneous_fwhm_nm {emitter.homogeneous_fwhm_nm:g} with "
             f"largest shift {np.max(np.abs(shifts_mev)):.4g} meV needs more "
             f"than {MAX_GRID_POINTS} grid points")
@@ -420,11 +417,11 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
     fwhm = emitter.homogeneous_fwhm_nm
     step = float(np.max(np.diff(grid)))
     if step > fwhm / 5.0:
-        raise ResolutionError(
+        raise ValidationError(
             f"grid step {step:.4g} nm exceeds fwhm/5 = {fwhm / 5.0:.4g} nm")
     lam0 = emitter.zpl_wavelength_nm
     if grid[0] > lam0 - margin or grid[-1] < lam0 + margin:
-        raise ResolutionError(
+        raise ValidationError(
             "grid does not cover the reference line plus max shift plus ten "
             "homogeneous widths")
 
@@ -521,14 +518,14 @@ def histogram_shifts(shifts_mev, bin_width_mev: float):
     """
     shifts_mev = np.atleast_1d(np.asarray(shifts_mev, dtype=float))
     if shifts_mev.size == 0:
-        raise EmptyEnsembleError("no samples to histogram")
+        raise ValidationError("no samples to histogram")
     if not 0 < bin_width_mev < np.inf:
-        raise InvalidArgumentError("bin_width_mev must be positive and finite")
+        raise ValidationError("bin_width_mev must be positive and finite")
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
         first = np.floor(shifts_mev.min() / bin_width_mev)
         n_bins = max(np.ceil(shifts_mev.max() / bin_width_mev) - first, 1.0)
     if not n_bins <= MAX_HISTOGRAM_BINS:
-        raise InvalidArgumentError(
+        raise ValidationError(
             f"bin_width_mev {bin_width_mev:g} gives {n_bins:.3g} bins, "
             f"more than {MAX_HISTOGRAM_BINS}")
     edges = first * bin_width_mev + bin_width_mev * np.arange(int(n_bins) + 1)

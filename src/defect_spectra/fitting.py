@@ -17,10 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    FitError,
-    InvalidArgumentError,
-    NoDecayError,
-    UnboundedLineError,
+    NumericalError,
     ValidationError,
     increasing_grid,
 )
@@ -68,10 +65,10 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
     ``accept_fn(θ)`` vetoes θ before Φ is built and ``accept_fn(θ, c)``
     vetoes the projected coefficients; a vetoed trial point is treated as
     infinitely bad and the step is halved, and a vetoed start raises
-    FitError. Returns (p, stderr, residual_norm, n_iter) with p = [θ, c]
-    and standard errors from the column-equilibrated full Jacobian
-    [(∂Φ/∂θ)·c, Φ] at the solution; raises FitError naming ``what`` when
-    ``max_iter`` iterations do not converge.
+    NumericalError. Returns (p, stderr, residual_norm, n_iter) with
+    p = [θ, c] and standard errors from the column-equilibrated full
+    Jacobian [(∂Φ/∂θ)·c, Φ] at the solution; raises NumericalError naming
+    ``what`` when ``max_iter`` iterations do not converge.
     """
     def evaluate(theta):
         if not accept_fn(theta):
@@ -88,7 +85,7 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
     theta = np.array(theta0, dtype=float)
     point = evaluate(theta)
     if point is None or not np.isfinite(point[-1]):
-        raise FitError(f"{what} fit start point is vetoed")
+        raise NumericalError(f"{what} fit start point is vetoed")
     for it in range(1, max_iter + 1):
         kaufman, _, r, cost = point
         step = _equilibrated_lstsq(kaufman, -r)
@@ -116,7 +113,7 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
         if converged:
             break
     else:
-        raise FitError(
+        raise NumericalError(
             f"{what} fit did not converge in {max_iter} iterations, "
             f"residual norm {np.sqrt(point[-1]):.4g}")
 
@@ -145,12 +142,12 @@ def _log_linear_tau(t, y):
     floor = y.min()
     span = y.max() - floor
     if span <= 0:
-        raise NoDecayError("trace is flat, nothing to fit")
+        raise NumericalError("trace is flat, nothing to fit")
     pos = y - floor + 1e-3 * span
     coef = np.polyfit(t, np.log(pos), 1)
     slope = coef[0]
     if slope >= 0:
-        raise NoDecayError("trace does not decay within the fit window")
+        raise NumericalError("trace does not decay within the fit window")
     return -1.0 / slope
 
 
@@ -164,7 +161,7 @@ def fit_single_exponential(time_ns, counts, window_ns=None) -> FitResult:
     t = increasing_grid(time_ns, "time grid", y=counts)
     y = np.asarray(counts, dtype=float)
     if y.max() == y.min():
-        raise NoDecayError("trace is flat, nothing to fit")
+        raise NumericalError("trace is flat, nothing to fit")
 
     i_peak = int(np.argmax(y))
     if window_ns is None:
@@ -179,7 +176,7 @@ def fit_single_exponential(time_ns, counts, window_ns=None) -> FitResult:
             "need at least 10")
     tw, yw = t[sel], y[sel]
     if yw.max() == yw.min():
-        raise NoDecayError("trace is flat inside the fit window")
+        raise NumericalError("trace is flat inside the fit window")
 
     def basis(theta):
         tau = theta[0]
@@ -249,9 +246,9 @@ def fit_peaks(wavelength_nm, intensity, n_peaks: int) -> FitResult:
                         y=intensity)
     y = np.asarray(intensity, dtype=float)
     if n_peaks < 1:
-        raise InvalidArgumentError("n_peaks must be >= 1")
+        raise ValidationError("n_peaks must be >= 1")
     if y.max() == y.min():
-        raise FitError("spectrum is flat, no peak to fit")
+        raise NumericalError("spectrum is flat, no peak to fit")
 
     theta0 = _pick_initial_peaks(x, y, n_peaks)
     cols = np.repeat(np.arange(n_peaks), 2)
@@ -303,7 +300,7 @@ def numerical_fwhm(wavelength_nm, intensity) -> float:
     baseline = _wing_baseline(y)
     half = baseline + (y_max - baseline) / 2.0
     if y_max <= baseline:
-        raise UnboundedLineError("maximum does not rise above the baseline")
+        raise ValidationError("maximum does not rise above the baseline")
 
     def cross(direction):
         j = i_max
@@ -314,7 +311,7 @@ def numerical_fwhm(wavelength_nm, intensity) -> float:
                 return x[j] + frac * (x[k] - x[j])
             j = k
         side = "long-wavelength" if direction > 0 else "short-wavelength"
-        raise UnboundedLineError(
+        raise ValidationError(
             f"half maximum never crossed on the {side} side")
 
     return float(cross(+1) - cross(-1))
@@ -333,12 +330,12 @@ def fit_power_law(fluence_cm2, intensity) -> FitResult:
     x = np.asarray(fluence_cm2, dtype=float)
     y = np.asarray(intensity, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
-        raise InvalidArgumentError("need >= 2 matching fluence/intensity points")
+        raise ValidationError("need >= 2 matching fluence/intensity points")
     if np.any(x <= 0) or np.any(y <= 0):
-        raise InvalidArgumentError("power-law fit needs positive values")
+        raise ValidationError("power-law fit needs positive values")
     lx, ly = np.log(x), np.log(y)
     if lx.min() == lx.max():
-        raise InvalidArgumentError(
+        raise ValidationError(
             "power-law fit needs at least 2 distinct fluences")
     n = len(lx)
     slope, intercept = np.polyfit(lx, ly, 1)

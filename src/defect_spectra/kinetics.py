@@ -17,9 +17,7 @@ import numpy as np
 from .core import (
     KB_EV_K,
     RADIATIVE_LIFETIME_NS,
-    IntegrationError,
-    InvalidArgumentError,
-    NoRiseError,
+    NumericalError,
     ValidationError,
     check_fields,
     increasing_grid,
@@ -41,7 +39,7 @@ class LifetimeSet:
 
     def __post_init__(self):
         if self.tau_eff_ns <= 0 or self.tau_r_ns <= 0:
-            raise InvalidArgumentError("lifetimes must be positive")
+            raise ValidationError("lifetimes must be positive")
         if self.tau_eff_ns > self.tau_r_ns:
             raise ValidationError(
                 f"tau_eff = {self.tau_eff_ns} ns exceeds tau_r = "
@@ -95,8 +93,7 @@ class DecayModelParams:
         check_fields(self, positive=("tau_r_ns",), nonnegative=(
             "g_center_density_cm3", "capture_coefficient_g_cm3_ns",
             "trap_density_cm3", "capture_coefficient_trap_cm3_ns",
-            "pump_power_mw", "carrier_density_per_mw_cm3"),
-            error=ValidationError)
+            "pump_power_mw", "carrier_density_per_mw_cm3"))
         # None and inf (no saturation) are documented values
         if (self.trap_saturation_density_cm3 is not None
                 and not self.trap_saturation_density_cm3 > 0):
@@ -186,7 +183,7 @@ def _dormand_prince(rhs, grid, y0, rtol, atol):
     an RMS error norm scaled by atol + rtol*|y|, safety factor 0.9 and
     step factors clamped to [0.2, 10], no growth right after a rejection.
     A step that must shrink below ten ulps of t, or that is NaN because
-    rhs returned NaN, raises IntegrationError.
+    rhs returned NaN, raises NumericalError.
     """
     nfev = accepted = rejected = 0
 
@@ -215,7 +212,7 @@ def _dormand_prince(rhs, grid, y0, rtol, atol):
         was_rejected = False
         while True:
             if not h_abs >= min_step:
-                raise IntegrationError(
+                raise NumericalError(
                     f"decay integration failed at t = {t:.6g} ns: step "
                     f"{h_abs:.3g} ns is NaN or below the minimum "
                     f"{min_step:.3g} ns")
@@ -290,13 +287,13 @@ def simulate_decay(params: DecayModelParams) -> DecayTrace:
         _decay_rhs(params), grid, [n0, 0.0, 0.0, 0.0], rtol=1e-8,
         atol=1e-12 * n0)
     if np.any(y < -1e-6 * n0):
-        raise IntegrationError(
+        raise NumericalError(
             f"negative densities in decay solution (min {y.min():.3g})")
     y = np.clip(y, 0.0, None)
     total = y.sum(axis=0)
     drift = float(np.max(np.abs(total - n0))) / n0
     if drift > 1e-6:
-        raise IntegrationError(
+        raise NumericalError(
             f"excitation conservation violated by {drift:.2e} relative")
     return DecayTrace(time_ns=grid, intensity=y[1] / params.tau_r_ns,
                       carriers=y[0], excited=y[1], filled_traps=y[2],
@@ -313,10 +310,10 @@ def rise_time(time_ns, intensity) -> float:
     t = increasing_grid(time_ns, "time grid", y=intensity)
     y = np.asarray(intensity, dtype=float)
     if y.max() == y.min():
-        raise NoRiseError("trace is constant")
+        raise ValidationError("trace is constant")
     i = int(np.argmax(y))
     if i == len(y) - 1:
-        raise NoRiseError("trace is still rising at the last sample")
+        raise ValidationError("trace is still rising at the last sample")
     return float(t[i])
 
 
@@ -334,10 +331,13 @@ class ScheduleSegment:
     repeat: int = 1
 
     def __post_init__(self):
-        check_fields(self, nonnegative=("flux_cm2_s", "duration_s", "gap_s"),
-                     error=ValidationError)
+        check_fields(self, nonnegative=("flux_cm2_s", "duration_s", "gap_s"))
         if self.repeat < 1:
             raise ValidationError(f"repeat must be >= 1, got {self.repeat}")
+
+    @property
+    def fluence_cm2(self) -> float:
+        return self.flux_cm2_s * self.duration_s * self.repeat
 
 
 @dataclass(frozen=True)
@@ -351,8 +351,7 @@ class IrradiationSchedule:
 
     @property
     def total_fluence_cm2(self) -> float:
-        return sum(s.flux_cm2_s * s.duration_s * s.repeat
-                   for s in self.segments)
+        return sum(s.fluence_cm2 for s in self.segments)
 
 
 def pulsed_schedule(fluence_cm2: float, flux_cm2_s: float,
@@ -363,7 +362,7 @@ def pulsed_schedule(fluence_cm2: float, flux_cm2_s: float,
     fluence is not an integer number of pulses."""
     if not (0 < fluence_cm2 < np.inf and 0 < flux_cm2_s < np.inf
             and 0 < pulse_duration_s <= repetition_period_s < np.inf):
-        raise InvalidArgumentError(
+        raise ValidationError(
             "fluence, flux, pulse and period must be positive and finite, "
             "the period no shorter than the pulse")
     per_pulse = flux_cm2_s * pulse_duration_s
@@ -382,7 +381,7 @@ def pulsed_schedule(fluence_cm2: float, flux_cm2_s: float,
 
 def cw_schedule(fluence_cm2: float, flux_cm2_s: float) -> IrradiationSchedule:
     if not (0 < fluence_cm2 < np.inf and 0 < flux_cm2_s < np.inf):
-        raise InvalidArgumentError("fluence and flux must be positive and finite")
+        raise ValidationError("fluence and flux must be positive and finite")
     return IrradiationSchedule(
         (ScheduleSegment(flux_cm2_s, fluence_cm2 / flux_cm2_s, 0.0),))
 
@@ -425,7 +424,7 @@ class DamageParams:
             self.trap_formation_per_proton = (
                 self.damage_rate_per_proton_nm * self.active_depth_nm)
         # the fluxes and the temperature divide, so zero is refused too
-        check_fields(self, error=ValidationError, positive=(
+        check_fields(self, positive=(
             "formation_enhancement_flux", "destruction_activation_energy_ev",
             "destruction_suppression_flux", "temperature_k",
             "clustering_threshold_flux", "background_tau_nr_ns", "tau_r_ns"),
@@ -530,7 +529,7 @@ def integrate_damage(schedule: IrradiationSchedule,
                                  seg.repeat * seg.duration_s)
             n_trap = _linear_update(n_trap, source, anneal, seg.duration_s)
             t += seg.duration_s
-            fluence += seg.repeat * seg.flux_cm2_s * seg.duration_s
+            fluence += seg.fluence_cm2
             rows.append((t, fluence, seg.flux_cm2_s, n_g, n_trap))
         if seg.gap_s > 0:
             n_trap = _linear_update(n_trap, 0.0, anneal, seg.gap_s)
@@ -538,7 +537,7 @@ def integrate_damage(schedule: IrradiationSchedule,
             rows.append((t, fluence, 0.0, n_g, n_trap))
     arr = np.array(rows, dtype=float)
     if np.any(arr[:, 3] < 0) or np.any(arr[:, 4] < 0):
-        raise IntegrationError("damage integration produced negative densities")
+        raise NumericalError("damage integration produced negative densities")
     tau_eff = params.tau_eff_ns(arr[:, 4])
     return DamageHistory(time_s=arr[:, 0], fluence_cm2=arr[:, 1],
                          flux_cm2_s=arr[:, 2], n_g_cm2=arr[:, 3],

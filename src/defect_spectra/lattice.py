@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import (
     SI_LATTICE_CONSTANT_NM,
-    InvalidArgumentError,
+    ValidationError,
     check_fields,
 )
 
@@ -45,7 +45,7 @@ class SupercellSpec:
 
     def __post_init__(self):
         if not (self.repeats >= 1 and self.n_atoms <= MAX_ATOMS):
-            raise InvalidArgumentError(
+            raise ValidationError(
                 f"repeats must be >= 1 and give at most {MAX_ATOMS} atoms, "
                 f"got {self.repeats}")
         check_fields(self, positive=("lattice_constant_nm",))
@@ -161,7 +161,7 @@ def place_gcenter(geom: Geometry) -> Geometry:
     one representative of the symmetry-equivalent placements.
     """
     if geom.gcenter is not None:
-        raise InvalidArgumentError("geometry already contains a G-center")
+        raise ValidationError("geometry already contains a G-center")
     ia, ib = _nearest_neighbor_pair(geom)
     frac = geom.positions_frac.copy()
     elements = list(geom.elements)
@@ -227,7 +227,7 @@ def enumerate_candidates(geom: Geometry, kind: str) -> Candidates:
             order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], d_int))
             pos = np.delete(pos, order[:BLOCKED_NEIGHBORS], axis=0)
     else:
-        raise InvalidArgumentError(
+        raise ValidationError(
             f"unknown candidate kind {kind!r}; expected 'vacancy' or "
             "'interstitial-void'")
 

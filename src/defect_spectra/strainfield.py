@@ -19,8 +19,7 @@ import numpy as np
 
 from .core import (
     SI_ATOMIC_VOLUME_NM3,
-    CoreRegionError,
-    InvalidArgumentError,
+    ValidationError,
     check_fields,
 )
 
@@ -47,7 +46,7 @@ class ElasticParams:
 def relaxation_volume(kind: str) -> float:
     """Relaxation volume of ``kind`` in atomic volumes."""
     if kind not in DEFAULT_RELAXATION_VOLUMES:
-        raise InvalidArgumentError(
+        raise ValidationError(
             f"unknown defect kind {kind!r}; expected one of "
             f"{sorted(DEFAULT_RELAXATION_VOLUMES)}")
     return DEFAULT_RELAXATION_VOLUMES[kind]
@@ -94,22 +93,20 @@ def dipole_strain_columns(amplitudes, displacements):
 
 
 def dilatation_strain(defect: PointDefect, points_nm,
-                      params: ElasticParams = ElasticParams(),
-                      defect_index: int | None = None) -> np.ndarray:
+                      params: ElasticParams = ElasticParams()) -> np.ndarray:
     """Strain 6-vectors (e_xx, e_yy, e_zz, e_xy, e_xz, e_yz) at points.
 
-    Raises CoreRegionError when any point falls within the core cutoff of
+    Raises ValidationError when any point falls within the core cutoff of
     the defect, where the continuum form is meaningless.
     """
     pts = np.atleast_2d(np.asarray(points_nm, dtype=float))
     if pts.shape[-1] != 3:
-        raise InvalidArgumentError("points must have 3 Cartesian components")
+        raise ValidationError("points must have 3 Cartesian components")
     rvec = pts - np.asarray(defect.position_nm, dtype=float)
     if np.any(np.linalg.norm(rvec, axis=-1) < params.core_cutoff_nm):
-        raise CoreRegionError(
+        raise ValidationError(
             f"field point within core cutoff ({params.core_cutoff_nm} nm) of "
-            f"{defect.kind} at {tuple(defect.position_nm)}",
-            defect_index=defect_index)
+            f"{defect.kind} at {tuple(defect.position_nm)}")
 
     out = dipole_strain(params.amplitude_nm3(relaxation_volume(defect.kind)),
                         rvec)
@@ -122,14 +119,17 @@ def superpose(defects, points_nm,
               params: ElasticParams = ElasticParams()) -> np.ndarray:
     """Total strain from several defects; linear superposition.
 
-    Core-region violations propagate with the index of the offending
-    defect attached.
+    A refused defect, such as one whose core holds a field point, is
+    named by its index in the message, e.g. ``(defect 1)``.
     """
     pts = np.asarray(points_nm, dtype=float)
     total = np.zeros((np.atleast_2d(pts).shape[0], 6))
     for i, defect in enumerate(defects):
-        total = total + np.atleast_2d(
-            dilatation_strain(defect, pts, params, defect_index=i))
+        try:
+            strain = dilatation_strain(defect, pts, params)
+        except ValidationError as exc:
+            raise ValidationError(f"{exc} (defect {i})") from None
+        total = total + np.atleast_2d(strain)
     if pts.ndim == 1:
         return total[0]
     return total

@@ -8,8 +8,10 @@ mirror symmetry unless a file spells them out. Shifts compose additively,
           + f_xy(e_xy) + f_xz(e_xz) + f_xz(e_yz)
 
 in meV with positive = blueshift. Interpolation is linear between grid
-nodes and never extrapolates. An optional isotropic (iso) curve is
-loaded and validated like any axis but never evaluated.
+nodes and never extrapolates; every node lies within the strain cap, so
+a sampler rejects an over-cap strain as out of table range. An optional
+isotropic (iso) curve is loaded and validated like any axis but never
+evaluated.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from importlib import resources
 import numpy as np
 
 from .core import (
+    STRAIN_CAP,
     STRAIN_COMPONENTS,
-    RangeError,
     ValidationError,
     increasing_grid,
     number,
@@ -82,14 +84,17 @@ def load_response_table(path) -> ResponseTable:
             raise ValidationError(f"{where}: unknown axis")
         pts = sorted(r[1:] for r in rows if r[0] == axis)
         grid, shifts = np.array(pts).T.copy()
-        increasing_grid(grid, f"{where}: strain grid", ValidationError,
-                        min_points=3)
+        increasing_grid(grid, f"{where}: strain grid", min_points=3)
         at_zero = np.flatnonzero(grid == 0.0)
         if len(at_zero) != 1 or shifts[at_zero[0]] != 0.0:
             raise ValidationError(f"{where}: curve must pass through (0, 0)")
         if not np.all(np.isfinite([grid, shifts])):
             raise ValidationError(
                 f"{where}: strains and shifts must be finite")
+        if max(-grid[0], grid[-1]) > STRAIN_CAP:
+            raise ValidationError(
+                f"{where}: strain nodes span {grid[0]:g} to {grid[-1]:g}, "
+                f"beyond the physical cap of +-{STRAIN_CAP}")
         curves[axis] = (grid, shifts)
 
     missing = [a for a in REQUIRED_AXES if a not in curves]
@@ -125,8 +130,8 @@ def default_table() -> ResponseTable:
 def shift_for_strain(table: ResponseTable, strain) -> np.ndarray:
     """Interpolated additive ZPL shift in meV for strain 6-vectors.
 
-    Any component outside its axis grid raises RangeError naming the axis;
-    there is no extrapolation.
+    Any component outside its axis grid raises ValidationError naming the
+    axis; there is no extrapolation.
     """
     arr = validate_strain(strain)
     flat = np.atleast_2d(arr)
@@ -137,7 +142,7 @@ def shift_for_strain(table: ResponseTable, strain) -> np.ndarray:
         if np.any(vals < grid[0]) or np.any(vals > grid[-1]):
             worst = float(vals[np.argmax(np.maximum(grid[0] - vals,
                                                     vals - grid[-1]))])
-            raise RangeError(
+            raise ValidationError(
                 f"{component} = {worst:.5g} outside table range "
                 f"[{grid[0]:.5g}, {grid[-1]:.5g}] for axis {axis!r}")
         total += np.interp(vals, grid, shifts)

@@ -517,7 +517,7 @@ def _fields(*classes):
 # the config keys each run reads, by section: the fields of the params
 # classes it builds and the keys it reads itself
 _SPECTRUM_READS = {"emitter": _fields(EmitterParams), "response": {"table"}}
-_LIFETIME_READS = {"emitter": _fields(EmitterParams)}
+_LIFETIME_READS = {"emitter": {"radiative_lifetime_ns"}}
 RUN_READS = {
     "uniform": {**_SPECTRUM_READS,
                 "sampler": _fields(UniformSpec) | {"bin_width_mev"}},
@@ -576,6 +576,25 @@ def test_no_flag_shadows_a_config_key():
                 for command, parser in sub.choices.items()
                 for action in parser._actions if action.dest in keys]
     assert shadowed == []
+
+
+def test_table_past_the_strain_cap_is_refused_before_sampling(
+        tmp_path, monkeypatch, capsys):
+    # an interstitial at 0.3 nm strains up to 0.0707; with table nodes at
+    # +-0.1 such a sample is in range yet over the cap, so the table is
+    # refused at load and the range mask stays the only rejection path
+    monkeypatch.chdir(tmp_path)
+    rows = [f"{axis},{s:g},{-abs(s):g}" for axis in ("x", "z", "xy", "xz")
+            for s in (-0.1, 0.0, 0.1)]
+    files = {"r.csv": "axis,strain,shift_mev\n" + "\n".join(rows) + "\n",
+             "s.ini": "[response]\ntable = r.csv\n[sampler]\n"
+                      "defect_kind = interstitial\nseparation_nm = 0.3\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([*SPECTRUM, "--mode", "defect-field", "--out", "out"]) == 2
+    assert "r.csv, axis 'x': strain nodes span -0.1 to 0.1, beyond the " \
+        "physical cap" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
 
 
 # ---------------------------------------------------------------------------
@@ -939,3 +958,32 @@ def test_convert_needs_exactly_one_quantity():
     assert res.returncode == 2
     res = run_cli("convert", "--shift-mev", "1", "--shift-nm", "1")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--shift-mev", "1", "--reference-nm=-5"],
+     "--reference-nm must be positive, got -5"),
+    (["--shift-nm", "1", "--reference-nm", "0"],
+     "--reference-nm must be positive, got 0"),
+    (["--wavelength-nm", "1000", "--reference-nm=-5"],
+     "--reference-nm applies to --shift-mev and --shift-nm only, not to "
+     "--wavelength-nm"),
+    (["--energy-ev", "1", "--reference-nm", "1278.3"],
+     "--reference-nm applies to --shift-mev and --shift-nm only, not to "
+     "--energy-ev"),
+], ids=["shift-mev-negative", "shift-nm-zero", "wavelength", "energy"])
+def test_convert_reference_is_checked_under_its_flag(argv, message, capsys):
+    # the reference is refused by its flag's name, and wherever the
+    # conversion would drop it
+    assert main(["convert", *argv]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_convert_reference_defaults_to_the_zpl(capsys):
+    printed = []
+    for extra in ([], ["--reference-nm", "1278.3"]):
+        assert main(["convert", "--shift-mev", "1", *extra]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] == "shift_nm = -1.317950908\n"

@@ -7,8 +7,7 @@ from defect_spectra.core import (
     STRAIN_CAP,
     ZPL_WAVELENGTH_NM,
     EmitterParams,
-    InvalidArgumentError,
-    RangeError,
+    ValidationError,
     delta_e_from_delta_lambda,
     delta_lambda_from_delta_e,
     make_stream,
@@ -38,9 +37,9 @@ def test_shift_conversion_round_trip(de_mev, wavelength_nm):
 
 
 def test_conversion_rejects_nonpositive_reference():
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="lambda0_nm must be positive"):
         delta_lambda_from_delta_e(1.0, 0.0)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="lambda0_nm must be positive"):
         delta_e_from_delta_lambda(1.0, -5.0)
 
 
@@ -49,22 +48,22 @@ def test_validate_strain_shapes():
     assert one.shape == (6,)
     many = validate_strain(np.zeros((7, 6)))
     assert many.shape == (7, 6)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="needs 6 components"):
         validate_strain(np.zeros((3, 5)))
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="must be finite"):
         validate_strain([np.nan, 0, 0, 0, 0, 0])
     # magnitudes beyond any physical lattice strain are rejected outright
-    with pytest.raises(RangeError):
+    with pytest.raises(ValidationError, match="exceeds the physical cap"):
         validate_strain([0.5, 0, 0, 0, 0, 0])
 
 
 def _validate_strain_reference(arr):
     """The elementwise checks of validate_strain: isfinite, then abs."""
     if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("strain components must be finite")
+        raise ValidationError("strain components must be finite")
     if np.any(np.abs(arr) > STRAIN_CAP):
         worst = float(np.max(np.abs(arr)))
-        raise RangeError(
+        raise ValidationError(
             f"strain component magnitude {worst:.4g} exceeds the physical cap "
             f"{STRAIN_CAP}")
 
@@ -78,7 +77,7 @@ def test_validate_strain_matches_elementwise_checks(bad):
     arr = make_stream(1, 99).uniform(-0.01, 0.01, size=(50_000, 6))
     arr[20_000, 1] = -0.055 if bad > 0 else 0.055
     arr[31_337, 4] = bad
-    with pytest.raises((InvalidArgumentError, RangeError)) as want:
+    with pytest.raises(ValidationError) as want:
         _validate_strain_reference(arr)
     with pytest.raises(want.type) as got:
         validate_strain(arr)
@@ -93,11 +92,11 @@ def test_validate_strain_keeps_an_empty_array():
 
 
 def test_emitter_params_validation():
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="zpl_wavelength_nm"):
         EmitterParams(zpl_wavelength_nm=-1.0)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="homogeneous_fwhm_nm"):
         EmitterParams(homogeneous_fwhm_nm=0.0)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="radiative_lifetime_ns"):
         EmitterParams(radiative_lifetime_ns=0.0)
 
 

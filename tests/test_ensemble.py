@@ -7,10 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from defect_spectra import ensemble
 from defect_spectra.core import (
     EmitterParams,
-    EmptyEnsembleError,
-    InvalidArgumentError,
-    RangeError,
-    ResolutionError,
+    ValidationError,
     delta_e_from_delta_lambda,
     delta_lambda_from_delta_e,
 )
@@ -107,14 +104,14 @@ def test_uniform_prefix_stability(table):
 
 
 def test_sampler_range_checked_against_table(table):
-    with pytest.raises(RangeError):
+    with pytest.raises(ValidationError, match="exceeds table range"):
         sample_uniform(UniformSpec(-0.02, 0.02), 10, seed=1, table=table)
 
 
 def test_uniform_rejects_bad_sizes(table):
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="n_samples"):
         sample_uniform(UniformSpec(), 0, seed=1, table=table)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="strain_low must be below"):
         UniformSpec(0.01, -0.01)
 
 
@@ -188,7 +185,7 @@ def test_biased_z_draws_fewest_whole_chunks(table, keep_fraction,
     # retains 1e-10 of the draws
     {"keep_fraction": 1e-10, "xy_threshold": 0.0}])
 def test_biased_z_refuses_near_zero_retention(table, rule):
-    with pytest.raises(InvalidArgumentError,
+    with pytest.raises(ValidationError,
                        match="keep_fraction .* xy_threshold"):
         sample_biased_z(BiasedZSpec(**rule), 10, seed=1, table=table)
 
@@ -222,7 +219,7 @@ def test_sampler_refuses_too_many_samples_before_any_draw(
     with pytest.raises(_Drawn):
         sampler(spec, MAX_SAMPLES, seed=1, table=table)
     for n in (0, MAX_SAMPLES + 1):
-        with pytest.raises(InvalidArgumentError, match="n_samples"):
+        with pytest.raises(ValidationError, match="n_samples"):
             sampler(spec, n, seed=1, table=table)
 
 
@@ -299,7 +296,7 @@ def test_single_defect_strain_magnitude(table):
 
 
 def test_single_defect_below_core_cutoff(table):
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="inside the core cutoff"):
         sample_defect_field(SingleDefectSpec("vacancy", 0.2), 10,
                             seed=1, table=table)
 
@@ -335,7 +332,7 @@ def test_density_mean_defect_count(table):
 
 
 def test_density_r_min_below_core_cutoff(table):
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="inside the core cutoff"):
         sample_defect_field(DefectDensitySpec(vacancy_density_cm3=1e20,
                                               r_min_nm=0.2), 10,
                             seed=1, table=table)
@@ -607,14 +604,14 @@ def test_spectrum_memory_is_one_block(case):
 def test_spectrum_grid_resolution_guard():
     emitter = EmitterParams()
     coarse = np.linspace(1276.0, 1281.0, 50)   # step 0.1 > fwhm/5
-    with pytest.raises(ResolutionError, match="step"):
+    with pytest.raises(ValidationError, match="step"):
         synthesize_spectrum(np.array([0.0]), emitter, wavelength_grid=coarse)
 
 
 def test_spectrum_grid_coverage_guard():
     emitter = EmitterParams()
     narrow = np.arange(1278.0, 1278.6, 0.01)
-    with pytest.raises(ResolutionError, match="cover"):
+    with pytest.raises(ValidationError, match="cover"):
         synthesize_spectrum(np.array([0.0]), emitter, wavelength_grid=narrow)
 
 
@@ -632,15 +629,15 @@ def test_default_grid_properties():
 
 def test_default_grid_point_cap():
     # a 10 meV shift at 1.5e-4 nm width needs 1.41e6 points
-    with pytest.raises(InvalidArgumentError, match="homogeneous_fwhm_nm"):
+    with pytest.raises(ValidationError, match="homogeneous_fwhm_nm"):
         synthesize_spectrum([10.0], EmitterParams(homogeneous_fwhm_nm=1.5e-4))
 
 
 def test_empty_ensemble_errors():
     emitter = EmitterParams()
-    with pytest.raises(EmptyEnsembleError):
+    with pytest.raises(ValidationError, match="no samples"):
         synthesize_spectrum(np.array([]), emitter)
-    with pytest.raises(EmptyEnsembleError):
+    with pytest.raises(ValidationError, match="no samples"):
         histogram_shifts(np.array([]), 0.25)
 
 
@@ -658,5 +655,5 @@ def test_histogram_counts_and_alignment():
 
 
 def test_histogram_rejects_bad_width():
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="bin_width_mev must be positive"):
         histogram_shifts(np.array([0.0]), 0.0)

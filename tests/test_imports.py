@@ -93,3 +93,21 @@ def test_every_public_name_is_reached_outside_the_tests():
                 unreached.append(f"{path.stem}.{name}")
     assert sorted(set(unreached) - UNREACHED_ALLOWED) == []
     assert UNREACHED_ALLOWED <= set(unreached)
+
+
+def test_every_package_exception_has_an_exit_code():
+    # the exit code is the only distinction a caller sees, so the package
+    # defines one exception class per code and cli.main names each of them
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef)
+               and any(re.search(r"Error$|Exception$", ast.unparse(base))
+                       for base in node.bases)}
+    main = next(node for node in ast.parse((PACKAGE / "cli.py").read_text())
+                .body if isinstance(node, ast.FunctionDef)
+                and node.name == "main")
+    handled = {name.id for handler in ast.walk(main)
+               if isinstance(handler, ast.ExceptHandler)
+               for name in ast.walk(handler.type)
+               if isinstance(name, ast.Name)}
+    assert defined == handled - {"OSError"}

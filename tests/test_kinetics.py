@@ -6,12 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from defect_spectra.core import (
-    IntegrationError,
-    InvalidArgumentError,
-    NoRiseError,
-    ValidationError,
-)
+from defect_spectra.core import NumericalError, ValidationError
 from defect_spectra.fitting import fit_single_exponential
 from defect_spectra.kinetics import (
     DamageParams,
@@ -49,7 +44,7 @@ def test_decompose_edge_cases():
     assert pure.qe == 1.0
     with pytest.raises(ValidationError):
         LifetimeSet(tau_r_ns=45.0, tau_eff_ns=46.0)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="lifetimes must be positive"):
         LifetimeSet(tau_r_ns=45.0, tau_eff_ns=-1.0)
 
 
@@ -64,7 +59,7 @@ def test_lifetime_set_derives_identity(tau_r, share):
         1.0 / ls.tau_r_ns + 1.0 / ls.tau_nr_ns, rel=1e-12, abs=0.0)
     with pytest.raises(ValidationError):
         LifetimeSet(tau_r_ns=tau_r, tau_eff_ns=tau_r * 1.001)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="lifetimes must be positive"):
         LifetimeSet(tau_r_ns=tau_r, tau_eff_ns=-tau_eff)
 
 
@@ -157,9 +152,9 @@ def test_rise_time_shrinks_with_faster_capture():
 
 def test_rise_time_rejects_flat_and_rising():
     t = np.linspace(0, 10, 100)
-    with pytest.raises(NoRiseError, match="constant"):
+    with pytest.raises(ValidationError, match="constant"):
         rise_time(t, np.ones_like(t))
-    with pytest.raises(NoRiseError, match="rising"):
+    with pytest.raises(ValidationError, match="rising"):
         rise_time(t, t**2)
 
 
@@ -200,7 +195,7 @@ def test_dormand_prince_nan_rhs_raises(onset_ns):
     def rhs(t, y):
         return [np.nan if t >= onset_ns else -y[0], 0.0]
 
-    with pytest.raises(IntegrationError, match="NaN or below the minimum"):
+    with pytest.raises(NumericalError, match="NaN or below the minimum"):
         _dormand_prince(rhs, np.linspace(0.0, 10.0, 101), [1.0, 0.0],
                         rtol=1e-8, atol=1e-12)
 
@@ -334,9 +329,9 @@ def test_schedule_validation():
     for repeat in (0, -3):
         with pytest.raises(ValidationError):
             ScheduleSegment(1.0, 1.0, 0.0, repeat)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="must be positive and finite"):
         pulsed_schedule(1e12, 0.0, 1e-8, 45.0)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="must be positive and finite"):
         cw_schedule(-1e12, 8e11)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from defect_spectra.core import InvalidArgumentError
+from defect_spectra.core import ValidationError
 from defect_spectra.lattice import (
     SupercellSpec,
     build_supercell,
@@ -92,7 +92,7 @@ def test_gcenter_placement():
 
 def test_gcenter_cannot_be_placed_twice():
     geom = place_gcenter(build_supercell(SupercellSpec(repeats=3)))
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="already contains a G-center"):
         place_gcenter(geom)
 
 
@@ -132,12 +132,12 @@ def test_supercell_atom_cap():
     # is allocated
     assert SupercellSpec(repeats=50).n_atoms == 10**6
     for repeats in (51, 1000):
-        with pytest.raises(InvalidArgumentError, match="atoms"):
+        with pytest.raises(ValidationError, match="atoms"):
             SupercellSpec(repeats=repeats)
 
 
 def test_unknown_candidate_kind():
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValidationError, match="unknown candidate kind 'foo'"):
         enumerate_candidates(build_supercell(SupercellSpec(repeats=2)), "foo")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from defect_spectra.core import RangeError, ValidationError
+from defect_spectra.core import ValidationError
 from defect_spectra.zplmap import (
     default_table,
     load_response_table,
@@ -81,9 +81,9 @@ def test_vectorized_matches_scalar(table):
 
 
 def test_out_of_range_names_axis(table):
-    with pytest.raises(RangeError, match="axis 'x'"):
+    with pytest.raises(ValidationError, match="axis 'x'"):
         shift_for_strain(table, [0.011, 0, 0, 0, 0, 0])
-    with pytest.raises(RangeError, match="axis 'yz'"):
+    with pytest.raises(ValidationError, match="axis 'yz'"):
         shift_for_strain(table, [0, 0, 0, 0, 0, -0.011])
 
 
@@ -162,3 +162,20 @@ def test_mirror_curve_must_be_identical(tmp_path, table, scale, ok):
         with pytest.raises(ValidationError, match="mirror symmetry") as info:
             load_response_table(path)
         assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("span, ok", [(0.05, True), (0.1, False)])
+def test_table_nodes_stay_within_the_strain_cap(tmp_path, span, ok):
+    # a table reaching past STRAIN_CAP would let an in-range strain fail
+    # the cap after sampling; the loader refuses it, naming file and axis
+    rows = [f"{axis},{s:g},{-abs(s):g}" for axis in ("x", "z", "xy", "xz")
+            for s in (-span, 0.0, span)]
+    path = tmp_path / "wide.csv"
+    path.write_text("axis,strain,shift_mev\n" + "\n".join(rows) + "\n")
+    if ok:
+        assert load_response_table(path).strain_range("x") == (-span, span)
+    else:
+        with pytest.raises(ValidationError, match=re.escape(
+                f"response table {path}, axis 'x': strain nodes span -0.1 "
+                "to 0.1, beyond the physical cap of +-0.05")):
+            load_response_table(path)

@@ -4,9 +4,11 @@ Sampling is organized in fixed-size chunks of 4096 samples; chunk ``j`` of
 a run draws from its own counter-based stream ``(seed, mode_id, j)``, and
 the chunks are stitched in index order, so a longer run re-yields a shorter
 one with the same seed as an exact prefix. Every mode collects its chunks
-into one preallocated samples-by-6 array, dropping the samples outside the
-response table's range as it goes, and evaluates the shifts of the
-retained prefix in one call.
+into one preallocated samples-by-6 array of zeros, dropping the samples
+outside the response table's range as it goes, and evaluates the shifts of
+the retained prefix in one call. A chunk may carry only the leading
+components of its samples: the normal-strain modes draw the three normal
+components, and their shears stay zero.
 
 A spectrum is a sum of one Lorentzian per sample over a wavelength grid,
 taken by a treecode over boxes of ``TREE_BOX`` grid points. The samples of
@@ -184,18 +186,21 @@ def _ensemble(blocks, n_samples, table) -> ShiftEnsemble:
     """Collect the first ``n_samples`` rows of ``blocks``, an iterable of
     (raw draws, strain rows) pairs, into one preallocated array.
 
-    Rows with a component outside its table axis range count as range
-    rejections and are dropped; the retained prefix gets its shifts in one
-    call. No block is drawn after the first ``n_samples`` rows.
+    A block of width ``w`` < 6 holds the leading ``w`` components of its
+    rows; the others are zero. Rows with a component outside its table axis
+    range count as range rejections and are dropped; the retained prefix
+    gets its shifts in one call. No block is drawn after the first
+    ``n_samples`` rows.
     """
     low, high = component_ranges(table)
-    strains = np.empty((n_samples, 6))
+    strains = np.zeros((n_samples, 6))
     n_raw = n_seen = n_kept = 0
     for draws, rows in blocks:
         rows = rows[:n_samples - n_seen]
-        in_range = np.all((rows >= low) & (rows <= high), axis=1)
+        w = rows.shape[1]
+        in_range = np.all((rows >= low[:w]) & (rows <= high[:w]), axis=1)
         n_in = int(np.count_nonzero(in_range))
-        strains[n_kept:n_kept + n_in] = rows[in_range]
+        strains[n_kept:n_kept + n_in, :w] = rows[in_range]
         n_raw += draws
         n_seen += len(rows)
         n_kept += n_in
@@ -221,19 +226,17 @@ def sample_uniform(spec: UniformSpec, n_samples: int, seed: int,
 
 
 def _normal_strains(spec, gen):
-    """CHUNK strain vectors with uniform normal components, shears zero."""
-    block = np.zeros((CHUNK, 6))
-    block[:, :3] = gen.uniform(spec.strain_low, spec.strain_high,
-                               size=(CHUNK, 3))
-    return block
+    """The uniform normal components of CHUNK strain vectors, (CHUNK, 3)."""
+    return gen.uniform(spec.strain_low, spec.strain_high, size=(CHUNK, 3))
 
 
 def _biased_chunk(spec: BiasedZSpec, seed: int, j: int):
     gen = make_stream(seed, _MODE_IDS["biased-z"], j)
     block = _normal_strains(spec, gen)
     coins = gen.random(CHUNK)
-    small_xy = np.max(np.abs(block[:, :2]), axis=1) <= spec.xy_threshold
-    keep = small_xy | (coins < spec.keep_fraction)
+    t = spec.xy_threshold
+    keep = coins < spec.keep_fraction
+    keep |= (np.abs(block[:, 0]) <= t) & (np.abs(block[:, 1]) <= t)
     return block, keep
 
 

@@ -108,7 +108,7 @@ class DecayModelParams:
                  self.capture_coefficient_g_cm3_ns * self.g_center_density_cm3,
                  self.capture_coefficient_trap_cm3_ns * self.trap_density_cm3]
         fastest = 1.0 / max(r for r in rates if r > 0)
-        if float(np.max(np.diff(self.time_grid_ns))) > fastest / 10.0:
+        if self.t_max_ns / (self.n_points - 1) > fastest / 10.0:
             raise ValidationError(
                 f"time grid step exceeds a tenth of the fastest timescale "
                 f"({fastest:.3g} ns); refine the grid")

@@ -6,9 +6,11 @@ integers as ``%d``, floats as ``%.10g``, anything else (parameter names,
 site kinds) as ``%s``. No cell or header the toolkit writes holds a comma,
 quote or newline, so no cell is quoted. Rows are formatted and written in
 blocks of ``CSV_BLOCK`` (4096) rows, so the memory a write takes does not
-grow with the file. Every file goes to a temp file in its target directory
-and is then renamed into place, so a reader never sees a partial file and a
-command repeated with the same seed produces byte-identical files.
+grow with the file. A block is one ``%``: the row format repeated once per
+row, applied to the block's cells interleaved row by row. Every file goes
+to a temp file in its target directory and is then renamed into place, so
+a reader never sees a partial file and a command repeated with the same
+seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -51,14 +53,19 @@ def write_csv(path: str, header, columns):
     if len(n_rows) > 1:
         raise ValueError(f"columns of {path} have unequal lengths "
                          f"{sorted(n_rows)}")
+    width = len(columns)
     row = ",".join(_COLUMN_FORMATS.get(c.dtype.kind, "%s")
                    for c in columns) + "\n"
 
     def blocks():
         yield ",".join(header) + "\n"
-        for start in range(0, max(n_rows, default=0), CSV_BLOCK):
-            cells = (c[start:start + CSV_BLOCK].tolist() for c in columns)
-            yield "".join(map(row.__mod__, zip(*cells)))
+        n = max(n_rows, default=0)
+        for start in range(0, n, CSV_BLOCK):
+            stop = min(start + CSV_BLOCK, n)
+            cells = [None] * (width * (stop - start))
+            for k, column in enumerate(columns):
+                cells[k::width] = column[start:stop].tolist()
+            yield row * (stop - start) % tuple(cells)
 
     write_atomic(path, blocks())
 

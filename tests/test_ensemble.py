@@ -115,6 +115,76 @@ def test_uniform_rejects_bad_sizes(table):
         UniformSpec(0.01, -0.01)
 
 
+def _six_column_reference(spec, n_samples, seed, table):
+    """A normal-strain ensemble built chunk by chunk from 6-column zero
+    blocks, with biased-z's keep rule as max(|e_xx|, |e_yy|) <= t:
+    (strains, shifts, raw draws, range rejections)."""
+    biased = isinstance(spec, BiasedZSpec)
+    mode = ensemble._MODE_IDS["biased-z" if biased else "uniform"]
+    parts, n_rows, n_raw, j = [], 0, 0, 0
+    while n_rows < n_samples:
+        gen = ensemble.make_stream(seed, mode, j)
+        block = np.zeros((CHUNK, 6))
+        block[:, :3] = gen.uniform(spec.strain_low, spec.strain_high,
+                                   size=(CHUNK, 3))
+        if biased:
+            coins = gen.random(CHUNK)
+            block = block[(np.max(np.abs(block[:, :2]), axis=1)
+                           <= spec.xy_threshold)
+                          | (coins < spec.keep_fraction)]
+        parts.append(block)
+        n_rows += len(block)
+        n_raw += CHUNK
+        j += 1
+    strains = np.concatenate(parts)[:n_samples]
+    if not biased:
+        n_raw = n_samples
+    low, high = component_ranges(table)
+    in_range = np.all((strains >= low) & (strains <= high), axis=1)
+    return (strains[in_range], shift_for_strain(table, strains[in_range]),
+            n_raw, int((~in_range).sum()))
+
+
+@pytest.mark.parametrize("n_samples", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                       3 * CHUNK + 5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("sample, spec", [
+    (sample_uniform, UniformSpec(-0.004, 0.007)),
+    (sample_biased_z, BiasedZSpec(strain_low=-0.006, strain_high=0.008,
+                                  xy_threshold=0.002, keep_fraction=0.2))],
+    ids=["uniform", "biased-z"])
+def test_normal_strain_samplers_match_six_column_reference(
+        table, sample, spec, seed, n_samples):
+    # the random stream, the keep rule and the collected rows are those of
+    # the 6-column blocks the samplers drew before
+    ens = sample(spec, n_samples, seed=seed, table=table)
+    strains, shifts_mev, n_raw, rejections = _six_column_reference(
+        spec, n_samples, seed, table)
+    assert np.array_equal(ens.strains, strains)
+    assert np.array_equal(ens.shifts_mev, shifts_mev)
+    assert ens.provenance.n_raw_draws == n_raw
+    assert ens.provenance.n_range_rejections == rejections
+
+
+def test_collector_fills_the_components_a_block_leaves_out(table):
+    # 3-wide blocks carry the normal components only: the shears come
+    # back zero, and an e_zz beyond a narrowed z curve is a range rejection
+    grid, shifts = table.curves["z"]
+    keep = np.abs(grid) <= 0.003
+    narrow = ResponseTable({**table.curves, "z": (grid[keep], shifts[keep])})
+    rng = np.random.default_rng(0)
+    rows = rng.uniform(-0.01, 0.01, size=(300, 3))
+    blocks = [(200, rows[:200]), (100, rows[200:])]
+    ens = ensemble._ensemble(iter(blocks), 300, narrow)
+    in_range = np.abs(rows[:, 2]) <= 0.003
+    assert 0 < in_range.sum() < 300
+    assert ens.provenance.n_range_rejections == int((~in_range).sum())
+    assert ens.provenance.n_raw_draws == 300
+    assert ens.strains.shape == (int(in_range.sum()), 6)
+    assert np.array_equal(ens.strains[:, :3], rows[in_range])
+    assert np.all(ens.strains[:, 3:] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # biased-z sampler
 # ---------------------------------------------------------------------------

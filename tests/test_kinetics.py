@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -241,6 +242,17 @@ def test_grid_bounds(kwargs):
     # and size can be wrong; both are refused before any allocation
     with pytest.raises(ValidationError, match=next(iter(kwargs))):
         DecayModelParams(**kwargs)
+
+
+def test_params_at_the_point_cap_build_no_grid():
+    # the step check is closed-form; the grid at the cap is 80 MB
+    tracemalloc.start()
+    try:
+        DecayModelParams(n_points=MAX_DECAY_POINTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_grid_is_evenly_spaced():

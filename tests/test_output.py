@@ -43,6 +43,15 @@ def test_write_csv_matches_per_cell_format(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+def test_write_csv_percent_in_cells_and_header(tmp_path):
+    # the row format is applied to the cells, never to their text
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["share%", "%d", "x"],
+              [["50%", "%s", "%%"], np.arange(3), np.array([0.5, 1.0, 2.5])])
+    assert path.read_bytes() == (b"share%,%d,x\n50%,0,0.5\n%s,1,1\n"
+                                 b"%%,2,2.5\n")
+
+
 def test_write_csv_unequal_columns_raise(tmp_path):
     with pytest.raises(ValueError):
         write_csv(str(tmp_path / "t.csv"), ["a", "b"],

@@ -7,8 +7,13 @@ site kinds) as ``%s``. No cell or header the toolkit writes holds a comma,
 quote or newline, so no cell is quoted. Rows are formatted and written in
 blocks of ``CSV_BLOCK`` (4096) rows, so the memory a write takes does not
 grow with the file. A block is one ``%``: the row format repeated once per
-row, applied to the block's cells interleaved row by row. Every file goes
-to a temp file in its target directory and is then renamed into place, so
+row, applied to the block's cells interleaved row by row. A column whose
+every cell has the first cell's bits (floats compared as unsigned integers
+of their size, so ``-0.0`` stays apart from ``0.0``; integers and strings
+by value) is formatted once, before the first block, and its text is a
+literal of the row format, so the bytes are those of the per-cell format.
+Every file goes to a temp file in its target directory, is given the mode
+a plain ``open(path, "w")`` would give, and is then renamed into place, so
 a reader never sees a partial file and a command repeated with the same
 seed produces byte-identical files.
 """
@@ -36,6 +41,9 @@ def write_atomic(path: str, text):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as handle:
             handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
@@ -45,17 +53,39 @@ def write_atomic(path: str, text):
         raise
 
 
+def _constant_text(column, fmt):
+    """The text of every cell of a non-empty ``column`` whose cells all have
+    the first cell's bits, with ``%`` escaped; None for any other column."""
+    kind = column.dtype.kind
+    if kind == "f" and column.itemsize in (2, 4, 8):
+        bits = column.view(f"u{column.itemsize}")
+    elif kind in "iuUS":
+        bits = column
+    else:
+        return None
+    if not len(bits) or bits[0] != bits[-1] or (bits != bits[0]).any():
+        return None
+    return (fmt % column[0].item()).replace("%", "%%")
+
+
 def write_csv(path: str, header, columns):
-    """Write equal-length columns under a header row; unequal lengths raise
-    ValueError before anything is written."""
+    """Write equal-length columns under a header row of one name per column;
+    unequal lengths or a header of another width raise ValueError before
+    anything is written."""
     columns = [np.asarray(column) for column in columns]
     n_rows = {len(column) for column in columns}
     if len(n_rows) > 1:
         raise ValueError(f"columns of {path} have unequal lengths "
                          f"{sorted(n_rows)}")
-    width = len(columns)
-    row = ",".join(_COLUMN_FORMATS.get(c.dtype.kind, "%s")
-                   for c in columns) + "\n"
+    if len(header) != len(columns):
+        raise ValueError(f"header of {path} names {len(header)} columns, "
+                         f"not {len(columns)}")
+    formats = [_COLUMN_FORMATS.get(c.dtype.kind, "%s") for c in columns]
+    texts = [_constant_text(c, f) for c, f in zip(columns, formats)]
+    row = ",".join(f if text is None else text
+                   for f, text in zip(formats, texts)) + "\n"
+    varying = [c for c, text in zip(columns, texts) if text is None]
+    width = len(varying)
 
     def blocks():
         yield ",".join(header) + "\n"
@@ -63,7 +93,7 @@ def write_csv(path: str, header, columns):
         for start in range(0, n, CSV_BLOCK):
             stop = min(start + CSV_BLOCK, n)
             cells = [None] * (width * (stop - start))
-            for k, column in enumerate(columns):
+            for k, column in enumerate(varying):
                 cells[k::width] = column[start:stop].tolist()
             yield row * (stop - start) % tuple(cells)
 

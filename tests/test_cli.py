@@ -10,12 +10,18 @@ import pytest
 
 from defect_spectra import cli
 from defect_spectra.cli import load_config, main, schedule_from_template
-from defect_spectra.core import EmitterParams, ValidationError
+from defect_spectra.core import (
+    STRAIN_COMPONENTS,
+    EmitterParams,
+    ValidationError,
+)
 from defect_spectra.ensemble import (
     BiasedZSpec,
     DefectDensitySpec,
     SingleDefectSpec,
     UniformSpec,
+    sample_biased_z,
+    sample_uniform,
 )
 from defect_spectra.kinetics import (
     DamageParams,
@@ -23,6 +29,7 @@ from defect_spectra.kinetics import (
     integrate_damage,
 )
 from defect_spectra.strainfield import ElasticParams
+from defect_spectra.zplmap import default_table
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -104,6 +111,26 @@ def test_simulate_spectrum_seed_changes_output(tmp_path):
                 str(seed), "--out", str(tmp_path / sub))
     assert (tmp_path / "a" / "histogram.csv").read_bytes() != \
         (tmp_path / "b" / "histogram.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode, sample, spec", [
+    ("biased-z", sample_biased_z, BiasedZSpec()),
+    ("uniform", sample_uniform, UniformSpec()),
+])
+def test_dump_samples_matches_per_cell_format(tmp_path, mode, sample, spec):
+    # more rows than one CSV block, with all-zero shear columns
+    n, seed, out = 5000, 3, tmp_path / "run"
+    assert main(["simulate-spectrum", "--mode", mode, "--samples", str(n),
+                 "--seed", str(seed), "--out", str(out),
+                 "--dump-samples"]) == 0
+    ens = sample(spec, n, seed, default_table())
+    assert not ens.strains[:, 3:].any()
+    expected = ",".join(["sample_id", *STRAIN_COMPONENTS, "shift_mev"]) + \
+        "\n" + "".join("%d," % i + ",".join("%.10g" % v for v in
+                                            (*strain, shift)) + "\n"
+                       for i, (strain, shift) in enumerate(
+                           zip(ens.strains.tolist(), ens.shifts_mev.tolist())))
+    assert (out / "samples.csv").read_bytes() == expected.encode()
 
 
 def test_defect_field_takes_elastic_defaults(tmp_path):

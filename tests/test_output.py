@@ -1,8 +1,10 @@
 import os
+import stat
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defect_spectra.output import (
     CSV_BLOCK,
@@ -21,6 +23,15 @@ def _cell(value):
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.10g}"
+
+
+def _reference(header, columns):
+    """The CSV text of ``columns`` formatted cell by cell with ``_cell``,
+    strings as they are."""
+    lists = [np.asarray(c).tolist() for c in columns]
+    return ",".join(header) + "\n" + "".join(
+        ",".join(v if isinstance(v, str) else _cell(v) for v in cells) + "\n"
+        for cells in zip(*lists))
 
 
 def test_write_csv_matches_per_cell_format(tmp_path):
@@ -57,6 +68,102 @@ def test_write_csv_unequal_columns_raise(tmp_path):
         write_csv(str(tmp_path / "t.csv"), ["a", "b"],
                   [np.arange(3), np.arange(4.0)])
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("header", [["a"], ["a", "b", "c"]])
+def test_write_csv_header_of_another_width_raises(tmp_path, header):
+    with pytest.raises(ValueError, match="header"):
+        write_csv(str(tmp_path / "t.csv"), header,
+                  [np.arange(2), np.arange(2)])
+    assert not list(tmp_path.iterdir())
+
+
+_KINDS = st.sampled_from(["int", "float", "str"])
+_VALUES = {
+    "int": st.integers(-2**63, 2**63 - 1),
+    "float": st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+    "str": st.text(alphabet="ab%sd -", max_size=4),
+}
+
+
+def _varying(kind, n, rng):
+    """n cells of one kind drawn from a small pool, so runs and repeats
+    of one value are common."""
+    if kind == "int":
+        return rng.integers(-2**62, 2**62, 3)[rng.integers(0, 3, n)]
+    if kind == "float":
+        pool = np.array(EDGE_FLOATS + [float(rng.standard_normal())])
+        return pool[rng.integers(0, len(pool), n)]
+    return np.array(["%", "a%s", "%d%%", "b", ""])[rng.integers(0, 5, n)]
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 2 * CSV_BLOCK + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(_KINDS)
+        if draw(st.booleans()):
+            value = draw(_VALUES[kind])
+            dtype = {"int": np.int64, "float": np.float64}.get(kind)
+            columns.append(np.full(n, value, dtype=dtype))
+        else:
+            columns.append(_varying(kind, n, rng))
+    return columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tables())
+def test_write_csv_constant_and_varying_columns_match_per_cell_format(
+        tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = [f"c{k}" for k in range(len(columns))]
+    write_csv(str(path), header, columns)
+    assert path.read_bytes() == _reference(header, columns).encode()
+
+
+@pytest.mark.parametrize("columns, text", [
+    ([np.full(3, -0.0)], "-0\n-0\n-0\n"),
+    # first and last cells agree, the middle one differs in its sign bit
+    ([np.array([0.0, -0.0, 0.0])], "0\n-0\n0\n"),
+    ([np.full(3, np.nan)], "nan\nnan\nnan\n"),
+    ([np.array([np.nan, -np.nan, np.nan])], "nan\nnan\nnan\n"),
+    ([np.array([7, 8, 7]), np.array(["a%", "b", "a%"])],
+     "7,a%\n8,b\n7,a%\n"),
+    ([np.array([3]), np.array([2.5]), np.array(["%s"])], "3,2.5,%s\n"),
+], ids=["all-negative-zero", "mixed-zeros", "all-nan", "mixed-sign-nans",
+        "int-and-str-ends-equal", "one-row"])
+def test_write_csv_constant_column_cases(tmp_path, columns, text):
+    path = tmp_path / "t.csv"
+    header = [f"c{k}" for k in range(len(columns))]
+    write_csv(str(path), header, columns)
+    assert path.read_bytes() == (",".join(header) + "\n" + text).encode()
+    assert path.read_bytes() == _reference(header, columns).encode()
+
+
+def test_write_csv_all_constant_columns_over_several_blocks(tmp_path):
+    n = 2 * CSV_BLOCK + 1
+    path = tmp_path / "t.csv"
+    write_csv(str(path), ["i", "x", "z", "s"],
+              [np.full(n, -4), np.full(n, 1.0 / 3.0), np.full(n, -0.0),
+               np.full(n, "50%")])
+    assert path.read_bytes() == (b"i,x,z,s\n"
+                                 + b"-4,0.3333333333,-0,50%\n" * n)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_get_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_csv(str(tmp_path / "t.csv"), ["a"], [np.arange(3)])
+        write_atomic(str(tmp_path / "t.svg"), "<svg/>\n")
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    for name in ("t.csv", "t.svg", "plain.txt"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
 
 
 @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK - 1, CSV_BLOCK,

@@ -11,15 +11,16 @@ components of its samples: the normal-strain modes draw the three normal
 components, and their shears stay zero.
 
 A spectrum is a sum of one Lorentzian per sample over a wavelength grid,
-taken by a treecode over boxes of ``TREE_BOX`` grid points. The samples of
-boxes holding fewer than ``TREE_TERMS`` are summed directly over the whole
-grid; each other box sums its samples directly over the grid points near it
-and through ``TREE_TERMS`` moments everywhere else. The split depends only
-on the samples and the grid, so the output is a function of the inputs.
+taken by a fast multipole method over a binary tree of equal wavelength
+boxes. Each sample is summed directly over the grid points of the leaves
+within two of its own, and through ``FMM_TERMS`` moments and local
+expansions everywhere else. The tree depends only on the grid's span and
+the line width, so the output is a function of the inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -44,16 +45,13 @@ from .zplmap import ResponseTable, component_ranges, shift_for_strain
 CHUNK = 4096
 # Samples per block of the direct Lorentzian sum in synthesize_spectrum: one
 # block-by-grid buffer stays in cache. Each grid point's summation order
-# depends on it and on the treecode constants below, so all of them are
-# fixed here and never derived from a user setting.
+# depends on it and on FMM_TERMS, so both are fixed here and never derived
+# from a user setting.
 SYNTH_BLOCK = 256
-# Grid points per treecode box, moments per box, and the reach of a box of
-# half-width r: grid points closer than TREE_REACH * r to its middle are
-# summed directly. The moments' truncation error is then below
-# (TREE_TERMS + 1) * TREE_REACH**-TREE_TERMS * 3, about 1e-16 relative.
-TREE_BOX = 32
-TREE_TERMS = 30
-TREE_REACH = 4.0
+# Terms of every multipole and local expansion of the fast multipole sum. On
+# the benchmark's spectra 26 terms leave 2.9e-14 relative and each further
+# one cuts that about 3.6-fold, so at 36 rounding dominates (5.3e-15 at most).
+FMM_TERMS = 36
 # Most raw draws a biased-z run may expect to need: a rule that retains too
 # few of them is refused up front instead of running for hours or forever.
 MAX_RAW_DRAWS = 1e9
@@ -66,6 +64,8 @@ MAX_CHUNK_DEFECTS = 4e6
 # Most bins a histogram may have; a narrower bin width is refused up front.
 MAX_HISTOGRAM_BINS = 10**6
 # Most points a default wavelength grid may have; more is refused up front.
+# Synthesis on 10**6 points peaks at about 0.13 GB, the expansions of its
+# 2**17 leaves.
 MAX_GRID_POINTS = 10**6
 # Most samples a sampler may be asked for, refused before any draw. A run
 # holds about 73 bytes per sample at its peak (the collected strains and
@@ -430,7 +430,7 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
 
     # The area factor fwhm/(2*pi) is constant, and the peak normalization
     # below cancels it, so each term is 1/((x - c)^2 + (fwhm/2)^2).
-    intensity = _treecode_sum(grid, centers, fwhm / 2.0)
+    intensity = _fmm_sum(grid, centers, fwhm / 2.0)
     peak = float(intensity.max())
     if peak > 0:
         intensity = intensity / peak
@@ -450,67 +450,101 @@ def _block_sum(out, x, centers, half_sq, buf):
         out += b.sum(axis=0)
 
 
-def _treecode_sum(grid, centers, half):
-    """Sum over ``centers`` of 1/((x - c)^2 + half^2) at every grid
-    point, by boxes of TREE_BOX grid points.
+@functools.cache
+def _fmm_operators():
+    """Translation matrices of the fast multipole sum in box-width units:
+    M2M and L2L for the left and right child, and M2L by box offset."""
+    p = FMM_TERMS
+    n = np.arange(2 * p)[:, None]
+    k = np.arange(1, 2 * p)
+    binom = np.cumprod(np.c_[np.ones(2 * p), (n - k + 1) / k], axis=1)
+    k = np.arange(p)[:, None]
+    pascal, shift = binom[:p, :p], k - k.T
+    m2m = [pascal * e ** shift / 2.0 ** k for e in (-0.5, 0.5)]
+    l2l = [pascal.T * e ** -shift / 2.0 ** (k + 1) for e in (-0.25, 0.25)]
+    m2l = {d: (-1.0) ** k * binom[k + k.T, k.T] / float(d) ** (k + k.T + 1)
+           for d in (-5, -4, -3, 3, 4, 5)}
+    return m2m, l2l, m2l
 
-    A box of fewer than TREE_TERMS centers costs less summed directly than
-    through its moments: all such centers are summed over the whole grid,
-    SYNTH_BLOCK at a time in input order. Each term of the other boxes is
-    Im(1/(z - c)) / half with z = x - i half, a Cauchy kernel. For the
-    centers of one box, with middle m and half-width r (those of the
-    centers themselves), sum 1 / (z - c) = sum_k M_k s^k / (z - m)^(k+1)
-    with moments M_k = sum ((c - m) / s)^k and s = r (or half when r is
-    0). That series is summed to TREE_TERMS terms by Horner's rule at every
-    grid point at least TREE_REACH * r from m; the points closer than that
-    get the box's centers directly, SYNTH_BLOCK at a time. Memory stays at
-    a few grid-length arrays plus one block however the centers cluster
-    (Greengard and Rokhlin, J. Comput. Phys. 73, 325, 1987, without M2L).
+
+def _fmm_sum(grid, centers, half):
+    """Sum over ``centers`` of 1/((x - c)^2 + half^2) at every grid point,
+    by the 1-D fast multipole method (Greengard and Rokhlin, J. Comput.
+    Phys. 73, 325, 1987; Dutt, Gu and Rokhlin, SIAM J. Numer. Anal. 33,
+    1689, 1996). The centers must lie within [grid[0], grid[-1]].
+
+    Each term is Im(1/(z - c)) / half with z = x - i half. A binary tree of
+    equal boxes spans the grid; its leaves are 1.5 to 3 half-widths wide,
+    and there are at least 4. A leaf's centers are summed directly
+    (``_block_sum``) over the grid points of the leaves within two of it.
+    Every farther center reaches a grid point through FMM_TERMS moments
+    about its box's middle, shifted up the tree (M2M), turned into local
+    expansions of the boxes three to five away whose parents are within two
+    (M2L), shifted down (L2L) and summed by Horner's rule in
+    (z - middle) / width at each grid point (L2P). Centers and grid points
+    belong to the leaf that ``leaf_of`` gives them, so the near and far
+    parts cover each pair once. Memory is one block plus about 1 KB per
+    leaf, 0.13 GB on a default grid of 10**6 points.
     """
-    box = np.searchsorted(grid[TREE_BOX::TREE_BOX], centers, side="right")
-    sparse = np.bincount(box)[box] < TREE_TERMS
-    half_sq = half * half
-    intensity = np.zeros_like(grid)
-    few = centers[sparse]
-    _block_sum(intensity, grid, few, half_sq,
-               np.empty(min(SYNTH_BLOCK, len(few)) * len(grid)))
-    c = np.sort(centers[~sparse])
-    if not len(c):
-        return intensity
-    edges = np.concatenate(
-        ([0], np.searchsorted(c, grid[TREE_BOX::TREE_BOX]), [len(c)]))
-    filled = edges[1:] > edges[:-1]
-    lo, hi = edges[:-1][filled], edges[1:][filled]
-    mid = 0.5 * (c[lo] + c[hi - 1])
-    radius = 0.5 * (c[hi - 1] - c[lo])
-    scale = np.where(radius > 0, radius, half)
-    near_lo = np.searchsorted(grid, mid - TREE_REACH * radius, side="right")
-    near_hi = np.maximum(near_lo, np.searchsorted(
-        grid, mid + TREE_REACH * radius, side="left"))
+    g0 = grid[0]
+    depth = max(2, int(np.ceil(np.log2((grid[-1] - g0) / (3.0 * half)))))
+    n = 1 << depth
+    width = (grid[-1] - g0) / n
 
-    buf = np.empty(min(SYNTH_BLOCK, int((hi - lo).max()))
-                   * int((near_hi - near_lo).max()))
-    tau = np.empty(len(grid), dtype=complex)
-    q = np.empty_like(tau)
-    for a0, a1, b0, b1, m, s in zip(*(v.tolist() for v in (
-            near_lo, near_hi, lo, hi, mid, scale))):
-        cb = c[b0:b1]
-        _block_sum(intensity[a0:a1], grid[a0:a1], cb, half_sq, buf)
-        moments = np.zeros(TREE_TERMS)
-        for start in range(0, len(cb), SYNTH_BLOCK):
-            powers = np.vander((cb[start:start + SYNTH_BLOCK] - m) / s,
-                               TREE_TERMS, increasing=True)
-            moments += powers.sum(axis=0)
-        moments /= s * half
-        np.subtract(grid, m + 1j * half, out=tau)
-        np.divide(s, tau, out=tau)
-        q.fill(moments[-1])
-        for k in range(TREE_TERMS - 2, -1, -1):
-            q *= tau
-            q += moments[k]
-        q *= tau
-        q[a0:a1] = 0.0
-        intensity += q.imag
+    def leaf_of(x):
+        """Leaf of each x, and its offset from the leaf's middle in widths."""
+        t = (x - g0) / width
+        leaf = np.minimum(t.astype(np.intp), n - 1)
+        return leaf, t - (leaf + 0.5)
+
+    c = np.sort(centers)
+    leaf, u = leaf_of(c)
+    moments = np.zeros((FMM_TERMS, n))
+    for a in range(0, len(c), CHUNK):
+        lc, uc = leaf[a:a + CHUNK], u[a:a + CHUNK]
+        first = np.flatnonzero(np.diff(lc, prepend=-1))
+        power = np.ones_like(uc)
+        for row in moments:
+            row[lc[first]] += np.add.reduceat(power, first)
+            power *= uc
+
+    m2m, l2l, m2l = _fmm_operators()
+    levels = [moments]
+    while levels[-1].shape[1] > 4:
+        m = levels[-1]
+        levels.append(m2m[0] @ m[:, 0::2] + m2m[1] @ m[:, 1::2])
+    local = np.zeros((FMM_TERMS, 4))
+    while levels:
+        m = levels.pop()
+        nb = m.shape[1]
+        if nb > 4:   # children 2j and 2j + 1 of box j
+            local = np.stack([op @ local for op in l2l], axis=2).reshape(
+                FMM_TERMS, nb)
+        for d, op in m2l.items():
+            # target j takes source j - d; offset 5 only from its parent's
+            # far side: odd targets for d = 5, even ones for d = -5
+            t0, t1, step = max(d, 0), nb + min(d, 0), 2 if abs(d) == 5 else 1
+            if t1 > t0:
+                local[:, t0:t1:step] += op @ m[:, t0 - d:t1 - d:step]
+
+    gleaf, zeta = leaf_of(grid)
+    zeta = zeta - 1j * (half / width)
+    q = local[-1][gleaf].astype(complex)
+    for row in local[-2::-1]:
+        q *= zeta
+        q += row[gleaf]
+    intensity = q.imag / (width * half)
+
+    bounds = np.searchsorted(leaf, np.arange(n + 1))
+    near = np.searchsorted(gleaf, np.arange(n + 1))
+    filled = np.flatnonzero(np.diff(bounds))
+    lo, hi = near[np.maximum(filled - 2, 0)], near[np.minimum(filled + 3, n)]
+    buf = np.empty(min(SYNTH_BLOCK, int(np.diff(bounds).max()))
+                   * int((hi - lo).max()))
+    for a0, a1, b0, b1 in zip(*(v.tolist() for v in (
+            lo, hi, bounds[filled], bounds[filled + 1]))):
+        _block_sum(intensity[a0:a1], grid[a0:a1], c[b0:b1], half * half,
+                   buf)
     return intensity
 
 

@@ -15,16 +15,13 @@ from defect_spectra.ensemble import (
     CHUNK,
     MAX_SAMPLES,
     SYNTH_BLOCK,
-    TREE_BOX,
-    TREE_TERMS,
     BiasedZSpec,
     DefectDensitySpec,
     SingleDefectSpec,
     UniformSpec,
     _biased_chunk,
-    _block_sum,
     _defect_field_chunk,
-    _treecode_sum,
+    _fmm_sum,
     biased_z_retention,
     default_wavelength_grid,
     histogram_shifts,
@@ -533,16 +530,22 @@ def test_shifted_line_lands_at_converted_wavelength():
     assert peak == pytest.approx(1278.3 + 2.635902, abs=2e-3)
 
 
-def _direct_lorentzian_sum(grid, shifts_mev, emitter):
-    """One term at a time in long double: sum of 1/((x - c)^2 + h^2),
-    peak-normalized, so that its own rounding stays far below the tests'
-    tolerance."""
-    lam0 = emitter.zpl_wavelength_nm
-    half_sq = np.longdouble(emitter.homogeneous_fwhm_nm / 2.0) ** 2
+def _longdouble_sum(grid, centers, half):
+    """One term at a time in long double: sum of 1/((x - c)^2 + half^2)."""
+    half_sq = np.longdouble(half) ** 2
     x = np.asarray(grid, dtype=np.longdouble)
     total = np.zeros_like(x)
-    for c in lam0 + delta_lambda_from_delta_e(shifts_mev, lam0):
+    for c in centers:
         total += 1 / ((x - c) ** 2 + half_sq)
+    return total
+
+
+def _direct_lorentzian_sum(grid, shifts_mev, emitter):
+    """The long-double sum over the lines of ``shifts_mev``, peak-normalized,
+    so that its own rounding stays far below the tests' tolerance."""
+    lam0 = emitter.zpl_wavelength_nm
+    total = _longdouble_sum(grid, lam0 + delta_lambda_from_delta_e(
+        shifts_mev, lam0), emitter.homogeneous_fwhm_nm / 2.0)
     return (total / total.max()).astype(float)
 
 
@@ -564,31 +567,11 @@ def _even_grid(n_points, emitter=EmitterParams()):
                                                - n_points // 2)
 
 
-def _box_counts(grid, shifts, emitter=EmitterParams()):
-    """Centers per treecode box, for the boxes that hold any."""
-    lam = emitter.zpl_wavelength_nm + delta_lambda_from_delta_e(
-        shifts, emitter.zpl_wavelength_nm)
-    box = np.searchsorted(grid[TREE_BOX::TREE_BOX], lam, side="right")
-    return np.bincount(box)[np.unique(box)]
-
-
-def _in_box(grid, k, n, rng, emitter=EmitterParams()):
-    """``n`` shifts whose lines fall inside box ``k`` of ``grid``."""
-    lam = rng.uniform(grid[k * TREE_BOX + 4], grid[k * TREE_BOX + 28], n)
-    return delta_e_from_delta_lambda(lam - emitter.zpl_wavelength_nm,
-                                     emitter.zpl_wavelength_nm)
-
-
 def _treecode_case(name):
     """(shifts, grid or None)."""
     emitter = EmitterParams()
     rng = np.random.default_rng(12)
     n = 2200
-    if name == "one box":
-        grid = _even_grid(2200)
-        shifts = np.r_[rng.uniform(-0.01, 0.01, n - 500), np.zeros(500)]
-        assert len(_box_counts(grid, shifts)) == 1
-        return shifts, grid
     if name == "70% zero shifts":
         shifts = np.where(rng.random(n) < 0.7, 0.0, rng.uniform(-7, 7, n))
         return shifts, None
@@ -603,29 +586,17 @@ def _treecode_case(name):
         grid = emitter.zpl_wavelength_nm + np.cumsum(steps) - steps.sum() / 2
         shifts = rng.uniform(-5, 5, 2400)
         return shifts, grid
-    if name == "every box sparse":
-        # spread over the 256 boxes of the grid, 8 centers per box on average
-        grid = _even_grid(8192)
-        shifts = rng.uniform(-25, 25, 2047)
-        assert _box_counts(grid, shifts).max() < TREE_TERMS
-        return shifts, grid
+    # "mixed": 2000 centers within 24 grid points plus 20 scattered ones
     grid = _even_grid(2048)
-    if name == "boxes at TREE_TERMS - 1 and TREE_TERMS":
-        shifts = np.r_[_in_box(grid, 20, TREE_TERMS - 1, rng),
-                       _in_box(grid, 40, TREE_TERMS, rng)]
-        assert sorted(_box_counts(grid, shifts)) == [TREE_TERMS - 1,
-                                                     TREE_TERMS]
-    else:   # "mixed": one dense box plus 20 centers scattered over others
-        shifts = np.r_[_in_box(grid, 32, 2000, rng), rng.uniform(-5, 5, 20)]
-        counts = sorted(_box_counts(grid, shifts))
-        assert counts[-1] == 2000 and sum(counts[:-1]) == 20
+    lam = rng.uniform(grid[1028], grid[1052], 2000)
+    shifts = np.r_[delta_e_from_delta_lambda(lam - emitter.zpl_wavelength_nm,
+                                             emitter.zpl_wavelength_nm),
+                   rng.uniform(-5, 5, 20)]
     return shifts, grid
 
 
 @pytest.mark.parametrize("name", [
-    "one box", "70% zero shifts", "centers at both edges",
-    "non-uniform grid", "every box sparse",
-    "boxes at TREE_TERMS - 1 and TREE_TERMS", "mixed"])
+    "70% zero shifts", "centers at both edges", "non-uniform grid", "mixed"])
 def test_treecode_matches_direct_sum(name):
     emitter = EmitterParams()
     shifts, grid = _treecode_case(name)
@@ -634,15 +605,103 @@ def test_treecode_matches_direct_sum(name):
         intensity, _direct_lorentzian_sum(grid, shifts, emitter), rtol=1e-12)
 
 
-def test_sparse_boxes_take_one_block_sum_in_input_order():
-    grid = _even_grid(8192)
-    centers = np.random.default_rng(3).uniform(grid[0], grid[-1], 2047)
-    box = np.searchsorted(grid[TREE_BOX::TREE_BOX], centers, side="right")
-    assert np.bincount(box).max() < TREE_TERMS
-    direct = np.zeros_like(grid)
-    _block_sum(direct, grid, centers, 0.0365 ** 2,
-               np.empty(SYNTH_BLOCK * len(grid)))
-    assert np.array_equal(_treecode_sum(grid, centers, 0.0365), direct)
+HALF = EmitterParams().homogeneous_fwhm_nm / 2.0
+# 64 leaves of 2**-4 nm (1.71 half-widths) from a grid start and a step that
+# are exact in binary, so that every leaf edge is a double and a grid point
+DYADIC_GRID = 1276.296875 + 2.0 ** -7 * np.arange(513)
+
+
+def _leaf_position(grid, x, half=HALF):
+    """Leaf count of the tree over ``grid``, and the position of each ``x``
+    in leaf widths from grid[0]: the leaves are the fewest equal ones, at
+    least 4 and a power of two, no wider than 3 half-widths."""
+    span = grid[-1] - grid[0]
+    n = 4
+    while span / n > 3.0 * half:
+        n *= 2
+    return n, (np.asarray(x) - grid[0]) / (span / n)
+
+
+def _fmm_case(name):
+    """(centers, grid, half) of one tree structure."""
+    rng = np.random.default_rng(5)
+    edges = DYADIC_GRID[::8]
+    if name == "reference line on a leaf edge":
+        # a low-density ensemble: 70% of its centers on the reference line,
+        # which halves the symmetric default grid
+        emitter = EmitterParams()
+        shifts = np.where(rng.random(3000) < 0.7, 0.0,
+                          rng.normal(0.0, 0.2, 3000))
+        grid = default_wavelength_grid(shifts, emitter)
+        n, t = _leaf_position(grid, emitter.zpl_wavelength_nm)
+        assert t == pytest.approx(n // 2, abs=1e-9)
+        lam0 = emitter.zpl_wavelength_nm
+        return lam0 + delta_lambda_from_delta_e(shifts, lam0), grid, HALF
+    if name == "centers on leaf edges":
+        # every edge, grid ends included, 30 times, and 600 spread centers
+        centers = np.r_[np.repeat(edges, 30),
+                        rng.uniform(edges[0], edges[-1], 600)]
+        n, t = _leaf_position(DYADIC_GRID, edges)
+        assert n == 64 and np.array_equal(t, np.arange(65))
+        return centers, DYADIC_GRID, HALF
+    if name == "sources two and three leaves from a target":
+        # the first and last double of leaf 30; grid points on the edges of
+        # leaves 32 and 33 are two and three leaves away
+        centers = np.r_[np.full(700, edges[30]),
+                        np.full(700, np.nextafter(edges[31], 0.0))]
+        _, t = _leaf_position(DYADIC_GRID, centers)
+        assert set(np.floor(t)) == {30.0}
+        return centers, DYADIC_GRID, HALF
+    if name == "all centers in one leaf":
+        centers = np.r_[rng.uniform(edges[12], edges[13], 1500),
+                        np.full(500, edges[12] + 0.01)]
+        return centers, DYADIC_GRID, HALF
+    # "shallowest tree": four leaves, so that only the end leaves are far
+    grid = 1278.3 + HALF / 4 * np.arange(41)
+    assert _leaf_position(grid, grid)[0] == 4
+    return rng.uniform(grid[0], grid[-1], 1200), grid, HALF
+
+
+@pytest.mark.parametrize("name", [
+    "reference line on a leaf edge", "centers on leaf edges",
+    "sources two and three leaves from a target", "all centers in one leaf",
+    "shallowest tree"])
+def test_fmm_matches_direct_sum(name):
+    centers, grid, half = _fmm_case(name)
+    intensity = _fmm_sum(grid, centers, half)
+    direct = _longdouble_sum(grid, centers, half)
+    np.testing.assert_allclose(intensity / intensity.max(),
+                               (direct / direct.max()).astype(float),
+                               rtol=1e-12)
+
+
+def test_fmm_error_is_within_the_bound():
+    # a narrow and a wide group of lines on their default grid: at most
+    # 9.4e-15 relative at every point
+    emitter = EmitterParams()
+    rng = np.random.default_rng(9)
+    shifts = np.r_[rng.normal(0.0, 0.3, 2000), rng.uniform(-5.0, 5.0, 1000)]
+    grid = default_wavelength_grid(shifts, emitter)
+    lam0 = emitter.zpl_wavelength_nm
+    centers = lam0 + delta_lambda_from_delta_e(shifts, lam0)
+    direct = _longdouble_sum(grid, centers, HALF)
+    error = np.abs(_fmm_sum(grid, centers, HALF) - direct) / direct
+    assert float(error.max()) <= 9.4e-15
+
+
+def test_fmm_sum_memory_on_a_large_grid():
+    # 2000 spread centers on 2e5 points a quarter half-width apart: no
+    # centers-by-grid buffer, which would take 410 MB for 256 centers
+    grid = 1278.3 + 2.5e-4 * np.arange(-100_000, 100_000)
+    centers = np.random.default_rng(4).uniform(grid[0], grid[-1], 2000)
+    tracemalloc.start()
+    try:
+        intensity = _fmm_sum(grid, centers, 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(intensity > 0)
+    assert peak < 100e6
 
 
 @pytest.mark.parametrize("case", ["sparse", "spread", "identical",

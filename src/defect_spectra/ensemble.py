@@ -55,9 +55,10 @@ FMM_TERMS = 36
 # Most raw draws a biased-z run may expect to need: a rule that retains too
 # few of them is refused up front instead of running for hours or forever.
 MAX_RAW_DRAWS = 1e9
-# Most defects one chunk of a density run may expect to draw. Each costs
-# about 120 bytes of working arrays (its draws, and one strain component at
-# a time), so a shell too large for its densities is refused up front
+# Most defects one chunk of a density run may expect to draw. Each keeps its
+# owner, volume and radius (24 bytes) while directions and strains are taken
+# CHUNK defects at a time: a chunk of about 46k defects peaks at 41 bytes
+# per defect. A shell too large for its densities is refused up front
 # instead of exhausting memory. One defect per lattice site in both kinds
 # on the default shell expects 3.46e6.
 MAX_CHUNK_DEFECTS = 4e6
@@ -279,15 +280,17 @@ def sample_biased_z(spec: BiasedZSpec, n_samples: int, seed: int,
 
 
 def _directions(gen, k):
-    vec = gen.normal(size=(k, 3))
-    return vec / np.linalg.norm(vec, axis=1, keepdims=True)
+    """``k`` directions uniform on the sphere, component-major (3, k)."""
+    vec = gen.normal(size=(k, 3)).T
+    vec /= np.linalg.norm(vec, axis=0)
+    return vec
 
 
 def _single_defect_draws(spec: SingleDefectSpec, gen, size):
     """One defect per sample at the fixed separation."""
     volume = relaxation_volume(spec.defect_kind)
     return (np.arange(size), np.full(size, volume),
-            _directions(gen, size) * spec.separation_nm)
+            np.full(size, spec.separation_nm))
 
 
 def _shell_cm3(spec: DefectDensitySpec) -> float:
@@ -297,31 +300,32 @@ def _shell_cm3(spec: DefectDensitySpec) -> float:
 
 def _density_draws(spec: DefectDensitySpec, gen, size):
     """Poisson vacancy and interstitial counts per sample, then the radii
-    and directions of all of them, uniform in the shell volume."""
+    of all of them, uniform in the shell volume."""
     shell_cm3 = _shell_cm3(spec)
     counts_v = gen.poisson(spec.vacancy_density_cm3 * shell_cm3, size)
     counts_i = gen.poisson(spec.interstitial_density_cm3 * shell_cm3, size)
-    samples = np.arange(size)
-    owner = np.concatenate([np.repeat(samples, counts_v),
-                            np.repeat(samples, counts_i)])
+    owner = np.repeat(np.tile(np.arange(size), 2),
+                      np.concatenate([counts_v, counts_i]))
     volume = np.repeat([relaxation_volume("vacancy"),
                         relaxation_volume("interstitial")],
                        [counts_v.sum(), counts_i.sum()])
-    u = gen.random(len(owner))
-    radii = (u * (spec.r_max_nm ** 3 - spec.r_min_nm ** 3)
-             + spec.r_min_nm ** 3) ** (1.0 / 3.0)
-    return owner, volume, _directions(gen, len(owner)) * radii[:, None]
+    radii = gen.random(len(owner))
+    radii *= spec.r_max_nm ** 3 - spec.r_min_nm ** 3
+    radii += spec.r_min_nm ** 3
+    radii **= 1.0 / 3.0
+    return owner, volume, radii
 
 
-def _defect_field_chunk(size, owner, amplitude, positions):
-    """Strain at each of ``size`` emitters from the defects around them.
+def _defect_field_chunk(strains, owner, amplitude, positions):
+    """Add to ``strains`` (6, size) the strain at each emitter from the
+    defects around it, in defect order.
 
-    Defect ``k`` of amplitude ``amplitude[k]`` sits at ``positions[k]``
+    Defect ``k`` of amplitude ``amplitude[k]`` sits at ``positions[:, k]``
     relative to emitter ``owner[k]``.
     """
-    return np.stack([np.bincount(owner, column, minlength=size)
-                     for column in dipole_strain_columns(amplitude, positions)],
-                    axis=1)
+    for row, column in zip(strains,
+                           dipole_strain_columns(amplitude, positions)):
+        np.add.at(row, owner, column)
 
 
 def sample_defect_field(spec, n_samples: int, seed: int,
@@ -366,10 +370,19 @@ def sample_defect_field(spec, n_samples: int, seed: int,
                 f"{MAX_CHUNK_DEFECTS:.0e}; use a smaller shell or density")
 
     def block(j, size):
-        owner, volume, positions = draws(
-            spec, make_stream(seed, _MODE_IDS["defect-field"], j), size)
-        return size, _defect_field_chunk(
-            size, owner, elastic.amplitude_nm3(volume), positions)
+        # each defect keeps its owner, volume and radius; directions and
+        # strains are taken CHUNK defects at a time, after every radius
+        gen = make_stream(seed, _MODE_IDS["defect-field"], j)
+        owner, volume, radii = draws(spec, gen, size)
+        strains = np.zeros((6, size))
+        for start in range(0, len(owner), CHUNK):
+            part = slice(start, start + CHUNK)
+            positions = _directions(gen, len(radii[part]))
+            positions *= radii[part]
+            _defect_field_chunk(strains, owner[part],
+                                elastic.amplitude_nm3(volume[part]),
+                                positions)
+        return size, strains.T
 
     return _ensemble((block(j, size) for j, size in _chunks(n_samples)),
                      n_samples, table)

@@ -197,10 +197,23 @@ def fit_single_exponential(time_ns, counts, window_ns=None) -> FitResult:
 # Lorentzian peaks
 # ---------------------------------------------------------------------------
 
+def _median(a):
+    """``np.median`` of a 1-D array, without the ``numpy.ma`` import that
+    ``np.median`` pays on its first call: NaN if any element is NaN."""
+    a = np.sort(a)
+    mid = len(a) // 2
+    if np.isnan(a[-1]):
+        return a[-1]
+    # np.median sums from +0.0, so a zero median is +0.0
+    if len(a) % 2:
+        return 0.0 + a[mid]
+    return (0.0 + a[mid - 1] + a[mid]) / 2
+
+
 def _wing_baseline(y):
     """Median of the outer five percent of the samples at each end."""
     n_edge = max(1, int(0.05 * len(y)))
-    return float(np.median(np.concatenate([y[:n_edge], y[-n_edge:]])))
+    return float(_median(np.concatenate([y[:n_edge], y[-n_edge:]])))
 
 
 def _pick_initial_peaks(x, y, n_peaks):
@@ -208,7 +221,7 @@ def _pick_initial_peaks(x, y, n_peaks):
     residual above the wing baseline."""
     peaks = []
     resid = y - _wing_baseline(y)
-    step = float(np.median(np.diff(x)))
+    step = float(_median(np.diff(x)))
     for k in range(n_peaks):
         i = int(np.argmax(resid))
         amp = float(resid[i])

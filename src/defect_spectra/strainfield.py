@@ -77,19 +77,20 @@ def dipole_strain(amplitudes, displacements) -> np.ndarray:
     The field is even in the displacement, so its sign does not matter.
     There is no core check: every displacement must be nonzero.
     """
-    return np.stack(list(dipole_strain_columns(amplitudes, displacements)),
-                    axis=-1)
+    d = np.moveaxis(np.asarray(displacements, dtype=float), -1, 0)
+    return np.stack(list(dipole_strain_columns(amplitudes, d)), axis=-1)
 
 
 def dipole_strain_columns(amplitudes, displacements):
-    """The components of ``dipole_strain``, yielded one at a time in
-    6-vector order, so that a caller reducing them never holds all six."""
+    """The components of ``dipole_strain`` of component-major
+    ``displacements`` (3, ...), yielded one at a time in 6-vector order, so
+    that a caller reducing them never holds all six."""
     d = np.asarray(displacements, dtype=float)
-    r = np.linalg.norm(d, axis=-1)
-    n = d / r[..., None]
+    r = np.linalg.norm(d, axis=0)
+    n = d / r
     a = np.asarray(amplitudes, dtype=float) / r ** 3
     for delta, i, j in zip(_DELTA, _I, _J):
-        yield a * (delta - 3.0 * n[..., i] * n[..., j])
+        yield a * (delta - 3.0 * n[i] * n[j])
 
 
 def dilatation_strain(defect: PointDefect, points_nm,

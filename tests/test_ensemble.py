@@ -330,6 +330,22 @@ def test_density_chunk_peak_memory_per_defect(table):
     assert peak / len(owner) < 150
 
 
+def test_density_chunk_keeps_three_values_per_defect(table):
+    # the same chunk: each defect keeps its owner, volume and radius (24
+    # bytes), and directions and strains are taken CHUNK defects at a time.
+    # Drawing and summing every defect of the chunk at once peaks at about
+    # 120 bytes per defect
+    spec = DefectDensitySpec(vacancy_density_cm3=1e21,
+                             interstitial_density_cm3=1e21 / 3)
+    sample_defect_field(spec, 100, seed=2, table=table)
+    _, peak = _traced_peak(lambda: sample_defect_field(spec, CHUNK, seed=2,
+                                                       table=table))
+    owner, _, _ = ensemble._density_draws(spec, ensemble.make_stream(
+        2, ensemble._MODE_IDS["defect-field"], 0), CHUNK)
+    assert len(owner) > 40_000
+    assert peak / len(owner) < 64
+
+
 # ---------------------------------------------------------------------------
 # defect-field sampler
 # ---------------------------------------------------------------------------
@@ -438,17 +454,21 @@ def test_defect_field_range_checked_per_axis(table):
 
 def _vstack_then_mask(spec, n_samples, seed, table):
     """The defect-field ensemble as a list of whole chunks, each summed
-    from the (k, 6) strains of all its defects, stacked and then masked:
-    (strains, shifts, range rejections)."""
+    from the (k, 6) strains of all its defects, whose (k, 3) directions are
+    drawn in one call, stacked and then masked: (strains, shifts, range
+    rejections)."""
     draws = (ensemble._single_defect_draws
              if isinstance(spec, SingleDefectSpec) else ensemble._density_draws)
     elastic = ElasticParams()
     parts = []
     for j in range(-(-n_samples // CHUNK)):
         size = min(CHUNK, n_samples - j * CHUNK)
-        owner, volume, positions = draws(spec, ensemble.make_stream(
-            seed, ensemble._MODE_IDS["defect-field"], j), size)
-        per_defect = dipole_strain(elastic.amplitude_nm3(volume), positions)
+        gen = ensemble.make_stream(seed, ensemble._MODE_IDS["defect-field"], j)
+        owner, volume, radii = draws(spec, gen, size)
+        normals = gen.normal(size=(len(owner), 3))
+        positions = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+        per_defect = dipole_strain(elastic.amplitude_nm3(volume),
+                                   positions * radii[:, None])
         parts.append(np.stack([
             np.bincount(owner, per_defect[:, c], minlength=size)
             for c in range(6)], axis=1))
@@ -499,7 +519,9 @@ def test_defect_field_chunk_matches_superpose(defects):
     volume = np.where(is_vacancy, -0.25, 0.60)
     amplitude = volume * 0.0200 / (4 * np.pi)
 
-    strains = _defect_field_chunk(size, owner, amplitude, positions)
+    strains = np.zeros((6, size))
+    _defect_field_chunk(strains, owner, amplitude, positions.T)
+    strains = strains.T
 
     for i in range(size):
         mine = np.flatnonzero(owner == i)
@@ -709,11 +731,14 @@ def test_fmm_sum_memory_on_a_large_grid():
 def test_spectrum_memory_is_one_block(case):
     emitter = EmitterParams()
     shifts, grid = {
-        # at most 23 shifts per box, all summed over the whole grid
+        # 1200 shifts over 223 of 256 leaves of 8 grid points, at most 6
+        # centers per leaf
         "sparse": (np.linspace(-6.0, 6.0, 1200), _even_grid(2000)),
+        # 20k shifts over 106 of 128 leaves, at most 192 centers per leaf
         "spread": (np.linspace(-2.5, 2.5, 20000), None),
-        # 20k shifts in one treecode box of a 4000-point grid, identical or
-        # spread over the box, whose near window is then 116 points wide
+        # 20k shifts in one leaf of a 4000-point grid, or spread over 4
+        # leaves (5408 centers in the fullest); the near field of a leaf,
+        # the leaves within two of it, holds 39 grid points
         "identical": (np.full(20000, 0.4), _even_grid(4000)),
         "one box": (np.linspace(-0.1, 0.1, 20000), _even_grid(4000)),
     }[case]
@@ -724,9 +749,10 @@ def test_spectrum_memory_is_one_block(case):
     finally:
         tracemalloc.stop()
     assert len(grid) == {"sparse": 2000, "spread": 885}.get(case, 4000)
-    # one SYNTH_BLOCK x grid buffer is 4.1 MB on 2000 points; 1.2k x 2000
-    # would be 19 MB, 20k x 885 142 MB, and 20k x the one-box near window
-    # 19 MB
+    # the near field goes through one buffer of at most SYNTH_BLOCK x 40
+    # points (82 KB); all 20k centers of the fullest leaf times its near
+    # field would be 6.2 MB, and every center times the whole grid 19 MB
+    # ("sparse") to 640 MB
     assert peak < 8e6
 
 

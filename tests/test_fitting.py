@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from defect_spectra.core import NumericalError, ValidationError
 from defect_spectra.fitting import (
+    _median,
     fit_peaks,
     fit_power_law,
     fit_single_exponential,
@@ -271,6 +275,38 @@ def test_fwhm_unbounded_line():
         numerical_fwhm(x, y)
     with pytest.raises(ValidationError, match="short-wavelength"):
         numerical_fwhm(x, y[::-1].copy())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 101, 200, 399])
+def test_median_matches_numpy(n):
+    # odd and even lengths, ties, signed zeros, infinities and NaN
+    gen = np.random.default_rng(n)
+    cases = [gen.normal(size=n), gen.integers(-3, 3, size=n).astype(float),
+             np.where(gen.random(n) < 0.5, -0.0, 0.0),
+             np.append(gen.normal(size=n - 1), np.inf)]
+    if n > 1:
+        cases.append(np.r_[gen.normal(size=n - 2), np.inf, -np.inf])
+        cases.append(np.insert(gen.normal(size=n - 1), n // 2, np.nan))
+    for a in cases:
+        with np.errstate(invalid="ignore"):   # inf + -inf
+            want, got = np.median(a), _median(a)
+        assert np.array_equal(got, want, equal_nan=True), a
+        assert np.signbit(got) == np.signbit(want)
+
+
+def test_fwhm_leaves_numpy_ma_unimported():
+    # np.median imports numpy.ma on its first call: 2 MB and 15-20 ms
+    code = ("import sys\nimport numpy as np\n"
+            "from defect_spectra.fitting import numerical_fwhm\n"
+            "x = np.linspace(0.0, 1.0, 101)\n"
+            "numerical_fwhm(x, 1.0 / (1.0 + ((x - 0.5) / 0.05) ** 2))\n"
+            "print('numpy.ma' in sys.modules)")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_fwhm_needs_unique_maximum():

@@ -74,7 +74,7 @@ def test_dipole_strain_stacks_its_columns_bit_for_bit(shape):
     assert got.shape == shape + (6,)
     assert np.array_equal(got, want)
     assert all(np.array_equal(column, want[..., c]) for c, column in
-               enumerate(dipole_strain_columns(amp, d)))
+               enumerate(dipole_strain_columns(amp, np.moveaxis(d, -1, 0))))
 
 
 def test_custom_relaxation_volume():

@@ -231,13 +231,13 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
     """Instantiate a schedule template at a target fluence.
 
     Placeholder cells, each only in its own column: {flux} in flux_cm2_s
-    (flux = fluence share / duration), {duration} in duration_s
-    (duration = share / flux), or {pulses} in repeat (the row becomes a
-    pulse train delivering the share); in another column a placeholder
-    is an invalid number. The target fluence minus any fixed rows is
-    split equally across placeholder rows. A {flux} row with zero
-    duration, or a {duration} row with zero flux, cannot deliver its
-    share and is refused.
+    (flux = fluence share / (duration * repeat)), {duration} in duration_s
+    (duration = share / (flux * repeat)), or {pulses} in repeat (the row
+    becomes a pulse train delivering the share); in another column a
+    placeholder is an invalid number. An empty or absent repeat cell is 1.
+    The target fluence minus any fixed rows is split equally across
+    placeholder rows. A {flux} row with zero duration, or a {duration} row
+    with zero flux, cannot deliver its share and is refused.
     """
     header, rows = read_csv(path)
     if header[:3] != ["flux_cm2_s", "duration_s", "gap_s"] or \
@@ -246,11 +246,17 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
             f"schedule file {path} must start with header "
             "flux_cm2_s,duration_s,gap_s with optional repeat column, "
             f"got {','.join(header)}")
-    has_repeat = len(header) == 4
 
     def cell(cells, column, cast=float):
         return number(f"{header[column]} cell of schedule {path}",
                       cells[column], cast)
+
+    def repeat_of(cells):
+        repeat = cell(cells, 3, int) if cells[3] else 1
+        if repeat < 1:
+            raise ValidationError(
+                f"schedule template {path}: repeat must be >= 1, got {repeat}")
+        return repeat
 
     def divisor(cells, column):
         # the flux of a {duration} row or the duration of a {flux} row
@@ -275,7 +281,7 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
                 or cells[3] == "{pulses}"):
             parsed.append(cells)
         else:
-            repeat = cell(cells, 3, int) if has_repeat and cells[3] else 1
+            repeat = repeat_of(cells)
             parsed.append(build(ScheduleSegment, cell(cells, 0),
                                 cell(cells, 1), cell(cells, 2), repeat))
     fixed = [run for run in parsed if isinstance(run, ScheduleSegment)]
@@ -301,13 +307,14 @@ def schedule_from_template(path, target_fluence_cm2: float) -> IrradiationSchedu
                 segments.extend(build(pulsed_schedule, share, flux, duration,
                                       duration + gap).segments)
             continue
+        repeat = repeat_of(cells)
         if cells[1] == "{duration}":
             flux = divisor(cells, 0)
-            duration = share / flux
+            duration = share / (flux * repeat)
         else:
             duration = divisor(cells, 1)
-            flux = share / duration
-        segments.append(build(ScheduleSegment, flux, duration, gap))
+            flux = share / (duration * repeat)
+        segments.append(build(ScheduleSegment, flux, duration, gap, repeat))
     return IrradiationSchedule(tuple(segments))
 
 

@@ -465,12 +465,10 @@ class DamageParams:
 
 @dataclass
 class DamageHistory:
-    """Densities after the exposure and the gap of each run's last copy,
-    with the flux that produced each row (zero for gap rows)."""
+    """Densities after the exposure and the gap of each run's last copy."""
 
     time_s: np.ndarray
     fluence_cm2: np.ndarray
-    flux_cm2_s: np.ndarray
     n_g_cm2: np.ndarray
     n_trap_cm2: np.ndarray
     tau_eff_ns: np.ndarray
@@ -507,7 +505,7 @@ def integrate_damage(schedule: IrradiationSchedule,
     maps are one linear update over n*T with the source scaled by
     r = expm1(-a*tau)*exp(-a*gap)/expm1(-a*T), or tau/T when a*T = 0.
     """
-    rows = [(0.0, 0.0, 0.0, 0.0, 0.0)]
+    rows = [(0.0, 0.0, 0.0, 0.0)]
     t = fluence = n_g = n_trap = 0.0
     c0 = params.carbon_areal_density_cm2
     anneal = params.dynamic_annealing_rate_s
@@ -530,16 +528,16 @@ def integrate_damage(schedule: IrradiationSchedule,
             n_trap = _linear_update(n_trap, source, anneal, seg.duration_s)
             t += seg.duration_s
             fluence += seg.fluence_cm2
-            rows.append((t, fluence, seg.flux_cm2_s, n_g, n_trap))
+            rows.append((t, fluence, n_g, n_trap))
         if seg.gap_s > 0:
             n_trap = _linear_update(n_trap, 0.0, anneal, seg.gap_s)
             t += seg.gap_s
-            rows.append((t, fluence, 0.0, n_g, n_trap))
+            rows.append((t, fluence, n_g, n_trap))
     arr = np.array(rows, dtype=float)
-    if np.any(arr[:, 3] < 0) or np.any(arr[:, 4] < 0):
+    if np.any(arr[:, 2:] < 0):
         raise NumericalError("damage integration produced negative densities")
-    tau_eff = params.tau_eff_ns(arr[:, 4])
+    tau_eff = params.tau_eff_ns(arr[:, 3])
     return DamageHistory(time_s=arr[:, 0], fluence_cm2=arr[:, 1],
-                         flux_cm2_s=arr[:, 2], n_g_cm2=arr[:, 3],
-                         n_trap_cm2=arr[:, 4], tau_eff_ns=tau_eff,
+                         n_g_cm2=arr[:, 2], n_trap_cm2=arr[:, 3],
+                         tau_eff_ns=tau_eff,
                          qe=tau_eff / params.tau_r_ns)

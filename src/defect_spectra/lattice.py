@@ -59,30 +59,20 @@ class SupercellSpec:
         return 8 * self.repeats ** 3
 
 
-@dataclass(frozen=True)
-class GCenterPlacement:
-    """Type-B center: two substitutional carbons plus one Si interstitial.
-
-    ``carbon_site_a/b`` index into the geometry's atom table; the
-    interstitial sits at a tetrahedral void adjacent to the pair. The
-    orientation label is the normal of the mirror plane spanned by the
-    carbon bond and the interstitial, always a <110>-type direction.
-    """
-
-    carbon_site_a: int
-    carbon_site_b: int
-    interstitial_frac: tuple
-    orientation: str
-
-
 @dataclass
 class Geometry:
-    """Atom table for one supercell, optionally with an embedded G-center."""
+    """Atom table for one supercell, optionally with an embedded G-center.
+
+    ``gcenter`` is the type-B center as three rows of the table:
+    (carbon_a, carbon_b, interstitial). The carbons substitute a
+    nearest-neighbor pair; the Si interstitial is the row appended at a
+    tetrahedral void adjacent to the pair.
+    """
 
     spec: SupercellSpec
     positions_frac: np.ndarray          # (N, 3) in box units, half-open [0, 1)
     elements: list = field(default_factory=list)  # N chemical symbols
-    gcenter: GCenterPlacement | None = None
+    gcenter: tuple | None = None
 
     @property
     def positions_nm(self) -> np.ndarray:
@@ -92,16 +82,14 @@ class Geometry:
         """Reference point for separations: G-center midpoint, else origin."""
         if self.gcenter is None:
             return np.zeros(3)
-        a = self.positions_frac[self.gcenter.carbon_site_a]
-        b = self.positions_frac[self.gcenter.carbon_site_b]
+        a, b = self.positions_frac[list(self.gcenter[:2])]
         return a + 0.5 * min_image_frac(b, a)
 
 
 @dataclass
 class Candidates:
-    """Enumerated defect sites of one kind with separations from the center."""
+    """Enumerated defect sites with separations from the center."""
 
-    kind: str
     positions_frac: np.ndarray   # (K, 3)
     separation_nm: np.ndarray    # (K,)
 
@@ -118,16 +106,21 @@ def min_image_distance_nm(frac_a, frac_b, spec: SupercellSpec):
     return np.linalg.norm(d, axis=-1)
 
 
-def build_supercell(spec: SupercellSpec) -> Geometry:
-    """Pristine silicon supercell with 8 * repeats^3 atoms."""
+def _tile(spec: SupercellSpec, basis: np.ndarray) -> np.ndarray:
+    """``basis`` (conventional-cell units) repeated over every cell of the
+    supercell, wrapped into the box, in box units, sorted lexicographically."""
     n = spec.repeats
     cells = np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij"),
                      axis=-1).reshape(-1, 3)
-    basis = np.vstack([_FCC, _FCC + _BASIS_SHIFT])
-    frac = (cells[:, None, :] + basis[None, :, :]).reshape(-1, 3) / n
-    frac = np.mod(frac, 1.0)
-    order = np.lexsort((frac[:, 2], frac[:, 1], frac[:, 0]))
-    frac = frac[order]
+    # wrap before dividing: void sites leave the cell (0.75 + 0.5), while
+    # every atom sum stays below n, where the wrap changes no bit
+    frac = np.mod((cells[:, None, :] + basis).reshape(-1, 3), n) / n
+    return frac[np.lexsort(frac.T[::-1])]
+
+
+def build_supercell(spec: SupercellSpec) -> Geometry:
+    """Pristine silicon supercell with 8 * repeats^3 atoms."""
+    frac = _tile(spec, np.vstack([_FCC, _FCC + _BASIS_SHIFT]))
     return Geometry(spec=spec, positions_frac=frac,
                     elements=["Si"] * len(frac))
 
@@ -135,22 +128,7 @@ def build_supercell(spec: SupercellSpec) -> Geometry:
 def tetrahedral_voids(spec: SupercellSpec) -> np.ndarray:
     """Fractional positions of the ideal lattice's unoccupied tetrahedral
     holes, 4 per conventional cell, sorted lexicographically."""
-    n = spec.repeats
-    cells = np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij"),
-                     axis=-1).reshape(-1, 3)
-    holes = (cells[:, None, :] + (_FCC + _VOID_SHIFT)[None, :, :]).reshape(-1, 3)
-    holes = np.mod(holes, 1.0 * n) / n
-    order = np.lexsort((holes[:, 2], holes[:, 1], holes[:, 0]))
-    return holes[order]
-
-
-def _nearest_neighbor_pair(geom: Geometry) -> tuple:
-    """Indices of the first atom and its first nearest neighbor."""
-    d = min_image_distance_nm(geom.positions_frac, geom.positions_frac[0],
-                              geom.spec)
-    d[0] = np.inf
-    j = int(np.argmin(d))
-    return 0, j
+    return _tile(spec, _FCC + _VOID_SHIFT)
 
 
 def place_gcenter(geom: Geometry) -> Geometry:
@@ -162,8 +140,10 @@ def place_gcenter(geom: Geometry) -> Geometry:
     """
     if geom.gcenter is not None:
         raise ValidationError("geometry already contains a G-center")
-    ia, ib = _nearest_neighbor_pair(geom)
-    frac = geom.positions_frac.copy()
+    frac = geom.positions_frac
+    d = min_image_distance_nm(frac, frac[0], geom.spec)
+    d[0] = np.inf
+    ia, ib = 0, int(np.argmin(d))
     elements = list(geom.elements)
     elements[ia] = "C"
     elements[ib] = "C"
@@ -174,21 +154,9 @@ def place_gcenter(geom: Geometry) -> Geometry:
     best = dist <= dist.min() + 1e-12
     # voids are sorted, so the first flagged row is the lexicographic choice
     v = voids[np.flatnonzero(best)[0]]
-
-    bond = min_image_frac(frac[ib], frac[ia])
-    arm = min_image_frac(v, midpoint)
-    normal = np.cross(bond, arm)
-    normal = normal / np.max(np.abs(normal))
-    digits = "".join("%d" % round(x) if x >= 0 else "-%d" % round(-x)
-                     for x in normal)
-    placement = GCenterPlacement(
-        carbon_site_a=ia, carbon_site_b=ib,
-        interstitial_frac=tuple(v), orientation=f"[{digits}]")
-
-    frac = np.vstack([frac, v[None, :]])
     elements.append("Si")
-    return Geometry(spec=geom.spec, positions_frac=frac, elements=elements,
-                    gcenter=placement)
+    return Geometry(spec=geom.spec, positions_frac=np.vstack([frac, v]),
+                    elements=elements, gcenter=(ia, ib, len(frac)))
 
 
 def enumerate_candidates(geom: Geometry, kind: str) -> Candidates:
@@ -212,18 +180,12 @@ def enumerate_candidates(geom: Geometry, kind: str) -> Candidates:
     elif kind == "interstitial-void":
         pos = tetrahedral_voids(geom.spec)
         if geom.gcenter is not None:
-            g = geom.gcenter
-            anchors = np.vstack([
-                geom.positions_frac[g.carbon_site_a],
-                geom.positions_frac[g.carbon_site_b],
-                np.asarray(g.interstitial_frac),
-            ])
+            anchors = geom.positions_frac[list(geom.gcenter)]
             d_anchor = np.stack([
                 min_image_distance_nm(pos, a, geom.spec) for a in anchors
             ]).min(axis=0)
             pos = pos[d_anchor > EXCLUSION_RADIUS_NM]
-            d_int = min_image_distance_nm(
-                pos, np.asarray(g.interstitial_frac), geom.spec)
+            d_int = min_image_distance_nm(pos, anchors[2], geom.spec)
             order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], d_int))
             pos = np.delete(pos, order[:BLOCKED_NEIGHBORS], axis=0)
     else:
@@ -232,8 +194,7 @@ def enumerate_candidates(geom: Geometry, kind: str) -> Candidates:
             "'interstitial-void'")
 
     sep = min_image_distance_nm(pos, geom.centroid_frac(), geom.spec)
-    return Candidates(kind=kind, positions_frac=pos,
-                      separation_nm=np.atleast_1d(sep))
+    return Candidates(positions_frac=pos, separation_nm=np.atleast_1d(sep))
 
 
 def xyz_text(geom: Geometry) -> str:

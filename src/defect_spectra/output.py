@@ -102,11 +102,15 @@ def write_csv(path: str, header, columns):
 
 def read_csv(path):
     """(header, rows) of a CSV input, cells stripped, blank and # rows skipped.
-    No data rows, or a row unlike the header in width, raise ValidationError."""
-    with open(path, newline="") as handle:
-        rows = [cells for cells in ([c.strip() for c in row]
-                                    for row in csv.reader(handle))
-                if any(cells) and not cells[0].startswith("#")]
+    Undecodable bytes, a cell over the csv module's field limit, no data
+    rows, or a row unlike the header in width raise ValidationError."""
+    try:
+        with open(path, newline="") as handle:
+            rows = [cells for cells in ([c.strip() for c in row]
+                                        for row in csv.reader(handle))
+                    if any(cells) and not cells[0].startswith("#")]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read CSV file {path}: {exc}") from None
     if len(rows) < 2:
         raise ValidationError(f"{path} has no data rows")
     for row in rows[1:]:

@@ -486,6 +486,23 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
      ["sweep-fluence", "--template", "t.csv", "--fluences", "1e13,1e14",
       "--out", "out"],
      "schedule template t.csv: the flux_cm2_s cell of a {duration} row is 0"),
+    # the repeat cell of a placeholder row is parsed as a fixed row's is
+    ({"t.csv": "flux_cm2_s,duration_s,gap_s,repeat\n1e12,{duration},5,abc\n"},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "1e13,1e14",
+      "--out", "out"], "repeat cell of schedule t.csv has invalid value 'abc'"),
+    # undecodable bytes and an over-long cell are input faults, not crashes
+    ({"d.csv": b"time_ns,counts\n0,1.0\n1,\xff0.5\n2,0.25\n"},
+     ["fit", "--input", "d.csv", "--report", "r.csv"],
+     "cannot read CSV file d.csv"),
+    ({"d.csv": "time_ns,counts\n0,1.0\n1," + "5" * 131073 + "\n2,0.25\n"},
+     ["fit", "--input", "d.csv", "--report", "r.csv"],
+     "cannot read CSV file d.csv: field larger than field limit"),
+    ({"t.csv": b"flux_cm2_s,duration_s,gap_s\n8e11,{duration},\xff0\n"},
+     ["sweep-fluence", "--template", "t.csv", "--fluences", "1e13,1e14",
+      "--out", "out"], "cannot read CSV file t.csv"),
+    ({"s.ini": "[response]\ntable = r.csv\n",
+      "r.csv": b"axis,strain,shift_mev\nx,\xff0,0\n"},
+     SPECTRUM, "r.csv"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
@@ -504,7 +521,9 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "config-is-directory", "config-not-utf8", "shell-too-large",
         "fluences-repeated", "fluences-equal-logs",
         "fit-power-law-one-fluence", "grid-too-large",
-        "flux-zero-duration", "duration-zero-flux"])
+        "flux-zero-duration", "duration-zero-flux", "repeat-abc-duration-row",
+        "fit-not-utf8", "fit-cell-too-long", "template-not-utf8",
+        "table-not-utf8"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)
@@ -831,6 +850,20 @@ def test_schedule_from_template_runs(tmp_path, capsys):
                      "--out", str(tmp_path / "x")]) == 2
         assert "repeat must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_placeholder_row_keeps_its_repeat(tmp_path):
+    template = tmp_path / "t.csv"
+    for placeholder, cells in (("{duration}", "8e11,{duration},5,4"),
+                               ("{flux}", "{flux},2.0,5,4")):
+        template.write_text(f"flux_cm2_s,duration_s,gap_s,repeat\n{cells}\n")
+        (run,) = schedule_from_template(str(template), 1e14).segments
+        assert run.repeat == 4, placeholder
+        assert run.gap_s == 5.0
+        assert run.fluence_cm2 == pytest.approx(1e14, rel=1e-12, abs=0)
+        # each copy delivers a quarter of the fluence
+        assert run.flux_cm2_s * run.duration_s == pytest.approx(2.5e13,
+                                                                rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -76,16 +76,71 @@ def test_void_count_other_sizes():
                            brute_force_voids(repeats))
 
 
+def tiled_by_separate_formulas(repeats):
+    """Independent oracle: the atoms and the voids each tiled by its own
+    formula, the atoms divided then wrapped, the voids wrapped then
+    divided."""
+    n = repeats
+    cells = np.stack(np.meshgrid(*(np.arange(n),) * 3, indexing="ij"),
+                     axis=-1).reshape(-1, 3)
+    fcc = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.5],
+                    [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    basis = np.vstack([fcc, fcc + 0.25])
+    atoms = np.mod((cells[:, None, :] + basis[None, :, :]).reshape(-1, 3)
+                   / n, 1.0)
+    atoms = atoms[np.lexsort((atoms[:, 2], atoms[:, 1], atoms[:, 0]))]
+    holes = (cells[:, None, :] + (fcc + 0.75)[None, :, :]).reshape(-1, 3)
+    holes = np.mod(holes, 1.0 * n) / n
+    holes = holes[np.lexsort((holes[:, 2], holes[:, 1], holes[:, 0]))]
+    return atoms, holes
+
+
+@pytest.mark.parametrize("repeats", [1, 2, 3, 4])
+def test_one_tiler_matches_separate_formulas_bit_for_bit(repeats):
+    spec = SupercellSpec(repeats=repeats)
+    atoms, holes = tiled_by_separate_formulas(repeats)
+    got_atoms = build_supercell(spec).positions_frac
+    got_holes = tetrahedral_voids(spec)
+    assert got_atoms.shape == atoms.shape
+    assert got_holes.shape == holes.shape
+    assert np.array_equal(got_atoms.view(np.uint64), atoms.view(np.uint64))
+    assert np.array_equal(got_holes.view(np.uint64), holes.view(np.uint64))
+
+
+def test_gcenter_is_three_rows_of_the_atom_table():
+    pristine = build_supercell(SupercellSpec(repeats=3))
+    geom = place_gcenter(pristine)
+    carbon_a, carbon_b, interstitial = geom.gcenter
+    assert geom.elements[carbon_a] == "C"
+    assert geom.elements[carbon_b] == "C"
+    # the interstitial is the appended last row, a silicon
+    assert interstitial == len(pristine.positions_frac)
+    assert interstitial == len(geom.positions_frac) - 1
+    assert geom.elements[interstitial] == "Si"
+    # the carbons are a nearest-neighbor pair
+    bond = min_image_distance_nm(geom.positions_frac[carbon_a],
+                                 geom.positions_frac[carbon_b], geom.spec)
+    assert bond == pytest.approx(np.sqrt(3) / 4 * 0.5431, rel=1e-12)
+    # the centroid is the minimum-image midpoint of the two carbons
+    a = geom.positions_frac[carbon_a]
+    b = geom.positions_frac[carbon_b]
+    mid = geom.centroid_frac()
+    assert np.allclose(min_image_frac(mid, a), min_image_frac(b, mid),
+                       atol=1e-15)
+    assert np.allclose(2 * min_image_frac(mid, a), min_image_frac(b, a),
+                       atol=1e-15)
+    assert np.array_equal(pristine.centroid_frac(), np.zeros(3))
+
+
 def test_gcenter_placement():
     geom = place_gcenter(build_supercell(SupercellSpec(repeats=3)))
     assert len(geom.positions_frac) == 217
     assert geom.elements.count("C") == 2
     assert geom.elements.count("Si") == 215
     assert geom.gcenter is not None
-    assert geom.gcenter.orientation == "[-110]"
     # the interstitial occupies a former void
     voids = tetrahedral_voids(geom.spec)
-    inter = np.asarray(geom.gcenter.interstitial_frac)
+    inter = geom.positions_frac[geom.gcenter[2]]
     d = np.linalg.norm(voids - inter, axis=1)
     assert d.min() < 1e-12
 

@@ -75,7 +75,7 @@ from .lattice import (
     build_supercell,
     enumerate_candidates,
     place_gcenter,
-    xyz_text,
+    xyz_table,
 )
 from .output import read_csv, svg_line_plot, write_atomic, write_csv
 from .strainfield import ElasticParams
@@ -361,6 +361,11 @@ def cmd_simulate_spectrum(args) -> int:
         ens = sample_biased_z(spec, n, args.seed, table)
     else:
         ens = sample_defect_field(spec, n, args.seed, table, elastic)
+    prov = ens.provenance
+    if not len(ens):
+        raise ValidationError(
+            f"no samples retained: {prov.n_range_rejections} of "
+            f"{prov.n_raw_draws} raw draws were out of table range")
 
     edges, counts = histogram_shifts(ens.shifts_mev, bin_width)
     grid, intensity = synthesize_spectrum(ens.shifts_mev, emitter)
@@ -375,7 +380,6 @@ def cmd_simulate_spectrum(args) -> int:
         header = ["sample_id", *STRAIN_COMPONENTS, "shift_mev"]
         write_csv(os.path.join(args.out, "samples.csv"), header,
                   [np.arange(len(ens)), *ens.strains.T, ens.shifts_mev])
-    prov = ens.provenance
     print(f"{mode}: {prov.n_retained} samples "
           f"({prov.n_raw_draws} raw draws, "
           f"{prov.n_range_rejections} out of table range), "
@@ -511,21 +515,22 @@ def cmd_fit(args) -> int:
 
 
 def cmd_enumerate_sites(args) -> int:
-    spec = SupercellSpec(repeats=args.repeats)
-    geom = build_supercell(spec)
-    geom = place_gcenter(geom)
+    geom = place_gcenter(build_supercell(SupercellSpec(repeats=args.repeats)))
     kinds = (["vacancy", "interstitial-void"] if args.kind == "both"
              else [args.kind])
-    cands = [enumerate_candidates(geom, kind) for kind in kinds]
-    counts = [len(c.separation_nm) for c in cands]
+    cands = {kind: enumerate_candidates(geom, kind) for kind in kinds}
+    # one table per kind, whose kind column is a broadcast view
     write_csv(os.path.join(args.out, "sites.csv"),
               ["kind", "frac_x", "frac_y", "frac_z", "separation_nm"],
-              [np.repeat(kinds, counts),
-               *np.concatenate([c.positions_frac for c in cands]).T,
-               np.concatenate([c.separation_nm for c in cands])])
+              *([np.broadcast_to(kind, len(c.separation_nm)),
+                 *c.positions_frac.T, c.separation_nm]
+                for kind, c in cands.items()))
     if args.xyz:
-        write_atomic(os.path.join(args.out, "supercell.xyz"), xyz_text(geom))
-    print("sites: " + ", ".join(f"{n} {k}" for k, n in zip(kinds, counts))
+        head, columns = xyz_table(geom)
+        write_csv(os.path.join(args.out, "supercell.xyz"), head, columns,
+                  sep=" ", float_format="%.6f")
+    print("sites: " + ", ".join(f"{len(c.separation_nm)} {kind}"
+                                for kind, c in cands.items())
           + f", written to {args.out}")
     return 0
 
@@ -537,33 +542,31 @@ def cmd_convert(args) -> int:
         raise ValidationError(
             "convert needs exactly one of --wavelength-nm, --energy-ev, "
             "--shift-mev, --shift-nm")
+    value, ref = getattr(args, given[0]), args.reference_nm
     flag = "--" + given[0].replace("_", "-")
-    ref = args.reference_nm
-    if ref is not None and given[0] in ("wavelength_nm", "energy_ev"):
+    absolute = not given[0].startswith("shift")
+    if ref is not None and absolute:
         raise ValidationError(f"--reference-nm applies to --shift-mev and "
                               f"--shift-nm only, not to {flag}")
-    for name, value in ((flag, getattr(args, given[0])),
-                        ("--reference-nm", ref)):
-        if value is not None and not np.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
-    if ref is None:
-        ref = ZPL_WAVELENGTH_NM
-    elif ref <= 0:
+    for name, x in ((flag, value), ("--reference-nm", ref)):
+        if x is not None and not np.isfinite(x):
+            raise ValidationError(f"{name} must be finite, got {x}")
+    if ref is not None and ref <= 0:
         raise ValidationError(f"--reference-nm must be positive, got {ref}")
-    if args.wavelength_nm is not None:
-        if args.wavelength_nm <= 0:
-            raise ValidationError("wavelength must be positive")
-        print(f"energy_ev = {HC_EV_NM / args.wavelength_nm:.10g}")
-    elif args.energy_ev is not None:
-        if args.energy_ev <= 0:
-            raise ValidationError("energy must be positive")
-        print(f"wavelength_nm = {HC_EV_NM / args.energy_ev:.10g}")
-    elif args.shift_mev is not None:
-        dl = delta_lambda_from_delta_e(args.shift_mev, ref)
-        print(f"shift_nm = {dl:.10g}")
-    else:
-        de = delta_e_from_delta_lambda(args.shift_nm, ref)
-        print(f"shift_mev = {de:.10g}")
+    if absolute and value <= 0:
+        raise ValidationError(f"{given[0].partition('_')[0]} must be positive")
+    name = {"wavelength_nm": "energy_ev", "energy_ev": "wavelength_nm",
+            "shift_mev": "shift_nm", "shift_nm": "shift_mev"}[given[0]]
+    shift = (delta_lambda_from_delta_e if given[0] == "shift_mev"
+             else delta_e_from_delta_lambda)
+    # a numpy scalar overflows to inf where a Python float raises
+    with np.errstate(over="ignore"):
+        result = (HC_EV_NM / value if absolute
+                  else shift(value, np.float64(ref or ZPL_WAVELENGTH_NM)))
+    if not np.isfinite(result):
+        at = "" if ref is None else f" at --reference-nm {ref}"
+        raise ValidationError(f"{flag} {value}{at} gives a non-finite {name}")
+    print(f"{name} = {result:.10g}")
     return 0
 
 

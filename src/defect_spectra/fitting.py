@@ -338,14 +338,14 @@ def fit_power_law(fluence_cm2, intensity) -> FitResult:
     """Ordinary least squares on (log fluence, log intensity).
 
     Returns exponent (slope) and prefactor with regression standard
-    errors; inputs must be positive.
+    errors; inputs must be positive and finite.
     """
     x = np.asarray(fluence_cm2, dtype=float)
     y = np.asarray(intensity, dtype=float)
     if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
         raise ValidationError("need >= 2 matching fluence/intensity points")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValidationError("power-law fit needs positive values")
+    if not np.all((x > 0) & (x < np.inf) & (y > 0) & (y < np.inf)):
+        raise ValidationError("power-law fit needs positive values, no inf")
     lx, ly = np.log(x), np.log(y)
     if lx.min() == lx.max():
         raise ValidationError(

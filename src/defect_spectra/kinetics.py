@@ -436,23 +436,17 @@ class DamageParams:
                 "trap_clustering_exponent", "trap_lifetime_coupling_cm2_ns"))
 
     def formation_rate_s(self, flux: float) -> float:
-        if flux <= 0:
-            return 0.0
         enh = 1.0 + (flux / self.formation_enhancement_flux) \
             ** self.formation_enhancement_exponent
         return self.formation_coefficient_cm2 * flux * enh
 
     def destruction_rate_s(self, flux: float) -> float:
-        if flux <= 0:
-            return 0.0
         arrhenius = np.exp(-self.destruction_activation_energy_ev
                            / (KB_EV_K * self.temperature_k))
         suppression = 1.0 + flux / self.destruction_suppression_flux
         return self.destruction_coefficient_cm2 * flux * arrhenius / suppression
 
     def trap_source_cm2_s(self, flux: float) -> float:
-        if flux <= 0:
-            return 0.0
         over = max(0.0, flux / self.clustering_threshold_flux - 1.0)
         excess = 1.0 + over ** self.trap_clustering_exponent
         return self.trap_formation_per_proton * flux * excess
@@ -510,9 +504,15 @@ def integrate_damage(schedule: IrradiationSchedule,
     c0 = params.carbon_areal_density_cm2
     anneal = params.dynamic_annealing_rate_s
     for seg in schedule.segments:
-        form = params.formation_rate_s(seg.flux_cm2_s)
-        destr = params.destruction_rate_s(seg.flux_cm2_s)
-        source = params.trap_source_cm2_s(seg.flux_cm2_s)
+        try:
+            form = params.formation_rate_s(seg.flux_cm2_s)
+            destr = params.destruction_rate_s(seg.flux_cm2_s)
+            source = params.trap_source_cm2_s(seg.flux_cm2_s)
+        except OverflowError:   # a float ** that overflows raises
+            form = destr = source = np.inf
+        if not form + destr + source < np.inf:
+            raise NumericalError(f"damage rates overflow at a flux of "
+                                 f"{seg.flux_cm2_s:g} cm^-2 s^-1")
         copies, period = seg.repeat - 1, seg.duration_s + seg.gap_s
         if copies and period > 0:
             x = anneal * period
@@ -534,8 +534,9 @@ def integrate_damage(schedule: IrradiationSchedule,
             t += seg.gap_s
             rows.append((t, fluence, n_g, n_trap))
     arr = np.array(rows, dtype=float)
-    if np.any(arr[:, 2:] < 0):
-        raise NumericalError("damage integration produced negative densities")
+    if not np.all((arr[:, 2:] >= 0) & (arr[:, 2:] < np.inf)):
+        raise NumericalError("damage integration produced negative or "
+                             "non-finite densities")
     tau_eff = params.tau_eff_ns(arr[:, 3])
     return DamageHistory(time_s=arr[:, 0], fluence_cm2=arr[:, 1],
                          n_g_cm2=arr[:, 2], n_trap_cm2=arr[:, 3],

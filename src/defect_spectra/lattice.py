@@ -9,7 +9,7 @@ voids enumerated here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,17 +66,12 @@ class Geometry:
     ``gcenter`` is the type-B center as three rows of the table:
     (carbon_a, carbon_b, interstitial). The carbons substitute a
     nearest-neighbor pair; the Si interstitial is the row appended at a
-    tetrahedral void adjacent to the pair.
+    tetrahedral void adjacent to the pair. Every other atom is silicon.
     """
 
     spec: SupercellSpec
     positions_frac: np.ndarray          # (N, 3) in box units, half-open [0, 1)
-    elements: list = field(default_factory=list)  # N chemical symbols
     gcenter: tuple | None = None
-
-    @property
-    def positions_nm(self) -> np.ndarray:
-        return self.positions_frac * self.spec.box_length_nm
 
     def centroid_frac(self) -> np.ndarray:
         """Reference point for separations: G-center midpoint, else origin."""
@@ -121,8 +116,7 @@ def _tile(spec: SupercellSpec, basis: np.ndarray) -> np.ndarray:
 def build_supercell(spec: SupercellSpec) -> Geometry:
     """Pristine silicon supercell with 8 * repeats^3 atoms."""
     frac = _tile(spec, np.vstack([_FCC, _FCC + _BASIS_SHIFT]))
-    return Geometry(spec=spec, positions_frac=frac,
-                    elements=["Si"] * len(frac))
+    return Geometry(spec=spec, positions_frac=frac)
 
 
 def tetrahedral_voids(spec: SupercellSpec) -> np.ndarray:
@@ -144,9 +138,6 @@ def place_gcenter(geom: Geometry) -> Geometry:
     d = min_image_distance_nm(frac, frac[0], geom.spec)
     d[0] = np.inf
     ia, ib = 0, int(np.argmin(d))
-    elements = list(geom.elements)
-    elements[ia] = "C"
-    elements[ib] = "C"
 
     midpoint = frac[ia] + 0.5 * min_image_frac(frac[ib], frac[ia])
     voids = tetrahedral_voids(geom.spec)
@@ -154,9 +145,8 @@ def place_gcenter(geom: Geometry) -> Geometry:
     best = dist <= dist.min() + 1e-12
     # voids are sorted, so the first flagged row is the lexicographic choice
     v = voids[np.flatnonzero(best)[0]]
-    elements.append("Si")
     return Geometry(spec=geom.spec, positions_frac=np.vstack([frac, v]),
-                    elements=elements, gcenter=(ia, ib, len(frac)))
+                    gcenter=(ia, ib, len(frac)))
 
 
 def enumerate_candidates(geom: Geometry, kind: str) -> Candidates:
@@ -175,8 +165,9 @@ def enumerate_candidates(geom: Geometry, kind: str) -> Candidates:
     interstitial footprint suggests. Pristine cells see no exclusion.
     """
     if kind == "vacancy":
-        mask = np.array([e == "Si" for e in geom.elements])
-        pos = geom.positions_frac[mask]
+        pos = geom.positions_frac
+        if geom.gcenter is not None:
+            pos = np.delete(pos, geom.gcenter[:2], axis=0)
     elif kind == "interstitial-void":
         pos = tetrahedral_voids(geom.spec)
         if geom.gcenter is not None:
@@ -197,11 +188,12 @@ def enumerate_candidates(geom: Geometry, kind: str) -> Candidates:
     return Candidates(positions_frac=pos, separation_nm=np.atleast_1d(sep))
 
 
-def xyz_text(geom: Geometry) -> str:
-    """The atom table as the text of an XYZ file (coordinates in Angstrom)."""
-    pos = geom.positions_nm * 10.0
-    lines = [f"{len(pos)}",
-             f"silicon supercell, box {geom.spec.box_length_nm * 10.0:.4f} A"]
-    for el, (x, y, z) in zip(geom.elements, pos):
-        lines.append(f"{el} {x:.6f} {y:.6f} {z:.6f}")
-    return "\n".join(lines) + "\n"
+def xyz_table(geom: Geometry):
+    """The head (atom count and comment lines) and the columns (element,
+    then x, y, z in Angstrom) of the atom table as an XYZ file."""
+    pos = geom.positions_frac * geom.spec.box_length_nm * 10.0
+    elements = np.full(len(pos), "Si")
+    if geom.gcenter is not None:
+        elements[list(geom.gcenter[:2])] = "C"
+    return (f"{len(pos)}\nsilicon supercell, box "
+            f"{geom.spec.box_length_nm * 10.0:.4f} A\n", [elements, *pos.T])

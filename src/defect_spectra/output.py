@@ -1,17 +1,19 @@
-"""Every file the toolkit writes or reads: CSV tables, SVG line plots,
+"""Every file the toolkit writes or reads: text tables, SVG line plots,
 atomic writes, and the one reader of CSV input.
 
-A CSV is written from columns. Each column gets one format from its dtype:
-integers as ``%d``, floats as ``%.10g``, anything else (parameter names,
-site kinds) as ``%s``. No cell or header the toolkit writes holds a comma,
-quote or newline, so no cell is quoted. Rows are formatted and written in
-blocks of ``CSV_BLOCK`` (4096) rows, so the memory a write takes does not
-grow with the file. A block is one ``%``: the row format repeated once per
-row, applied to the block's cells interleaved row by row. A column whose
-every cell has the first cell's bits (floats compared as unsigned integers
-of their size, so ``-0.0`` stays apart from ``0.0``; integers and strings
-by value) is formatted once, before the first block, and its text is a
-literal of the row format, so the bytes are those of the per-cell format.
+One block writer, ``write_csv``, writes every text table (CSV and XYZ): a
+header, then tables one after another, each of columns. Each column gets
+one format from its dtype: integers as ``%d``, floats as ``%.10g``
+(``%.6f`` in XYZ), anything else (names, kinds, elements) as ``%s``. No
+cell or header the toolkit writes holds a comma, quote or newline, so no
+cell is quoted. Rows are formatted and written in blocks of ``CSV_BLOCK``
+(4096) rows, so the memory a write takes does not grow with the file. A
+block is one ``%``: the row format repeated once per row, applied to the
+block's cells interleaved row by row. A column whose every cell has the
+first cell's bits (floats compared as unsigned integers of their size, so
+``-0.0`` stays apart from ``0.0``; integers and strings by value) is
+formatted once per table, and its text is a literal of the row format, so
+the bytes are those of the per-cell format.
 Every file goes to a temp file in its target directory, is given the mode
 a plain ``open(path, "w")`` would give, and is then renamed into place, so
 a reader never sees a partial file and a command repeated with the same
@@ -28,7 +30,7 @@ import numpy as np
 
 from .core import ValidationError
 
-_COLUMN_FORMATS = {"i": "%d", "u": "%d", "f": "%.10g"}
+_COLUMN_FORMATS = {"i": "%d", "u": "%d"}
 # Rows per block of a CSV write: each block's cells are converted, formatted
 # and written before the next is touched.
 CSV_BLOCK = 4096
@@ -68,34 +70,36 @@ def _constant_text(column, fmt):
     return (fmt % column[0].item()).replace("%", "%%")
 
 
-def write_csv(path: str, header, columns):
-    """Write equal-length columns under a header row of one name per column;
-    unequal lengths or a header of another width raise ValueError before
-    anything is written."""
-    columns = [np.asarray(column) for column in columns]
-    n_rows = {len(column) for column in columns}
-    if len(n_rows) > 1:
-        raise ValueError(f"columns of {path} have unequal lengths "
-                         f"{sorted(n_rows)}")
-    if len(header) != len(columns):
-        raise ValueError(f"header of {path} names {len(header)} columns, "
-                         f"not {len(columns)}")
-    formats = [_COLUMN_FORMATS.get(c.dtype.kind, "%s") for c in columns]
-    texts = [_constant_text(c, f) for c, f in zip(columns, formats)]
-    row = ",".join(f if text is None else text
-                   for f, text in zip(formats, texts)) + "\n"
-    varying = [c for c, text in zip(columns, texts) if text is None]
-    width = len(varying)
+def write_csv(path: str, header, *tables, sep=",", float_format="%.10g"):
+    """Write ``tables``, each a list of equal-length columns, one after
+    another under ``header``: a row of one name per column, or text written
+    as it stands. Unequal lengths in a table or a header row of another
+    width raise ValueError and leave no file."""
+    formats = {**_COLUMN_FORMATS, "f": float_format}
 
     def blocks():
-        yield ",".join(header) + "\n"
-        n = max(n_rows, default=0)
-        for start in range(0, n, CSV_BLOCK):
-            stop = min(start + CSV_BLOCK, n)
-            cells = [None] * (width * (stop - start))
-            for k, column in enumerate(varying):
-                cells[k::width] = column[start:stop].tolist()
-            yield row * (stop - start) % tuple(cells)
+        yield header if isinstance(header, str) else sep.join(header) + "\n"
+        for columns in tables:
+            columns = [np.asarray(column) for column in columns]
+            n_rows = {len(column) for column in columns}
+            if len(n_rows) > 1:
+                raise ValueError(f"columns of {path} have unequal lengths "
+                                 f"{sorted(n_rows)}")
+            if not isinstance(header, str) and len(header) != len(columns):
+                raise ValueError(f"header of {path} names {len(header)} "
+                                 f"columns, not {len(columns)}")
+            fmts = [formats.get(c.dtype.kind, "%s") for c in columns]
+            texts = [_constant_text(c, f) for c, f in zip(columns, fmts)]
+            row = sep.join(f if text is None else text
+                           for f, text in zip(fmts, texts)) + "\n"
+            varying = [c for c, text in zip(columns, texts) if text is None]
+            width, n = len(varying), max(n_rows, default=0)
+            for start in range(0, n, CSV_BLOCK):
+                stop = min(start + CSV_BLOCK, n)
+                cells = [None] * (width * (stop - start))
+                for k, column in enumerate(varying):
+                    cells[k::width] = column[start:stop].tolist()
+                yield row * (stop - start) % tuple(cells)
 
     write_atomic(path, blocks())
 

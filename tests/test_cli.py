@@ -1,9 +1,11 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -503,6 +505,10 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"s.ini": "[response]\ntable = r.csv\n",
       "r.csv": b"axis,strain,shift_mev\nx,\xff0,0\n"},
      SPECTRUM, "r.csv"),
+    # a run whose every draw is out of table range has nothing to histogram
+    ({"s.ini": "[sampler]\nseparation_nm = 0.26\n"},
+     [*SPECTRUM, "--mode", "defect-field"],
+     "no samples retained: 200 of 200 raw draws were out of table range"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
@@ -523,7 +529,7 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "fit-power-law-one-fluence", "grid-too-large",
         "flux-zero-duration", "duration-zero-flux", "repeat-abc-duration-row",
         "fit-not-utf8", "fit-cell-too-long", "template-not-utf8",
-        "table-not-utf8"])
+        "table-not-utf8", "separation-all-rejected"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)
@@ -533,6 +539,26 @@ def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
     assert main(argv) == 2
     assert field in capsys.readouterr().err
     # nothing was written
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
+
+
+@pytest.mark.parametrize("files", [
+    {"t.csv": "flux_cm2_s,duration_s,gap_s\n1e300,{duration},0\n",
+     "s.ini": ""},
+    {"t.csv": CW_TEMPLATE, "s.ini": "[damage]\ntrap_clustering_exponent = "
+                                    "400\nclustering_threshold_flux = 1\n"},
+    {"t.csv": CW_TEMPLATE, "s.ini": "[damage]\nformation_enhancement_"
+                                    "exponent = 400\nformation_enhancement_"
+                                    "flux = 1\n"},
+], ids=["flux-1e300", "trap-clustering-400", "formation-enhancement-400"])
+def test_overflowing_damage_rates_are_numerical_errors(tmp_path, monkeypatch,
+                                                       capsys, files):
+    # rates that overflow a float would leave nan and inf densities
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([*SWEEP, "--fluences", "1e11,1e14"]) == 3
+    assert "damage rates overflow at a flux of" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == sorted(files)
 
 
@@ -971,6 +997,60 @@ def test_enumerate_sites_counts(tmp_path):
     assert int(xyz[0]) == 217
 
 
+# sha256 of sites.csv per --kind and of supercell.xyz, which no --kind
+# changes, by --repeats
+SITES_SHA256 = {
+    ("vacancy", 1):
+        "862bc601127a090be2e6f75e62c6c6fd31dbdc0791e88f637863502b77aa1da2",
+    ("vacancy", 2):
+        "7dde4e88b60455709fc11fa315340bc50bec319698409d8e3decf0cfc1fdd951",
+    ("vacancy", 3):
+        "14611222c1cef816ddf836c7065061f3cd28fe5aafdd1e65b2356026faee5733",
+    ("interstitial-void", 1):
+        "f4b4ee268c635c047f646c323ebe2278bfe83bfc54fd6fb8531f3fcd0203d796",
+    ("interstitial-void", 2):
+        "6686c3f86ad82ae794e9567352ee52d3ccec70740ade8039c74e4acb7c98d5fd",
+    ("interstitial-void", 3):
+        "3e5372df550094dfbfed2acf5f1abbf215e9cdb4f4dc9ab5fec9ddd67c529c2a",
+    ("both", 1):
+        "5c4bb2af429270cedec915d81900743a3807ef5ea318b9bc1ea646b3c6f2f907",
+    ("both", 2):
+        "e1ba71f961c94802549b5909fb73b162dcbd202557395fb35838dc84527652e8",
+    ("both", 3):
+        "c049b411a50e950d6f5ba31d6f580ee2d6a88f5785a31aa945c7a6371c99edc4",
+}
+XYZ_SHA256 = {
+    1: "5f69ab9c3bc5cb688793aa5f7be5dfc0ae600e39b1a020964b2f830a8c3da26a",
+    2: "9d2d7617c42597f5ef1e3ea55257ff772f1d00438cd763c9f107892e749a69ec",
+    3: "cf3c32af99c9621c2b7dabbe3a112a12b07eec2ad321e42aa5316606825c57fb",
+}
+
+
+@pytest.mark.parametrize("kind, repeats", sorted(SITES_SHA256))
+def test_enumerate_sites_bytes_are_pinned(tmp_path, kind, repeats):
+    assert main(["enumerate-sites", "--kind", kind, "--repeats",
+                 str(repeats), "--xyz", "--out", str(tmp_path)]) == 0
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("sites.csv", "supercell.xyz")}
+    assert digest == {"sites.csv": SITES_SHA256[kind, repeats],
+                      "supercell.xyz": XYZ_SHA256[repeats]}
+
+
+def test_enumerate_sites_memory(tmp_path):
+    # 96k sites and 64k atoms: an expanded kind column or the XYZ file
+    # held as one string would each take megabytes
+    argv = ["enumerate-sites", "--repeats", "20", "--xyz",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
 def test_convert_round_trip():
     res = run_cli("convert", "--shift-mev", "-1")
     assert res.returncode == 0
@@ -1003,9 +1083,21 @@ def test_convert_non_positive_wavelength_is_usage_error(wavelength, capsys):
     (["--shift-nm=-inf"], "--shift-nm must be finite"),
     (["--shift-mev", "1", "--reference-nm", "inf"],
      "--reference-nm must be finite"),
+    # finite inputs whose result overflows
+    (["--shift-mev", "1e308"],
+     "--shift-mev 1e+308 gives a non-finite shift_nm"),
+    (["--shift-nm", "1e308"],
+     "--shift-nm 1e+308 gives a non-finite shift_mev"),
+    (["--wavelength-nm", "1e-320"],
+     "--wavelength-nm 1e-320 gives a non-finite energy_ev"),
+    (["--energy-ev", "1e-320"],
+     "--energy-ev 1e-320 gives a non-finite wavelength_nm"),
+    (["--shift-mev", "1", "--reference-nm", "1e200"],
+     "--shift-mev 1.0 at --reference-nm 1e+200 gives a non-finite shift_nm"),
 ], ids=["wavelength-nan", "wavelength-inf", "energy-nan", "energy-inf",
         "energy-zero", "energy-negative", "shift-mev-nan", "shift-nm-inf",
-        "reference-inf"])
+        "reference-inf", "shift-mev-overflow", "shift-nm-overflow",
+        "wavelength-subnormal", "energy-subnormal", "reference-overflow"])
 def test_convert_bad_quantity_is_usage_error(argv, message, capsys):
     assert main(["convert", *argv]) == 2
     captured = capsys.readouterr()

@@ -350,6 +350,16 @@ def test_power_law_constant_series():
     assert fit.parameters["exponent"] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("x, y", [
+    ([1e11, 1e12], [np.nan, 1.0]),
+    ([1e11, 1e12], [1.0, np.inf]),
+    ([np.nan, 1e12], [1.0, 2.0]),
+], ids=["y-nan", "y-inf", "x-nan"])
+def test_power_law_refuses_non_finite_values(x, y):
+    with pytest.raises(ValidationError, match="needs positive values, no inf"):
+        fit_power_law(x, y)
+
+
 def test_power_law_validation():
     with pytest.raises(ValidationError, match="need >= 2 matching"):
         fit_power_law([1e11], [1.0])

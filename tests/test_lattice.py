@@ -13,8 +13,9 @@ from defect_spectra.lattice import (
     min_image_frac,
     place_gcenter,
     tetrahedral_voids,
-    xyz_text,
+    xyz_table,
 )
+from defect_spectra.output import write_csv
 
 
 def brute_force_voids(repeats):
@@ -43,7 +44,8 @@ def test_supercell_atom_count_and_bounds():
     assert len(geom.positions_frac) == 216
     assert np.all(geom.positions_frac >= 0)
     assert np.all(geom.positions_frac < 1)
-    assert geom.elements == ["Si"] * 216
+    assert geom.gcenter is None
+    assert xyz_table(geom)[1][0].tolist() == ["Si"] * 216
     # lattice constant 0.5431 nm per conventional cell
     assert geom.spec.box_length_nm == pytest.approx(3 * 0.5431)
 
@@ -111,12 +113,13 @@ def test_gcenter_is_three_rows_of_the_atom_table():
     pristine = build_supercell(SupercellSpec(repeats=3))
     geom = place_gcenter(pristine)
     carbon_a, carbon_b, interstitial = geom.gcenter
-    assert geom.elements[carbon_a] == "C"
-    assert geom.elements[carbon_b] == "C"
+    elements = xyz_table(geom)[1][0]
+    assert elements[carbon_a] == "C"
+    assert elements[carbon_b] == "C"
     # the interstitial is the appended last row, a silicon
     assert interstitial == len(pristine.positions_frac)
     assert interstitial == len(geom.positions_frac) - 1
-    assert geom.elements[interstitial] == "Si"
+    assert elements[interstitial] == "Si"
     # the carbons are a nearest-neighbor pair
     bond = min_image_distance_nm(geom.positions_frac[carbon_a],
                                  geom.positions_frac[carbon_b], geom.spec)
@@ -135,8 +138,9 @@ def test_gcenter_is_three_rows_of_the_atom_table():
 def test_gcenter_placement():
     geom = place_gcenter(build_supercell(SupercellSpec(repeats=3)))
     assert len(geom.positions_frac) == 217
-    assert geom.elements.count("C") == 2
-    assert geom.elements.count("Si") == 215
+    elements = xyz_table(geom)[1][0].tolist()
+    assert elements.count("C") == 2
+    assert elements.count("Si") == 215
     assert geom.gcenter is not None
     # the interstitial occupies a former void
     voids = tetrahedral_voids(geom.spec)
@@ -215,12 +219,23 @@ def test_min_image_frac_antisymmetric():
     assert np.all(np.abs(min_image_frac(a, b)) <= 0.5)
 
 
-def test_write_xyz_format():
+def test_write_xyz_format(tmp_path):
     geom = place_gcenter(build_supercell(SupercellSpec(repeats=2)))
-    lines = xyz_text(geom).strip().split("\n")
+    head, columns = xyz_table(geom)
+    path = tmp_path / "supercell.xyz"
+    write_csv(str(path), head, columns, sep=" ", float_format="%.6f")
+    lines = path.read_text().strip().split("\n")
     assert lines[0] == str(len(geom.positions_frac))
     assert len(lines) == len(geom.positions_frac) + 2
+    assert lines[1] == f"silicon supercell, box {2 * 5.431:.4f} A"
     sym, x, y, z = lines[2].split()
     assert sym in ("Si", "C")
     # coordinates are in Angstrom: all inside the box
     assert 0 <= float(x) < geom.spec.box_length_nm * 10
+    rows = [line.split() for line in lines[2:]]
+    # the carbons are the G-center's rows, and every other atom is silicon
+    assert [i for i, row in enumerate(rows) if row[0] == "C"] == \
+        sorted(geom.gcenter[:2])
+    assert {row[0] for row in rows} == {"C", "Si"}
+    xyz = np.array([row[1:] for row in rows], dtype=float)
+    assert np.all((xyz >= 0) & (xyz < geom.spec.box_length_nm * 10))

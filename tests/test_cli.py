@@ -1036,6 +1036,93 @@ def test_enumerate_sites_bytes_are_pinned(tmp_path, kind, repeats):
                       "supercell.xyz": XYZ_SHA256[repeats]}
 
 
+_PIN_SPECTRUM = ["simulate-spectrum", "--samples", "300", "--seed", "1",
+                 "--dump-samples", "--out", "{tmp}/out", "--mode"]
+_PIN_DECAY = ["simulate-decay", "--seed", "1", "--out", "{tmp}/out"]
+# each writing subcommand's runs ({tmp} is the test's directory, which
+# holds the CW_TEMPLATE as t.csv), the stdout they print, and the sha256
+# of each file they write to {tmp}/out
+_SPECTRUM_OUT = (" samples (300 raw draws, 0 out of table range), "
+                 "spectrum/histogram/svg written to {tmp}/out\n")
+_DECAY_OUT = "decay: tau_eff 8.031 ns, qe 0.178, outputs in {tmp}/out\n"
+_DECAY_SHA256 = {
+    "fit_report.csv":
+        "eff523b239d959cf5cd083d84ff7a5518ddc47c713be75091bfd5c5e06ff3b97",
+    "trace.csv":
+        "426727ab2c0c0f082b059209006fbb3a94b35ac54884dcce4c10ac2aedb75140",
+    "trace.svg":
+        "2092e7a3cb91396b34fc9e32e8c2e2af99d9ae95f3dab229e2a26ef98413d12e",
+}
+RUN_PINS = {
+    "uniform": ([[*_PIN_SPECTRUM, "uniform"]],
+                "uniform: 300" + _SPECTRUM_OUT, {
+        "histogram.csv":
+            "e821dd80b80a984b5a88d37a6fc7120bdeaa0fb99cc8b47a3034ccbb8372c40e",
+        "samples.csv":
+            "209d162a386d7df29d40f2d099be8ff8c33f596557ac86893fd8368ce307475b",
+        "spectrum.csv":
+            "f26bc7e52a648223667f0516b58f8fac9d26d74c13696f1ce98bfb551e41535c",
+        "spectrum.svg":
+            "ccbdffeaa7430367ad90e3aac77a0e0fb207186435a6149b42f6902b0f1f3566",
+    }),
+    "biased-z": ([[*_PIN_SPECTRUM, "biased-z"]],
+                 "biased-z: 300" + _SPECTRUM_OUT.replace("300", "4096"), {
+        "histogram.csv":
+            "22b9e10ecb4e06693a85794f31247fbf8a5600d83a4249b391034f1d2d6238bd",
+        "samples.csv":
+            "ec18167706f6b59f3f1e0136fdc435a2192b906f2a27bf92a921d046f7c15fd5",
+        "spectrum.csv":
+            "04fcb2708b6e869d48de4477948e6bcac8311dd87fc66ed1683fcbacc9faf4a1",
+        "spectrum.svg":
+            "94c39ed6cf9018ed090a6d2eb7c921e0c9ceed2c8b23a07e6e4d3c32677bdd1c",
+    }),
+    "defect-field": ([[*_PIN_SPECTRUM, "defect-field"]],
+                     "defect-field: 300" + _SPECTRUM_OUT, {
+        "histogram.csv":
+            "6112e9ef3e8026998f7e433239a07dd723bd32c62110001723639dff3b233c5b",
+        "samples.csv":
+            "28bfe278cf2f582bfe00241b935ea66a5204ccefde170c7f7da21a952805db8b",
+        "spectrum.csv":
+            "b2ebe6e90662f3022721091381be85ef3ba60bc730126f8055e9ded626fd1e55",
+        "spectrum.svg":
+            "d8dbd5fdb96703641d15f1ca9f832a09d3dcf94453fb22c0d72e5567723fa2fe",
+    }),
+    "decay": ([_PIN_DECAY], _DECAY_OUT, _DECAY_SHA256),
+    "sweep": ([["sweep-fluence", "--template", "{tmp}/t.csv", "--fluences",
+                "1e11,1e12", "--out", "{tmp}/out"]],
+              "sweep: 2 fluences, exponent 0.757 +- 0.000, outputs in "
+              "{tmp}/out\n", {
+        "scaling_fit.csv":
+            "e29063b838c43fe1edc960ca06fc95f346e1a2b3a494f69082d4147c0debf503",
+        "sweep.csv":
+            "91a8aa81f4c27cf5bf5debe4acca75c154120e61d2d2947e3bb0b95b9d7f09df",
+        "sweep.svg":
+            "7884b509563a7ef21a57a06c6996c817c2af3a3fb1945313541bc9731e2a2668",
+    }),
+    "fit": ([_PIN_DECAY, ["fit", "--input", "{tmp}/out/trace.csv",
+                          "--report", "{tmp}/out/report.csv"]],
+            _DECAY_OUT + "fit (exponential): tau = 8.031 ns; report written "
+            "to {tmp}/out/report.csv\n", {
+        **_DECAY_SHA256,
+        "report.csv":
+            "3c231d0c04eaa3d2d201b20ba10180b140c5a0aac388536f8690a3fda4b49a36",
+    }),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUN_PINS))
+def test_run_bytes_are_pinned(tmp_path, capsys, run):
+    runs, stdout, sha256 = RUN_PINS[run]
+    (tmp_path / "t.csv").write_text(CW_TEMPLATE)
+    for argv in runs:
+        assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
+    out = tmp_path / "out"
+    digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+              for name in sorted(os.listdir(out))}
+    assert digest == sha256
+    assert capsys.readouterr().out == stdout.replace("{tmp}", str(tmp_path))
+
+
 def test_enumerate_sites_memory(tmp_path):
     # 96k sites and 64k atoms: an expanded kind column or the XYZ file
     # held as one string would each take megabytes

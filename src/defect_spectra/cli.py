@@ -9,11 +9,15 @@ fill the ensemble spec of the --mode, whose class holds their defaults.
 A run asks for its keys through RunConfig.get and, once its inputs are
 built, refuses any section or key it did not ask for, so a typo or a
 key the run would drop cannot silently fall back to a default; an
-unparsable value is refused as the file is loaded. Every
-file goes through defect_spectra.output (atomic writes, fixed number
-formatting), so a command repeated with the same seed produces
-byte-identical files. A run rejected for a bad input (exit 2) or a
-failed fit (exit 3) writes nothing.
+unparsable value is refused as the file is loaded. Each subcommand
+computes its files and returns them, with their directory and a summary
+line, to ``main``, which writes them in order through
+defect_spectra.output (atomic writes, number formats by file extension)
+and then prints the summary, so a command repeated with the same seed
+produces byte-identical files. A run refused for its input (exit 2) or
+whose fit or integration failed (exit 3) writes nothing; a failed write
+exits 2 and leaves only the complete files written before it, with no
+temp file and no summary line.
 
 Exit codes: 0 success, 2 a bad input (ValidationError, or a file that
 cannot be read or written), 3 a fit or integration that failed on valid
@@ -333,7 +337,7 @@ def _report_columns(fit, **extra):
             [*(fit.stderr[k] for k in fit.parameters), *[0.0] * len(extra)]]
 
 
-def cmd_simulate_spectrum(args) -> int:
+def cmd_simulate_spectrum(args):
     cfg = load_config(args.config)
     emitter = _build(EmitterParams, cfg, "emitter")
     table = _table_from(cfg)
@@ -369,25 +373,24 @@ def cmd_simulate_spectrum(args) -> int:
 
     edges, counts = histogram_shifts(ens.shifts_mev, bin_width)
     grid, intensity = synthesize_spectrum(ens.shifts_mev, emitter)
-    write_csv(os.path.join(args.out, "spectrum.csv"),
-              ["wavelength_nm", "intensity"], [grid, intensity])
-    write_csv(os.path.join(args.out, "histogram.csv"), ["shift_mev", "count"],
-              [0.5 * (edges[:-1] + edges[1:]), counts])
-    write_atomic(os.path.join(args.out, "spectrum.svg"),
-                 svg_line_plot(grid, intensity, "wavelength (nm)",
-                               "intensity (peak-normalized)"))
+    files = [("spectrum.csv", ["wavelength_nm", "intensity"],
+              [grid, intensity]),
+             ("histogram.csv", ["shift_mev", "count"],
+              [0.5 * (edges[:-1] + edges[1:]), counts]),
+             ("spectrum.svg", svg_line_plot(grid, intensity, "wavelength (nm)",
+                                            "intensity (peak-normalized)"))]
     if args.dump_samples:
-        header = ["sample_id", *STRAIN_COMPONENTS, "shift_mev"]
-        write_csv(os.path.join(args.out, "samples.csv"), header,
-                  [np.arange(len(ens)), *ens.strains.T, ens.shifts_mev])
-    print(f"{mode}: {prov.n_retained} samples "
-          f"({prov.n_raw_draws} raw draws, "
-          f"{prov.n_range_rejections} out of table range), "
-          f"spectrum/histogram/svg written to {args.out}")
-    return 0
+        files.append(("samples.csv",
+                      ["sample_id", *STRAIN_COMPONENTS, "shift_mev"],
+                      [np.arange(len(ens)), *ens.strains.T, ens.shifts_mev]))
+    return args.out, files, (
+        f"{mode}: {prov.n_retained} samples "
+        f"({prov.n_raw_draws} raw draws, "
+        f"{prov.n_range_rejections} out of table range), "
+        f"spectrum/histogram/svg written to {args.out}")
 
 
-def cmd_simulate_decay(args) -> int:
+def cmd_simulate_decay(args):
     cfg = load_config(args.config)
     start = cfg.get("kinetics", "fit_window_start_ns")
     stop = cfg.get("kinetics", "fit_window_stop_ns")
@@ -410,18 +413,16 @@ def cmd_simulate_decay(args) -> int:
                              tau_nr_ns=lifetimes.tau_nr_ns, qe=lifetimes.qe,
                              rise_time_ns=rise_time(trace.time_ns,
                                                     trace.intensity))
-    write_csv(os.path.join(args.out, "trace.csv"), ["time_ns", "counts"],
-              [trace.time_ns, trace.intensity])
-    write_atomic(os.path.join(args.out, "trace.svg"),
-                 svg_line_plot(trace.time_ns, trace.intensity, "time (ns)",
-                               "photon rate"))
-    write_csv(os.path.join(args.out, "fit_report.csv"), _REPORT_HEADER, report)
-    print(f"decay: tau_eff {lifetimes.tau_eff_ns:.3f} ns, "
-          f"qe {lifetimes.qe:.3f}, outputs in {args.out}")
-    return 0
+    return args.out, [
+        ("trace.csv", ["time_ns", "counts"], [trace.time_ns, trace.intensity]),
+        ("trace.svg", svg_line_plot(trace.time_ns, trace.intensity,
+                                    "time (ns)", "photon rate")),
+        ("fit_report.csv", _REPORT_HEADER, report),
+    ], (f"decay: tau_eff {lifetimes.tau_eff_ns:.3f} ns, "
+        f"qe {lifetimes.qe:.3f}, outputs in {args.out}")
 
 
-def cmd_sweep_fluence(args) -> int:
+def cmd_sweep_fluence(args):
     cfg = load_config(args.config)
     fluences = [number("--fluences", tok)
                 for tok in args.fluences.split(",") if tok]
@@ -448,19 +449,17 @@ def cmd_sweep_fluence(args) -> int:
         # data-driven failure of the scaling fit is a numerical error,
         # not a config problem
         raise NumericalError(f"power-law fit of the sweep failed: {exc}")
-    write_csv(os.path.join(args.out, "sweep.csv"),
-              ["fluence_cm2", "n_G", "n_trap", "tau_eff_ns", "intensity"],
-              [fluences, n_g, n_trap, tau_eff, intensity])
-    write_csv(os.path.join(args.out, "scaling_fit.csv"), _REPORT_HEADER,
-              _report_columns(fit))
-    write_atomic(os.path.join(args.out, "sweep.svg"),
-                 svg_line_plot(np.log10(fluences),
-                               np.log10(np.maximum(intensity, 1e-300)),
-                               "log10 fluence (cm^-2)", "log10 intensity"))
-    print(f"sweep: {len(fluences)} fluences, exponent "
-          f"{fit.parameters['exponent']:.3f} "
-          f"+- {fit.stderr['exponent']:.3f}, outputs in {args.out}")
-    return 0
+    return args.out, [
+        ("sweep.csv",
+         ["fluence_cm2", "n_G", "n_trap", "tau_eff_ns", "intensity"],
+         [fluences, n_g, n_trap, tau_eff, intensity]),
+        ("scaling_fit.csv", _REPORT_HEADER, _report_columns(fit)),
+        ("sweep.svg", svg_line_plot(
+            np.log10(fluences), np.log10(np.maximum(intensity, 1e-300)),
+            "log10 fluence (cm^-2)", "log10 intensity")),
+    ], (f"sweep: {len(fluences)} fluences, exponent "
+        f"{fit.parameters['exponent']:.3f} "
+        f"+- {fit.stderr['exponent']:.3f}, outputs in {args.out}")
 
 
 _FIT_HEADERS = {
@@ -470,7 +469,7 @@ _FIT_HEADERS = {
 }
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     header, rows = read_csv(args.input)
     if tuple(header) not in _FIT_HEADERS:
         known = " | ".join(",".join(h) for h in _FIT_HEADERS)
@@ -509,33 +508,31 @@ def cmd_fit(args) -> int:
         fit = fit_power_law(x, y)
         summary = f"exponent = {fit.parameters['exponent']:.4g}"
 
-    write_csv(args.report, _REPORT_HEADER, _report_columns(fit))
-    print(f"fit ({model}): {summary}; report written to {args.report}")
-    return 0
+    directory, name = os.path.split(args.report)
+    return directory, [(name, _REPORT_HEADER, _report_columns(fit))], (
+        f"fit ({model}): {summary}; report written to {args.report}")
 
 
-def cmd_enumerate_sites(args) -> int:
+def cmd_enumerate_sites(args):
     geom = place_gcenter(build_supercell(SupercellSpec(repeats=args.repeats)))
     kinds = (["vacancy", "interstitial-void"] if args.kind == "both"
              else [args.kind])
     cands = {kind: enumerate_candidates(geom, kind) for kind in kinds}
     # one table per kind, whose kind column is a broadcast view
-    write_csv(os.path.join(args.out, "sites.csv"),
+    files = [("sites.csv",
               ["kind", "frac_x", "frac_y", "frac_z", "separation_nm"],
               *([np.broadcast_to(kind, len(c.separation_nm)),
                  *c.positions_frac.T, c.separation_nm]
-                for kind, c in cands.items()))
+                for kind, c in cands.items()))]
     if args.xyz:
-        head, columns = xyz_table(geom)
-        write_csv(os.path.join(args.out, "supercell.xyz"), head, columns,
-                  sep=" ", float_format="%.6f")
-    print("sites: " + ", ".join(f"{len(c.separation_nm)} {kind}"
-                                for kind, c in cands.items())
-          + f", written to {args.out}")
-    return 0
+        files.append(("supercell.xyz", *xyz_table(geom)))
+    return args.out, files, (
+        "sites: " + ", ".join(f"{len(c.separation_nm)} {kind}"
+                              for kind, c in cands.items())
+        + f", written to {args.out}")
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args):
     given = [name for name in ("wavelength_nm", "energy_ev", "shift_mev",
                                "shift_nm") if getattr(args, name) is not None]
     if len(given) != 1:
@@ -566,13 +563,28 @@ def cmd_convert(args) -> int:
     if not np.isfinite(result):
         at = "" if ref is None else f" at --reference-nm {ref}"
         raise ValidationError(f"{flag} {value}{at} gives a non-finite {name}")
-    print(f"{name} = {result:.10g}")
-    return 0
+    return None, [], f"{name} = {result:.10g}"
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+# a text table's separator and float format, by its file's extension
+_TABLE_FORMATS = {".csv": (",", "%.10g"), ".xyz": (" ", "%.6f")}
+
+
+def _write(directory, files):
+    """Write each (name, text) document and (name, header, *tables) text
+    table of a run into ``directory``, in order."""
+    for name, *content in files:
+        path = os.path.join(directory, name)
+        if len(content) == 1:
+            write_atomic(path, content[0])
+        else:
+            sep, float_format = _TABLE_FORMATS[os.path.splitext(name)[1]]
+            write_csv(path, *content, sep=sep, float_format=float_format)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -664,13 +676,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        directory, files, summary = args.func(args)
+        _write(directory, files)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -32,21 +32,29 @@ def test_tracer_sees_each_layer(tmp_path):
     # say) would run without its span
     template = tmp_path / "cw.csv"
     template.write_text("flux_cm2_s,duration_s,gap_s\n1e12,{duration},0\n")
+    # each run and the number of spans it makes of each named layer
+    runs = [
+        *((["simulate-spectrum", "--mode", mode, "--samples", "200",
+            "--seed", "1", "--out", str(tmp_path / mode)],
+           {"ensemble.sample": 1, "ensemble.synthesize": 1,
+            "cli.write_csv": 2, "cli.svg": 1})
+          for mode in ("uniform", "biased-z", "defect-field")),
+        (["sweep-fluence", "--template", str(template),
+          "--fluences", "1e11,1e12", "--out", str(tmp_path / "sweep")],
+         {"kinetics.schedule": 2, "kinetics.integrate_damage": 2,
+          "cli.write_csv": 2, "cli.svg": 1}),
+        (["simulate-decay", "--seed", "1", "--out", str(tmp_path / "decay")],
+         {"kinetics.simulate_decay": 1, "cli.write_csv": 2, "cli.svg": 1}),
+        (["fit", "--input", str(tmp_path / "decay" / "trace.csv"),
+          "--report", str(tmp_path / "fit.csv")],
+         {"fitting.fit_exponential": 1, "cli.write_csv": 1}),
+        (["enumerate-sites", "--repeats", "1", "--xyz",
+          "--out", str(tmp_path / "sites")], {"cli.write_csv": 2}),
+    ]
     with _spans_module().Tracer().installed() as tracer:
-        for mode in ("uniform", "biased-z", "defect-field"):
+        for argv, layers in runs:
             start = len(tracer.spans)
-            assert cli.main(["simulate-spectrum", "--mode", mode,
-                             "--samples", "200", "--seed", "1",
-                             "--out", str(tmp_path / mode)]) == 0
+            assert cli.main(argv) == 0
             names = [s["name"] for s in tracer.spans[start:]]
-            for layer in ("ensemble.sample", "ensemble.synthesize",
-                          "cli.write_csv"):
-                assert layer in names, (mode, layer)
-        start = len(tracer.spans)
-        assert cli.main(["sweep-fluence", "--template", str(template),
-                         "--fluences", "1e11,1e12",
-                         "--out", str(tmp_path / "sweep")]) == 0
-        names = [s["name"] for s in tracer.spans[start:]]
-    assert names.count("kinetics.schedule") == 2
-    assert names.count("kinetics.integrate_damage") == 2
-    assert "cli.write_csv" in names
+            assert {layer: names.count(layer) for layer in layers} == layers, \
+                argv[0]

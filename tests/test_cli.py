@@ -1,7 +1,9 @@
 import argparse
+import ast
 import csv
 import dataclasses
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -1121,6 +1123,33 @@ def test_run_bytes_are_pinned(tmp_path, capsys, run):
               for name in sorted(os.listdir(out))}
     assert digest == sha256
     assert capsys.readouterr().out == stdout.replace("{tmp}", str(tmp_path))
+
+
+def test_subcommands_neither_write_nor_print():
+    # main writes a run's files and then prints its summary, so every
+    # computation of a run ends before its first write
+    calls = [(fn.name, node.func.id)
+             for fn in ast.parse(inspect.getsource(cli)).body
+             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("write_csv", "write_atomic", "print")]
+    assert calls == []
+
+
+def test_failed_write_keeps_only_the_complete_files_before_it(tmp_path,
+                                                              capsys):
+    # histogram.csv, the second file of the run, cannot replace a directory
+    (tmp_path / "histogram.csv").mkdir()
+    assert main(["simulate-spectrum", "--samples", "300", "--seed", "1",
+                 "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "histogram.csv" in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["histogram.csv", "spectrum.csv"]
+    assert os.listdir(tmp_path / "histogram.csv") == []
+    digest = hashlib.sha256((tmp_path / "spectrum.csv").read_bytes())
+    assert digest.hexdigest() == RUN_PINS["uniform"][2]["spectrum.csv"]
 
 
 def test_enumerate_sites_memory(tmp_path):

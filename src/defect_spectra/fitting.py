@@ -69,7 +69,14 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
     p = [θ, c] and standard errors from the column-equilibrated full
     Jacobian [(∂Φ/∂θ)·c, Φ] at the solution; raises NumericalError naming
     ``what`` when ``max_iter`` iterations do not converge.
+
+    The fit runs on y·2⁻ᵉ, with 2ᵉ the binade of max|y|, and c, its
+    stderrs and the residual norm are scaled back by 2ᵉ: a power of two
+    scales exactly, so the result does not depend on the scale of y, and
+    the cost r·r can neither underflow nor overflow.
     """
+    e = int(np.frexp(np.max(np.abs(y)))[1])
+    y = np.ldexp(y, -e)
     def evaluate(theta):
         if not accept_fn(theta):
             return None
@@ -130,7 +137,9 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
             err = np.sqrt(np.clip(np.diag(cov), 0.0, None)) / norms
         except np.linalg.LinAlgError:
             err = np.full(len(norms), np.nan)
-    return np.concatenate([theta, c]), err, float(np.sqrt(cost)), it
+    err[len(theta):] = np.ldexp(err[len(theta):], e)
+    return (np.concatenate([theta, np.ldexp(c, e)]), err,
+            float(np.ldexp(np.sqrt(cost), e)), it)
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +147,14 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
 # ---------------------------------------------------------------------------
 
 def _log_linear_tau(t, y):
-    """Slope-based decay-time estimate on baseline-subtracted counts."""
+    """Slope-based decay-time estimate on baseline-subtracted counts, taken
+    in units of their span so that it does not depend on their scale."""
     floor = y.min()
     span = y.max() - floor
     if span <= 0:
         raise NumericalError("trace is flat, nothing to fit")
     pos = y - floor + 1e-3 * span
-    coef = np.polyfit(t, np.log(pos), 1)
+    coef = np.polyfit(t, np.log(pos / span), 1)
     slope = coef[0]
     if slope >= 0:
         raise NumericalError("trace does not decay within the fit window")

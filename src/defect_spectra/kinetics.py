@@ -98,6 +98,12 @@ class DecayModelParams:
         if (self.trap_saturation_density_cm3 is not None
                 and not self.trap_saturation_density_cm3 > 0):
             raise ValidationError("trap_saturation_density_cm3 must be positive")
+        if not np.isfinite(self.pump_power_mw
+                           * self.carrier_density_per_mw_cm3):
+            raise ValidationError(
+                f"the initial carrier density, pump_power_mw "
+                f"{self.pump_power_mw:g} times carrier_density_per_mw_cm3 "
+                f"{self.carrier_density_per_mw_cm3:g}, overflows a float")
         if not 0 < self.t_max_ns < np.inf:
             raise ValidationError(f"t_max_ns must be positive and finite, "
                                   f"got {self.t_max_ns}")
@@ -245,14 +251,16 @@ def _dormand_prince(rhs, grid, y0, rtol, atol):
     return out, nfev, accepted, rejected
 
 
-def _decay_rhs(params: DecayModelParams):
+def _decay_rhs(params: DecayModelParams, exponent=0):
     """Time derivative of (carriers, excited emitters, filled traps,
-    emitted photons) for the capture/emission equations."""
+    emitted photons), each in units of 2**exponent cm^-3, for the
+    capture/emission equations."""
     k_g = params.capture_coefficient_g_cm3_ns * params.g_center_density_cm3
     k_t0 = params.capture_coefficient_trap_cm3_ns * params.trap_density_cm3
     n_sat = params.trap_saturation_density_cm3
     if n_sat is None:
         n_sat = params.trap_density_cm3
+    n_sat = float(np.ldexp(n_sat, -exponent))
     tau_r = params.tau_r_ns
 
     def rhs(_t, y):
@@ -283,9 +291,15 @@ def simulate_decay(params: DecayModelParams) -> DecayTrace:
         return DecayTrace(grid, zero, zero.copy(), zero.copy(),
                           zero.copy(), zero.copy())
 
+    # integrated in units of 2**e, the binade of n0: the equations are
+    # linear in the populations and a power of two scales exactly, so the
+    # trace is the same at any n0, and no step overflows near the largest
+    # float
+    e = int(np.frexp(n0)[1])
     y, nfev, accepted, rejected = _dormand_prince(
-        _decay_rhs(params), grid, [n0, 0.0, 0.0, 0.0], rtol=1e-8,
-        atol=1e-12 * n0)
+        _decay_rhs(params, e), grid, [np.ldexp(n0, -e), 0.0, 0.0, 0.0],
+        rtol=1e-8, atol=np.ldexp(1e-12 * n0, -e))
+    y = np.ldexp(y, e)
     if np.any(y < -1e-6 * n0):
         raise NumericalError(
             f"negative densities in decay solution (min {y.min():.3g})")
@@ -348,10 +362,6 @@ class IrradiationSchedule:
         if len(self.segments) == 0:
             raise ValidationError("schedule needs at least one segment")
         object.__setattr__(self, "segments", tuple(self.segments))
-
-    @property
-    def total_fluence_cm2(self) -> float:
-        return sum(s.fluence_cm2 for s in self.segments)
 
 
 def pulsed_schedule(fluence_cm2: float, flux_cm2_s: float,

@@ -382,6 +382,10 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"k.ini": "[kinetics]\nt_max_ns = inf\n"}, DECAY, "t_max_ns"),
     ({"k.ini": "[kinetics]\npump_power_mw = nan\n"}, DECAY, "pump_power_mw"),
     ({"k.ini": "[kinetics]\npump_power_mw = inf\n"}, DECAY, "pump_power_mw"),
+    # each key is finite, but their product, the initial density, is not
+    ({"k.ini": "[kinetics]\npump_power_mw = 1e300\n"}, DECAY,
+     "[kinetics] the initial carrier density, pump_power_mw 1e+300 times "
+     "carrier_density_per_mw_cm3 3.5e+15, overflows a float"),
     ({"s.ini": "[elastic]\n[sampler]\nvacancy_density_cm3 = nan\n"},
      [*SPECTRUM, "--mode", "defect-field"], "vacancy_density_cm3"),
     ({"s.ini": "[sampler]\nbin_width_mev = nan\n"}, SPECTRUM,
@@ -515,6 +519,7 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
         "fwhm-inf", "t-max-nan", "t-max-inf", "pump-nan", "pump-inf",
+        "pump-overflow",
         "vacancy-density-nan", "bin-width-nan", "bin-width-inf",
         "bin-width-tiny", "vacancy-density-above-sites",
         "atomic-volume-nan", "xy-threshold-nan", "temperature-nan",
@@ -864,7 +869,8 @@ def test_schedule_from_template_runs(tmp_path, capsys):
     assert (fixed.flux_cm2_s, fixed.duration_s, fixed.gap_s,
             fixed.repeat) == (1e12, 2.0, 1.0, 1000)
     assert [run.repeat for run in train] == [int(8e15 / 7.9e10), 1]
-    assert sched.total_fluence_cm2 == pytest.approx(1e16, rel=1e-12, abs=0)
+    delivered = sum(s.fluence_cm2 for s in sched.segments)
+    assert delivered == pytest.approx(1e16, rel=1e-12, abs=0)
     with pytest.raises(ValidationError, match="exceed"):
         schedule_from_template(str(template), 1e15)
     for repeat in ("0", "-3"):

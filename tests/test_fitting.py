@@ -251,6 +251,36 @@ def test_stderr_matches_curve_fit(case):
             assert fit.parameters[name] == pytest.approx(value, rel=1e-7)
 
 
+def _scaled_fits(k):
+    # a 200-point noisy decay (default window) and a noisy single line,
+    # each scaled by 2**k; at this seed a log-linear start taken on the
+    # unscaled counts would move the decay time's last bits with k
+    rng = np.random.default_rng(17)
+    t = np.linspace(0.0, 40.0, 200)
+    decay = np.exp(-t / 8.0) * (1.0 + 0.01 * rng.standard_normal(t.size))
+    x = np.arange(1278.0, 1279.0, 0.002)
+    line = (lorentzian(x, 1278.5, 0.02, 1.0) + 0.01
+            + 0.01 * rng.standard_normal(x.size))
+    return (fit_single_exponential(t, np.ldexp(decay, k)),
+            fit_peaks(x, np.ldexp(line, k), 1))
+
+
+@pytest.mark.parametrize("k", [-600, -540, -200, 0, 37, 540, 600])
+def test_fits_are_scale_free(k):
+    # scaling the data by a power of two scales the linear coefficients,
+    # their stderrs and the residual norm by it, bit for bit, and changes
+    # no decay time, center or width
+    for fit, ref in zip(_scaled_fits(k), _scaled_fits(0)):
+        scaled = [name for name in ref.parameters
+                  if name.startswith(("amplitude", "baseline"))]
+        for name in ref.parameters:
+            times = 2.0 ** k if name in scaled else 1.0
+            assert fit.parameters[name] == ref.parameters[name] * times, name
+            assert fit.stderr[name] == ref.stderr[name] * times, name
+        assert fit.residual_norm == ref.residual_norm * 2.0 ** k
+        assert fit.n_iterations == ref.n_iterations
+
+
 # ---------------------------------------------------------------------------
 # numerical FWHM
 # ---------------------------------------------------------------------------

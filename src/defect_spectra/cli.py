@@ -10,14 +10,13 @@ A run asks for its keys through RunConfig.get and, once its inputs are
 built, refuses any section or key it did not ask for, so a typo or a
 key the run would drop cannot silently fall back to a default; an
 unparsable value is refused as the file is loaded. Each subcommand
-computes its files and returns them, with their directory and a summary
-line, to ``main``, which writes them in order through
-defect_spectra.output (atomic writes, number formats by file extension)
-and then prints the summary, so a command repeated with the same seed
-produces byte-identical files. A run refused for its input (exit 2) or
-whose fit or integration failed (exit 3) writes nothing; a failed write
-exits 2 and leaves only the complete files written before it, with no
-temp file and no summary line.
+returns its files, their directory and a summary line to ``main``, which
+writes the files in order through defect_spectra.output (atomic writes,
+number formats by file extension), so a rerun with the same seed gives
+byte-identical files, and then prints the summary. A run refused for its
+input (exit 2) or whose fit or integration failed (exit 3) writes
+nothing; a failed write exits 2 and leaves only the complete files
+written before it, with no temp file and no summary line.
 
 Exit codes: 0 success, 2 a bad input (ValidationError, or a file that
 cannot be read or written), 3 a fit or integration that failed on valid
@@ -570,7 +569,7 @@ def cmd_convert(args):
 # entry point
 # ---------------------------------------------------------------------------
 
-# a text table's separator and float format, by its file's extension
+# a text table's separator and float format by extension (others: CSV)
 _TABLE_FORMATS = {".csv": (",", "%.10g"), ".xyz": (" ", "%.6f")}
 
 
@@ -582,7 +581,8 @@ def _write(directory, files):
         if len(content) == 1:
             write_atomic(path, content[0])
         else:
-            sep, float_format = _TABLE_FORMATS[os.path.splitext(name)[1]]
+            sep, float_format = _TABLE_FORMATS.get(
+                os.path.splitext(name)[1], _TABLE_FORMATS[".csv"])
             write_csv(path, *content, sep=sep, float_format=float_format)
 
 

@@ -77,6 +77,7 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
     """
     e = int(np.frexp(np.max(np.abs(y)))[1])
     y = np.ldexp(y, -e)
+
     def evaluate(theta):
         if not accept_fn(theta):
             return None

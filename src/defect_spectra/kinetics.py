@@ -291,10 +291,10 @@ def simulate_decay(params: DecayModelParams) -> DecayTrace:
         return DecayTrace(grid, zero, zero.copy(), zero.copy(),
                           zero.copy(), zero.copy())
 
-    # integrated in units of 2**e, the binade of n0: the equations are
-    # linear in the populations and a power of two scales exactly, so the
-    # trace is the same at any n0, and no step overflows near the largest
-    # float
+    # integrated in units of 2**e, the binade of n0: the right-hand side
+    # scales with the populations and the saturation density together, and
+    # a power of two scales exactly, so the trace is that of the unscaled
+    # equations, but no step overflows near the largest float
     e = int(np.frexp(n0)[1])
     y, nfev, accepted, rejected = _dormand_prince(
         _decay_rhs(params, e), grid, [np.ldexp(n0, -e), 0.0, 0.0, 0.0],

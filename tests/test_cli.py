@@ -1131,6 +1131,15 @@ def test_run_bytes_are_pinned(tmp_path, capsys, run):
     assert capsys.readouterr().out == stdout.replace("{tmp}", str(tmp_path))
 
 
+@pytest.mark.parametrize("name", ["report", "report.txt", "report.CSV"])
+def test_fit_report_of_any_name_is_a_csv(tmp_path, name):
+    assert main(["simulate-decay", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert main(["fit", "--input", str(tmp_path / "trace.csv"),
+                 "--report", str(tmp_path / name)]) == 0
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == RUN_PINS["fit"][2]["report.csv"]
+
+
 def test_subcommands_neither_write_nor_print():
     # main writes a run's files and then prints its summary, so every
     # computation of a run ends before its first write

@@ -1047,9 +1047,15 @@ def test_enumerate_sites_bytes_are_pinned(tmp_path, kind, repeats):
 _PIN_SPECTRUM = ["simulate-spectrum", "--samples", "300", "--seed", "1",
                  "--dump-samples", "--out", "{tmp}/out", "--mode"]
 _PIN_DECAY = ["simulate-decay", "--seed", "1", "--out", "{tmp}/out"]
+# the benchmark's second decay: traps that never saturate
+_PIN_UNSATURATED = ["simulate-decay", "--config", "{tmp}/unsaturated.ini",
+                    "--seed", "1", "--out", "{tmp}/out"]
+# the input files of the pinned runs, written to {tmp}
+PIN_INPUTS = {"t.csv": CW_TEMPLATE, "unsaturated.ini":
+              "[kinetics]\ntrap_saturation_density_cm3 = inf\n"}
 # each writing subcommand's runs ({tmp} is the test's directory, which
-# holds the CW_TEMPLATE as t.csv), the stdout they print, and the sha256
-# of each file they write to {tmp}/out
+# holds PIN_INPUTS), the stdout they print, and the sha256 of each file
+# they write to {tmp}/out
 _SPECTRUM_OUT = (" samples (300 raw draws, 0 out of table range), "
                  "spectrum/histogram/svg written to {tmp}/out\n")
 _DECAY_OUT = "decay: tau_eff 8.031 ns, qe 0.178, outputs in {tmp}/out\n"
@@ -1060,6 +1066,15 @@ _DECAY_SHA256 = {
         "426727ab2c0c0f082b059209006fbb3a94b35ac54884dcce4c10ac2aedb75140",
     "trace.svg":
         "2092e7a3cb91396b34fc9e32e8c2e2af99d9ae95f3dab229e2a26ef98413d12e",
+}
+_UNSATURATED_OUT = "decay: tau_eff 7.683 ns, qe 0.171, outputs in {tmp}/out\n"
+_UNSATURATED_SHA256 = {
+    "fit_report.csv":
+        "31eea0180bcbc071e9c1d38339d2f9c0266cbd7ca72f487e56866f6af1d546ec",
+    "trace.csv":
+        "bc7b4ba758fa015b545510ba0a5841f2b8d59d7374325a1802e6b07bcb139ccf",
+    "trace.svg":
+        "c4dd2595124fda986806e5c3a84db474c22548b4684b3cc8f67ca66b515a6dbe",
 }
 RUN_PINS = {
     "uniform": ([[*_PIN_SPECTRUM, "uniform"]],
@@ -1115,13 +1130,44 @@ RUN_PINS = {
         "report.csv":
             "3c231d0c04eaa3d2d201b20ba10180b140c5a0aac388536f8690a3fda4b49a36",
     }),
+    "decay-unsaturated": ([_PIN_UNSATURATED], _UNSATURATED_OUT,
+                          _UNSATURATED_SHA256),
+    "fit-window": ([_PIN_UNSATURATED,
+                    ["fit", "--input", "{tmp}/out/trace.csv", "--window",
+                     "20:90", "--report", "{tmp}/out/report.csv"]],
+                   _UNSATURATED_OUT + "fit (exponential): tau = 7.563 ns; "
+                   "report written to {tmp}/out/report.csv\n", {
+        **_UNSATURATED_SHA256,
+        "report.csv":
+            "cf64e4d1873efa8f5f3afcae3a147a47a4ee3829bcfc80effbb91371ea4e4eae",
+    }),
+    # fit_peaks runs the exponential fit's variable-projection solver
+    "fit-peaks": ([[*_PIN_SPECTRUM, "defect-field"],
+                   ["fit", "--model", "peaks", "--peaks", "2", "--input",
+                    "{tmp}/out/spectrum.csv", "--report",
+                    "{tmp}/out/report.csv"]],
+                  "defect-field: 300" + _SPECTRUM_OUT + "fit (peaks): "
+                  "1278.4154 nm, 1279.0691 nm; report written to "
+                  "{tmp}/out/report.csv\n", {
+        "histogram.csv":
+            "6112e9ef3e8026998f7e433239a07dd723bd32c62110001723639dff3b233c5b",
+        "report.csv":
+            "2918dcf00a6324d04ff3829389d64569b3f28ce73bae2dd70be766713dcdb379",
+        "samples.csv":
+            "28bfe278cf2f582bfe00241b935ea66a5204ccefde170c7f7da21a952805db8b",
+        "spectrum.csv":
+            "b2ebe6e90662f3022721091381be85ef3ba60bc730126f8055e9ded626fd1e55",
+        "spectrum.svg":
+            "d8dbd5fdb96703641d15f1ca9f832a09d3dcf94453fb22c0d72e5567723fa2fe",
+    }),
 }
 
 
 @pytest.mark.parametrize("run", sorted(RUN_PINS))
 def test_run_bytes_are_pinned(tmp_path, capsys, run):
     runs, stdout, sha256 = RUN_PINS[run]
-    (tmp_path / "t.csv").write_text(CW_TEMPLATE)
+    for name, text in PIN_INPUTS.items():
+        (tmp_path / name).write_text(text)
     for argv in runs:
         assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
     out = tmp_path / "out"

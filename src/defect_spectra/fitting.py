@@ -86,17 +86,21 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
         c = coef[:, 0]
         if not accept_fn(theta, c):
             return None
-        r = phi @ c - y
+        r = phi @ c
+        r -= y
         # P⊥·(∂Φ/∂θ_j)·c, with P⊥ = 1 - Φ·lstsq(Φ, ·)
-        return (dphi - phi @ coef[:, 1:]) * c[cols], c, r, float(r @ r)
+        kaufman = phi @ coef[:, 1:]
+        np.subtract(dphi, kaufman, out=kaufman)
+        kaufman *= c[cols]
+        return kaufman, c, r, float(r @ r)
 
     theta = np.array(theta0, dtype=float)
     point = evaluate(theta)
     if point is None or not np.isfinite(point[-1]):
         raise NumericalError(f"{what} fit start point is vetoed")
     for it in range(1, max_iter + 1):
-        kaufman, _, r, cost = point
-        step = _equilibrated_lstsq(kaufman, -r)
+        cost = point[-1]
+        step = _equilibrated_lstsq(point[0], -point[2])
         scale = np.maximum(np.abs(theta), 1e-300)
         lam = 1.0
         while True:
@@ -125,16 +129,23 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
             f"{what} fit did not converge in {max_iter} iterations, "
             f"residual norm {np.sqrt(point[-1]):.4g}")
 
-    _, c, _, cost = point
+    c, cost = point[1], point[-1]
+    del point, trial    # the last Jacobians and residuals
     phi, dphi, cols = basis(theta)
-    jac = np.column_stack([dphi * c[cols], phi])
+    jac = np.empty((len(phi), len(theta) + phi.shape[1]))
+    np.multiply(dphi, c[cols], out=jac[:, :len(theta)])
+    jac[:, len(theta):] = phi
+    del phi, dphi
     dof = jac.shape[0] - jac.shape[1]
     norms = _column_norms(jac)
     if dof <= 0:
         err = np.zeros(len(norms))
     else:
+        jac /= norms
         try:
-            cov = cost / dof * np.linalg.pinv((jac / norms).T @ (jac / norms))
+            # not jac.T @ jac: numpy takes an array times its own
+            # transpose through syrk, whose sums round unlike gemm's
+            cov = cost / dof * np.linalg.pinv(jac.T @ jac.copy())
             err = np.sqrt(np.clip(np.diag(cov), 0.0, None)) / norms
         except np.linalg.LinAlgError:
             err = np.full(len(norms), np.nan)
@@ -154,7 +165,13 @@ def _log_linear_tau(t, y):
     span = y.max() - floor
     if span <= 0:
         raise NumericalError("trace is flat, nothing to fit")
-    pos = y - floor + 1e-3 * span
+    # in units of 2**e, the binade of the span, where 1e-3 * span cannot
+    # underflow to 0 as it can for subnormal counts; a power of two scales
+    # exactly, so normal counts give the same start
+    e = int(np.frexp(span)[1])
+    span = np.ldexp(span, -e)
+    pos = np.ldexp(y - floor, -e)
+    pos += 1e-3 * span
     coef = np.polyfit(t, np.log(pos / span), 1)
     slope = coef[0]
     if slope >= 0:
@@ -180,20 +197,29 @@ def fit_single_exponential(time_ns, counts, window_ns=None) -> FitResult:
         tau_guess = _log_linear_tau(t[tail], y[tail])
         window_ns = (t[i_peak], t[i_peak] + 5.0 * tau_guess)
     lo, hi = float(window_ns[0]), float(window_ns[1])
-    sel = (t >= lo) & (t <= hi)
-    if sel.sum() < 10:
+    # t increases, so the points with lo <= t <= hi are one slice of it
+    start = int(np.searchsorted(t, lo))
+    stop = int(np.searchsorted(t, hi, side="right"))
+    held = stop - start if lo <= hi else 0
+    if held < 10:
         raise ValidationError(
-            f"fit window [{lo:g}, {hi:g}] ns holds {int(sel.sum())} points, "
+            f"fit window [{lo:g}, {hi:g}] ns holds {held} points, "
             "need at least 10")
-    tw, yw = t[sel], y[sel]
+    tw, yw = t[start:stop], y[start:stop]
     if yw.max() == yw.min():
         raise NumericalError("trace is flat inside the fit window")
 
     def basis(theta):
         tau = theta[0]
-        e = np.exp(-tw / tau)
-        return (np.column_stack([e, np.ones_like(tw)]),
-                (e * tw / tau ** 2)[:, None], [0])
+        phi = np.empty((len(tw), 2))
+        e = phi[:, 0]
+        np.negative(tw, out=e)
+        e /= tau
+        np.exp(e, out=e)
+        phi[:, 1] = 1.0
+        d = e * tw
+        d /= tau ** 2
+        return phi, d[:, None], [0]
 
     p, err, norm, n_iter = _projected_fit(
         "exponential", yw, [_log_linear_tau(tw, yw)], basis,

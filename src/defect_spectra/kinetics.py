@@ -10,6 +10,7 @@ exponential updates instead of a stepped solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,10 +174,13 @@ _DP_P = np.array([
      701980252875/199316789632],
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# (node, row of _DP_A) of stages 1 to 5
+_DP_STAGES = [(_DP_C[s], _DP_A[s, :s]) for s in range(1, 6)]
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    # what np.linalg.norm(x) computes for a real vector, without its checks
+    return math.sqrt(x @ x) / x.size ** 0.5
 
 
 def _dormand_prince(rhs, grid, y0, rtol, atol):
@@ -213,7 +217,7 @@ def _dormand_prince(rhs, grid, y0, rtol, atol):
     out = np.empty((y.size, grid.size))
     i = 0
     while t < t_end:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         was_rejected = False
         while True:
@@ -226,9 +230,9 @@ def _dormand_prince(rhs, grid, y0, rtol, atol):
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
-            for s in range(1, 6):
-                dy = np.dot(K[:s].T, _DP_A[s, :s]) * h
-                K[s] = fun(t + _DP_C[s] * h, y + dy)
+            for s, (c, a) in enumerate(_DP_STAGES, 1):
+                dy = np.dot(K[:s].T, a) * h
+                K[s] = fun(t + c * h, y + dy)
             y_new = y + h * np.dot(K[:-1].T, _DP_B)
             K[-1] = f_new = fun(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -244,7 +248,8 @@ def _dormand_prince(rhs, grid, y0, rtol, atol):
         j = int(np.searchsorted(grid, t_new, side="right"))
         if j > i:
             x = (grid[i:j] - t) / h
-            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            p = np.cumprod(np.broadcast_to(x, (4, x.size)), axis=0,
+                           out=np.empty((4, x.size)))
             out[:, i:j] = h * np.dot(K.T.dot(_DP_P), p) + y[:, None]
             i = j
         t, y, f = t_new, y_new, f_new
@@ -260,15 +265,21 @@ def _decay_rhs(params: DecayModelParams, exponent=0):
     n_sat = params.trap_saturation_density_cm3
     if n_sat is None:
         n_sat = params.trap_density_cm3
-    n_sat = float(np.ldexp(n_sat, -exponent))
+    # a saturation density above the float range in these units is never
+    # approached: inf, so the traps do not saturate
+    with np.errstate(over="ignore"):
+        n_sat = float(np.ldexp(n_sat, -exponent))
+    saturable = k_t0 > 0 and n_sat < np.inf
     tau_r = params.tau_r_ns
 
     def rhs(_t, y):
-        n_c, n_x, filled, _ = y
-        if k_t0 > 0 and np.isfinite(n_sat):
-            k_t = k_t0 * max(0.0, 1.0 - filled / n_sat)
-        else:
-            k_t = k_t0
+        n_c, n_x, filled, _ = y.tolist()
+        k_t = k_t0
+        if saturable:
+            # 0 once the traps are full; a saturation density that
+            # underflowed to 0 in these units is full from the start and
+            # keeps filled at 0, so it never divides
+            k_t = k_t0 * (1.0 - filled / n_sat) if filled < n_sat else 0.0
         return [
             -(k_g + k_t) * n_c,
             k_g * n_c - n_x / tau_r - k_t * n_x,
@@ -294,22 +305,29 @@ def simulate_decay(params: DecayModelParams) -> DecayTrace:
     # integrated in units of 2**e, the binade of n0: the right-hand side
     # scales with the populations and the saturation density together, and
     # a power of two scales exactly, so the trace is that of the unscaled
-    # equations, but no step overflows near the largest float
+    # equations, but no step overflows near the largest float; atol is
+    # taken in these units, as 1e-12 * n0 underflows for a subnormal n0
     e = int(np.frexp(n0)[1])
+    y0 = float(np.ldexp(n0, -e))
     y, nfev, accepted, rejected = _dormand_prince(
-        _decay_rhs(params, e), grid, [np.ldexp(n0, -e), 0.0, 0.0, 0.0],
-        rtol=1e-8, atol=np.ldexp(1e-12 * n0, -e))
-    y = np.ldexp(y, e)
-    if np.any(y < -1e-6 * n0):
+        _decay_rhs(params, e), grid, [y0, 0.0, 0.0, 0.0],
+        rtol=1e-8, atol=1e-12 * y0)
+    # scaled back, clipped and checked in place
+    np.ldexp(y, e, out=y)
+    lowest = y.min()
+    if lowest < -1e-6 * n0:
         raise NumericalError(
-            f"negative densities in decay solution (min {y.min():.3g})")
-    y = np.clip(y, 0.0, None)
+            f"negative densities in decay solution (min {lowest:.3g})")
+    np.clip(y, 0.0, None, out=y)
     total = y.sum(axis=0)
-    drift = float(np.max(np.abs(total - n0))) / n0
+    total -= n0
+    drift = float(np.max(np.abs(total, out=total))) / n0
     if drift > 1e-6:
         raise NumericalError(
             f"excitation conservation violated by {drift:.2e} relative")
-    return DecayTrace(time_ns=grid, intensity=y[1] / params.tau_r_ns,
+    # the row-sum buffer takes the photon rate
+    intensity = np.divide(y[1], params.tau_r_ns, out=total)
+    return DecayTrace(time_ns=grid, intensity=intensity,
                       carriers=y[0], excited=y[1], filled_traps=y[2],
                       emitted=y[3], nfev=nfev, steps_accepted=accepted,
                       steps_rejected=rejected)

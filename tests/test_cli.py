@@ -1,16 +1,21 @@
 import argparse
 import ast
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import inspect
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defect_spectra import cli
 from defect_spectra.cli import load_config, main, schedule_from_template
@@ -1184,6 +1189,94 @@ def test_fit_report_of_any_name_is_a_csv(tmp_path, name):
                  "--report", str(tmp_path / name)]) == 0
     digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
     assert digest == RUN_PINS["fit"][2]["report.csv"]
+
+
+def _csv_numbers_are_finite(directory):
+    """Whether every cell of the CSVs in ``directory`` that parses as a
+    number (names and headers do not) is finite, but for the documented
+    ``tau_nr_ns`` of inf in a fit report."""
+    for name in os.listdir(directory):
+        if name.endswith(".csv"):
+            with open(os.path.join(directory, name), newline="") as fh:
+                rows = [row for row in csv.reader(fh)
+                        if row[:2] != ["tau_nr_ns", "inf"]]
+                for cell in (c for row in rows for c in row):
+                    try:
+                        if not np.isfinite(float(cell)):
+                            return False
+                    except ValueError:
+                        pass
+    return True
+
+
+@pytest.mark.parametrize("n_sat, trace_sha256", [
+    ("1e-300",
+     "f4b5ed728a3e2a158a15349135a311e6d11fe54f0f18336c7dfc1775d5ff68f1"),
+    ("5e-324",
+     "46cf2c3eecff8c5d3d75e0b803cb5dd594342abad6bd3e86e2a464ebbeaab39d"),
+])
+def test_tiny_saturation_density_saturates_quietly(tmp_path, n_sat,
+                                                    trace_sha256):
+    # in units of the initial density, 1e-300 cm^-3 is subnormal and
+    # 5e-324 underflows to 0: the traps are full after the first evaluation
+    # or from the start, and filled / n_sat may neither overflow nor be 0/0
+    (tmp_path / "k.ini").write_text(
+        f"[kinetics]\ntrap_saturation_density_cm3 = {n_sat}\n")
+    assert main(["simulate-decay", "--config", str(tmp_path / "k.ini"),
+                 "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+    assert _csv_numbers_are_finite(tmp_path / "out")
+    digest = hashlib.sha256((tmp_path / "out" / "trace.csv").read_bytes())
+    assert digest.hexdigest() == trace_sha256
+
+
+def _kinetics_extremes(key):
+    """The values a [kinetics] key is drawn from: the ends of the float
+    range and 1, with 0 where the key allows it and inf where the docs
+    give it a meaning."""
+    values = [5e-324, 1e-300, 1.0, 1e300]
+    if key in ("g_center_density_cm3", "capture_coefficient_g_cm3_ns",
+               "trap_density_cm3", "capture_coefficient_trap_cm3_ns",
+               "pump_power_mw", "carrier_density_per_mw_cm3",
+               "fit_window_start_ns"):
+        values.append(0.0)
+    if key == "trap_saturation_density_cm3":
+        values.append(np.inf)
+    return values
+
+
+# the grid stays at 801 points over 20 ns, so each run takes milliseconds
+_DRAWN_KINETICS_KEYS = sorted(set(cli._SCHEMA["kinetics"])
+                              - {"t_max_ns", "n_points"})
+_kinetics_configs = st.lists(st.sampled_from(_DRAWN_KINETICS_KEYS),
+                             unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: st.sampled_from(_kinetics_extremes(key)) for key in keys}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kinetics_configs)
+def test_simulate_decay_exit_code_contract(values):
+    # any config of extreme [kinetics] values runs (0), is refused (2) or
+    # fails in the integration or the fit (3); a run that does not finish
+    # writes nothing, and none warns
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "k.ini")
+        with open(config, "w") as fh:
+            fh.write("[kinetics]\nt_max_ns = 20\nn_points = 801\n"
+                     + "".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        out = os.path.join(tmp, "out")
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["simulate-decay", "--config", config, "--seed", "1",
+                         "--out", out])
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert _csv_numbers_are_finite(out)
+        else:
+            assert not os.path.exists(out)
 
 
 def test_subcommands_neither_write_nor_print():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -90,6 +91,50 @@ def test_exponential_window_needs_points():
     counts = 1e3 * np.exp(-t / 5.0)
     with pytest.raises(ValidationError):
         fit_single_exponential(t, counts, window_ns=(10.0, 10.5))
+
+
+_WINDOW_T = np.linspace(0.0, 50.0, 201)      # a point every 0.25 ns
+
+
+@pytest.mark.parametrize("window", [
+    (10.0, 30.0), (10.1, 29.9), (0.0, 50.0), (47.75, 50.0), (48.0, 50.0),
+    (30.0, 10.0), (20.0, 20.0), (-20.0, 80.0), (-np.inf, np.inf),
+    (-20.0, 8.0), (25.1, 80.0), (-20.0, -5.0), (60.0, 70.0),
+], ids=["on-points", "between-points", "whole-grid", "ten-points",
+        "nine-points", "reversed", "one-point", "beyond-both-ends",
+        "infinite-ends", "below-start", "past-stop", "below-grid",
+        "above-grid"])
+def test_fit_window_is_the_points_between_its_ends(window):
+    # the window is the points with lo <= t <= hi, as a mask takes them
+    rng = np.random.default_rng(8)
+    y = 1e3 * np.exp(-_WINDOW_T / 6.0) + 5.0 + rng.normal(0.0, 0.2, 201)
+    lo, hi = window
+    mask = (_WINDOW_T >= lo) & (_WINDOW_T <= hi)
+    held = np.count_nonzero(mask)
+    if held < 10:
+        with pytest.raises(ValidationError, match=f" holds {held} points,"):
+            fit_single_exponential(_WINDOW_T, y, window_ns=window)
+        return
+    fit = fit_single_exponential(_WINDOW_T, y, window_ns=window)
+    assert fit == fit_single_exponential(_WINDOW_T[mask], y[mask],
+                                         window_ns=window)
+
+
+def test_exponential_fit_memory_stays_near_the_window():
+    # 28,001 of 40,001 points in the window, 224 kB a column: a copied
+    # window, a second Jacobian or an extra (n, 3) temporary each cost
+    # hundreds of kilobytes
+    t = np.linspace(0.0, 100.0, 40001)
+    y = (2e13 * np.exp(-t / 7.7) + 1e9
+         + np.random.default_rng(9).normal(0.0, 1e9, t.size))
+    fit_single_exponential(t, y, window_ns=(20.0, 90.0))
+    tracemalloc.start()
+    try:
+        fit_single_exponential(t, y, window_ns=(20.0, 90.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0e6
 
 
 @settings(max_examples=25, deadline=None)

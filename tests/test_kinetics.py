@@ -270,6 +270,22 @@ def test_params_at_the_point_cap_build_no_grid():
     assert peak < 2**20
 
 
+def test_decay_memory_is_the_trace_it_returns():
+    # 320 kB a population at 40,001 points: the scaling back, clipping and
+    # conservation check work in place on the integrator's output, and the
+    # photon rate takes the buffer of the conservation check
+    params = DecayModelParams(n_points=40001)
+    simulate_decay(params)
+    tracemalloc.start()
+    try:
+        trace = simulate_decay(params)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held > trace.time_ns.nbytes * 5
+    assert peak - held < 0.2e6
+
+
 def test_grid_is_evenly_spaced():
     params = DecayModelParams(t_max_ns=0.05, n_points=2)
     assert np.array_equal(params.time_grid_ns, [0.0, 0.05])

@@ -132,10 +132,7 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
     c, cost = point[1], point[-1]
     del point, trial    # the last Jacobians and residuals
     phi, dphi, cols = basis(theta)
-    jac = np.empty((len(phi), len(theta) + phi.shape[1]))
-    np.multiply(dphi, c[cols], out=jac[:, :len(theta)])
-    jac[:, len(theta):] = phi
-    del phi, dphi
+    jac = np.column_stack([dphi * c[cols], phi])
     dof = jac.shape[0] - jac.shape[1]
     norms = _column_norms(jac)
     if dof <= 0:

@@ -312,7 +312,6 @@ def simulate_decay(params: DecayModelParams) -> DecayTrace:
     y, nfev, accepted, rejected = _dormand_prince(
         _decay_rhs(params, e), grid, [y0, 0.0, 0.0, 0.0],
         rtol=1e-8, atol=1e-12 * y0)
-    # scaled back, clipped and checked in place
     np.ldexp(y, e, out=y)
     lowest = y.min()
     if lowest < -1e-6 * n0:
@@ -325,7 +324,7 @@ def simulate_decay(params: DecayModelParams) -> DecayTrace:
     if drift > 1e-6:
         raise NumericalError(
             f"excitation conservation violated by {drift:.2e} relative")
-    # the row-sum buffer takes the photon rate
+    # the photon rate reuses the row-sum buffer
     intensity = np.divide(y[1], params.tau_r_ns, out=total)
     return DecayTrace(time_ns=grid, intensity=intensity,
                       carriers=y[0], excited=y[1], filled_traps=y[2],

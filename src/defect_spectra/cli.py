@@ -569,10 +569,6 @@ def cmd_convert(args):
 # entry point
 # ---------------------------------------------------------------------------
 
-# a text table's separator and float format by extension (others: CSV)
-_TABLE_FORMATS = {".csv": (",", "%.10g"), ".xyz": (" ", "%.6f")}
-
-
 def _write(directory, files):
     """Write each (name, text) document and (name, header, *tables) text
     table of a run into ``directory``, in order."""
@@ -581,9 +577,7 @@ def _write(directory, files):
         if len(content) == 1:
             write_atomic(path, content[0])
         else:
-            sep, float_format = _TABLE_FORMATS.get(
-                os.path.splitext(name)[1], _TABLE_FORMATS[".csv"])
-            write_csv(path, *content, sep=sep, float_format=float_format)
+            write_csv(path, *content)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -131,30 +131,6 @@ def delta_e_from_delta_lambda(delta_lambda_nm, lambda0_nm=ZPL_WAVELENGTH_NM):
     return float(out) if out.ndim == 0 else out
 
 
-def validate_strain(strain) -> np.ndarray:
-    """Check a strain vector (or array of them, last axis 6) and return it.
-
-    Components are ordered ``e_xx, e_yy, e_zz, e_xy, e_xz, e_yz``.
-    """
-    arr = np.asarray(strain, dtype=float)
-    if arr.shape[-1] != 6:
-        raise ValidationError(
-            f"strain vector needs 6 components, got shape {arr.shape}")
-    if not arr.size:
-        return arr
-    # NaN propagates to both extremes and an infinity is one of them, so
-    # two reductions check the array without an array-sized temporary
-    low, high = float(arr.min()), float(arr.max())
-    if not np.isfinite(low) or not np.isfinite(high):
-        raise ValidationError("strain components must be finite")
-    worst = max(-low, high)
-    if worst > STRAIN_CAP:
-        raise ValidationError(
-            f"strain component magnitude {worst:.4g} exceeds the physical cap "
-            f"{STRAIN_CAP}")
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # deterministic RNG streams
 # ---------------------------------------------------------------------------

@@ -13,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SI_LATTICE_CONSTANT_NM,
-    ValidationError,
-    check_fields,
-)
+from .core import SI_LATTICE_CONSTANT_NM, ValidationError
 
 # diamond basis in conventional-cell units
 _FCC = np.array([
@@ -33,7 +29,6 @@ _VOID_SHIFT = np.array([0.75, 0.75, 0.75])  # unoccupied tetrahedral holes
 MAX_ATOMS = 10**6
 # Voids excluded around an embedded G-center (see enumerate_candidates).
 EXCLUSION_RADIUS_NM = 0.20
-BLOCKED_NEIGHBORS = 1
 
 
 @dataclass(frozen=True)
@@ -41,18 +36,16 @@ class SupercellSpec:
     """n x n x n repetition of the conventional silicon cell."""
 
     repeats: int = 3
-    lattice_constant_nm: float = SI_LATTICE_CONSTANT_NM
 
     def __post_init__(self):
         if not (self.repeats >= 1 and self.n_atoms <= MAX_ATOMS):
             raise ValidationError(
                 f"repeats must be >= 1 and give at most {MAX_ATOMS} atoms, "
                 f"got {self.repeats}")
-        check_fields(self, positive=("lattice_constant_nm",))
 
     @property
     def box_length_nm(self) -> float:
-        return self.repeats * self.lattice_constant_nm
+        return self.repeats * SI_LATTICE_CONSTANT_NM
 
     @property
     def n_atoms(self) -> int:
@@ -157,12 +150,13 @@ def enumerate_candidates(geom: Geometry, kind: str) -> Candidates:
 
     kind = "interstitial-void": the ideal tetrahedral holes, minus any hole
     within EXCLUSION_RADIUS_NM of a G-center atom (this always covers the
-    hole the interstitial itself occupies), minus the BLOCKED_NEIGHBORS
-    holes nearest the interstitial after that. A plain radius cannot
-    isolate the occupied hole plus exactly one neighbor, because the
-    remaining holes come in symmetry multiplets of three or four; the
-    neighbor count reproduces the two-site exclusion that a relaxed
-    interstitial footprint suggests. Pristine cells see no exclusion.
+    hole the interstitial itself occupies), minus the one hole nearest the
+    interstitial after that, the lexicographically first among equally
+    near holes. A plain radius cannot isolate the occupied hole plus
+    exactly one neighbor, because the remaining holes come in symmetry
+    multiplets of three or four; the one-neighbor rule reproduces the
+    two-site exclusion that a relaxed interstitial footprint suggests.
+    Pristine cells see no exclusion.
     """
     if kind == "vacancy":
         pos = geom.positions_frac
@@ -177,8 +171,8 @@ def enumerate_candidates(geom: Geometry, kind: str) -> Candidates:
             ]).min(axis=0)
             pos = pos[d_anchor > EXCLUSION_RADIUS_NM]
             d_int = min_image_distance_nm(pos, anchors[2], geom.spec)
-            order = np.lexsort((pos[:, 2], pos[:, 1], pos[:, 0], d_int))
-            pos = np.delete(pos, order[:BLOCKED_NEIGHBORS], axis=0)
+            # pos is sorted, so the first nearest row is the lexicographic one
+            pos = np.delete(pos, np.argmin(d_int), axis=0)
     else:
         raise ValidationError(
             f"unknown candidate kind {kind!r}; expected 'vacancy' or "

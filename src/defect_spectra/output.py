@@ -2,9 +2,11 @@
 atomic writes, and the one reader of CSV input.
 
 One block writer, ``write_csv``, writes every text table (CSV and XYZ): a
-header, then tables one after another, each of columns. Each column gets
-one format from its dtype: integers as ``%d``, floats as ``%.10g``
-(``%.6f`` in XYZ), anything else (names, kinds, elements) as ``%s``. No
+header, then tables one after another, each of columns. The path's
+extension picks the separator and the float format: a space and ``%.6f``
+for ``.xyz``, a comma and ``%.10g`` for any other name. Each column gets
+one format from its dtype: integers as ``%d``, floats as that float
+format, anything else (names, kinds, elements) as ``%s``. No
 cell or header the toolkit writes holds a comma, quote or newline, so no
 cell is quoted. Rows are formatted and written in blocks of ``CSV_BLOCK``
 (4096) rows, so the memory a write takes does not grow with the file. A
@@ -70,11 +72,14 @@ def _constant_text(column, fmt):
     return (fmt % column[0].item()).replace("%", "%%")
 
 
-def write_csv(path: str, header, *tables, sep=",", float_format="%.10g"):
+def write_csv(path: str, header, *tables):
     """Write ``tables``, each a list of equal-length columns, one after
     another under ``header``: a row of one name per column, or text written
-    as it stands. Unequal lengths in a table or a header row of another
-    width raise ValueError and leave no file."""
+    as it stands. The separator and float format follow the extension of
+    ``path``. Unequal lengths in a table or a header row of another width
+    raise ValueError and leave no file."""
+    sep, float_format = ((" ", "%.6f") if os.path.splitext(path)[1] == ".xyz"
+                         else (",", "%.10g"))
     formats = {**_COLUMN_FORMATS, "f": float_format}
 
     def blocks():

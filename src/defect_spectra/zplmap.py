@@ -27,7 +27,6 @@ from .core import (
     ValidationError,
     increasing_grid,
     number,
-    validate_strain,
 )
 from .output import read_csv
 
@@ -55,17 +54,13 @@ class ResponseTable:
             return self.curves[_SYMMETRY_SOURCE[axis]]
         raise ValidationError(f"table has no curve for axis {axis!r}")
 
-    def strain_range(self, axis: str):
-        grid, _ = self.axis_curve(axis)
-        return float(grid[0]), float(grid[-1])
-
 
 def component_ranges(table: ResponseTable):
     """(low, high) arrays of the strain range of each 6-vector component,
     each taken from the table axis that component maps to."""
-    low, high = zip(*(table.strain_range(axis)
-                      for _, axis in _COMPONENT_AXIS))
-    return np.array(low), np.array(high)
+    grids = [table.axis_curve(axis)[0] for _, axis in _COMPONENT_AXIS]
+    return (np.array([grid[0] for grid in grids]),
+            np.array([grid[-1] for grid in grids]))
 
 
 def load_response_table(path) -> ResponseTable:
@@ -128,23 +123,30 @@ def default_table() -> ResponseTable:
 
 
 def shift_for_strain(table: ResponseTable, strain) -> np.ndarray:
-    """Interpolated additive ZPL shift in meV for strain 6-vectors.
+    """Interpolated additive ZPL shift in meV for a strain 6-vector or an
+    (n, 6) array of them.
 
-    Any component outside its axis grid raises ValidationError naming the
-    axis; there is no extrapolation.
+    Any component outside its axis grid, NaN and +-inf included, raises
+    ValidationError naming the component and the axis; there is no
+    extrapolation. Every node lies within the strain cap, so an in-range
+    strain is within it too.
     """
-    arr = validate_strain(strain)
+    arr = np.asarray(strain, dtype=float)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 6:
+        raise ValidationError(
+            f"strain vector needs 6 components, got shape {arr.shape}")
     flat = np.atleast_2d(arr)
     total = np.zeros(flat.shape[0])
     for idx, (component, axis) in enumerate(_COMPONENT_AXIS):
         grid, shifts = table.axis_curve(axis)
+        lo, hi = grid[0], grid[-1]
         vals = flat[:, idx]
-        if np.any(vals < grid[0]) or np.any(vals > grid[-1]):
-            worst = float(vals[np.argmax(np.maximum(grid[0] - vals,
-                                                    vals - grid[-1]))])
+        # NaN fails both comparisons, so it is out of range like +-inf
+        if not np.all((vals >= lo) & (vals <= hi)):
+            worst = float(vals[np.argmax(np.maximum(lo - vals, vals - hi))])
             raise ValidationError(
                 f"{component} = {worst:.5g} outside table range "
-                f"[{grid[0]:.5g}, {grid[-1]:.5g}] for axis {axis!r}")
+                f"[{lo:.5g}, {hi:.5g}] for axis {axis!r}")
         total += np.interp(vals, grid, shifts)
     if arr.ndim == 1:
         return float(total[0])

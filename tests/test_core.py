@@ -1,17 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from defect_spectra.core import (
     HC_EV_NM,
-    STRAIN_CAP,
+    STRAIN_COMPONENTS,
     ZPL_WAVELENGTH_NM,
     EmitterParams,
     ValidationError,
     delta_e_from_delta_lambda,
     delta_lambda_from_delta_e,
     make_stream,
-    validate_strain,
 )
 from defect_spectra.zplmap import default_table, shift_for_strain
 
@@ -44,50 +45,58 @@ def test_conversion_rejects_nonpositive_reference():
 
 
 def test_validate_strain_shapes():
-    one = validate_strain([0.001, 0.0, 0.0, 0.0, 0.0, 0.0])
-    assert one.shape == (6,)
-    many = validate_strain(np.zeros((7, 6)))
-    assert many.shape == (7, 6)
-    with pytest.raises(ValidationError, match="needs 6 components"):
-        validate_strain(np.zeros((3, 5)))
-    with pytest.raises(ValidationError, match="must be finite"):
-        validate_strain([np.nan, 0, 0, 0, 0, 0])
-    # magnitudes beyond any physical lattice strain are rejected outright
-    with pytest.raises(ValidationError, match="exceeds the physical cap"):
-        validate_strain([0.5, 0, 0, 0, 0, 0])
+    # shift_for_strain is the one check of a strain: shape, then range
+    table = default_table()
+    assert isinstance(shift_for_strain(table, [0.001, 0, 0, 0, 0, 0]), float)
+    assert shift_for_strain(table, np.zeros((7, 6))).shape == (7,)
+    for shape in ((3, 5), (), (2, 3, 6)):
+        with pytest.raises(ValidationError, match="needs 6 components"):
+            shift_for_strain(table, np.zeros(shape))
+    with pytest.raises(ValidationError, match="e_xx = nan outside"):
+        shift_for_strain(table, [np.nan, 0, 0, 0, 0, 0])
+    # magnitudes beyond any physical lattice strain are beyond every
+    # table's range, since the loader keeps nodes within the cap
+    with pytest.raises(ValidationError, match="e_xx = 0.5 outside"):
+        shift_for_strain(table, [0.5, 0, 0, 0, 0, 0])
 
 
-def _validate_strain_reference(arr):
-    """The elementwise checks of validate_strain: isfinite, then abs."""
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("strain components must be finite")
-    if np.any(np.abs(arr) > STRAIN_CAP):
-        worst = float(np.max(np.abs(arr)))
-        raise ValidationError(
-            f"strain component magnitude {worst:.4g} exceeds the physical cap "
-            f"{STRAIN_CAP}")
+def _out_of_range_reference(arr, table):
+    """The range check of shift_for_strain, cell by cell in Python."""
+    for idx, (component, axis) in enumerate(
+            zip(STRAIN_COMPONENTS, ("x", "y", "z", "xy", "xz", "yz"))):
+        grid, _ = table.axis_curve(axis)
+        lo, hi = float(grid[0]), float(grid[-1])
+        bad = [v for v in arr[:, idx].tolist() if not lo <= v <= hi]
+        if bad:
+            worst = next((v for v in bad if v != v),
+                         max(bad, key=lambda v: max(lo - v, v - hi)))
+            raise ValidationError(
+                f"{component} = {worst:.5g} outside table range "
+                f"[{lo:.5g}, {hi:.5g}] for axis {axis!r}")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0625, -0.0625],
                          ids=str)
 def test_validate_strain_matches_elementwise_checks(bad):
-    # one bad component in a large array that also holds an over-cap
-    # component of the other sign and a smaller magnitude; the error's
-    # class and message are the reference's
-    arr = make_stream(1, 99).uniform(-0.01, 0.01, size=(50_000, 6))
-    arr[20_000, 1] = -0.055 if bad > 0 else 0.055
+    # one bad component in a large array that also holds an out-of-range
+    # cell of the other sign and a smaller excess in the same component;
+    # the error's class and message are the reference's, with no warning
+    table = default_table()
+    arr = make_stream(1, 99).uniform(-0.005, 0.005, size=(50_000, 6))
+    arr[20_000, 4] = -0.011 if bad > 0 else 0.011
     arr[31_337, 4] = bad
     with pytest.raises(ValidationError) as want:
-        _validate_strain_reference(arr)
-    with pytest.raises(want.type) as got:
-        validate_strain(arr)
+        _out_of_range_reference(arr, table)
+    assert "for axis 'xz'" in str(want.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(want.type) as got:
+            shift_for_strain(table, arr)
     assert str(got.value) == str(want.value)
 
 
 def test_validate_strain_keeps_an_empty_array():
-    empty = np.empty((0, 6))
-    assert validate_strain(empty) is empty
-    shifts = shift_for_strain(default_table(), empty)
+    shifts = shift_for_strain(default_table(), np.empty((0, 6)))
     assert isinstance(shifts, np.ndarray) and shifts.shape == (0,)
 
 

@@ -19,7 +19,6 @@ from defect_spectra.ensemble import (
     SingleDefectSpec,
 )
 from defect_spectra.kinetics import DamageParams, DecayModelParams, ScheduleSegment
-from defect_spectra.lattice import SupercellSpec
 from defect_spectra.output import read_csv
 from defect_spectra.strainfield import ElasticParams
 
@@ -43,7 +42,6 @@ CHECKED_FIELDS = [
     (ScheduleSegment, "duration_s", SEGMENT),
     (ScheduleSegment, "gap_s", SEGMENT),
     *((DamageParams, f.name, {}) for f in dataclasses.fields(DamageParams)),
-    (SupercellSpec, "lattice_constant_nm", {}),
 ]
 
 

@@ -223,7 +223,7 @@ def test_write_xyz_format(tmp_path):
     geom = place_gcenter(build_supercell(SupercellSpec(repeats=2)))
     head, columns = xyz_table(geom)
     path = tmp_path / "supercell.xyz"
-    write_csv(str(path), head, columns, sep=" ", float_format="%.6f")
+    write_csv(str(path), head, columns)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == str(len(geom.positions_frac))
     assert len(lines) == len(geom.positions_frac) + 2

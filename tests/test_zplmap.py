@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from defect_spectra.core import ValidationError
 from defect_spectra.zplmap import (
+    component_ranges,
     default_table,
     load_response_table,
     shift_for_strain,
@@ -166,14 +167,16 @@ def test_mirror_curve_must_be_identical(tmp_path, table, scale, ok):
 
 @pytest.mark.parametrize("span, ok", [(0.05, True), (0.1, False)])
 def test_table_nodes_stay_within_the_strain_cap(tmp_path, span, ok):
-    # a table reaching past STRAIN_CAP would let an in-range strain fail
-    # the cap after sampling; the loader refuses it, naming file and axis
+    # the cap is checked once, here: every node lies within it, so a strain
+    # inside the table's range is inside the cap; the loader refuses a
+    # table reaching past it, naming file and axis
     rows = [f"{axis},{s:g},{-abs(s):g}" for axis in ("x", "z", "xy", "xz")
             for s in (-span, 0.0, span)]
     path = tmp_path / "wide.csv"
     path.write_text("axis,strain,shift_mev\n" + "\n".join(rows) + "\n")
     if ok:
-        assert load_response_table(path).strain_range("x") == (-span, span)
+        low, high = component_ranges(load_response_table(path))
+        assert low.tolist() == [-span] * 6 and high.tolist() == [span] * 6
     else:
         with pytest.raises(ValidationError, match=re.escape(
                 f"response table {path}, axis 'x': strain nodes span -0.1 "

@@ -53,7 +53,12 @@ def _equilibrated_lstsq(a, b):
     return (x.T / norms).T
 
 
-def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
+def _binade(a):
+    """e with 2**e the binade of max|a|: max|a| lies in [2**(e-1), 2**e)."""
+    return int(np.frexp(np.max(np.abs(a)))[1])
+
+
+def _projected_fit(what, y, theta0, basis, accept_fn, max_iter, x_exp):
     """Minimize ||Φ(θ)·c - y||² by variable projection.
 
     ``basis(θ)`` returns the (n, m) basis Φ, the (n, len θ) derivatives
@@ -73,9 +78,12 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
     The fit runs on y·2⁻ᵉ, with 2ᵉ the binade of max|y|, and c, its
     stderrs and the residual norm are scaled back by 2ᵉ: a power of two
     scales exactly, so the result does not depend on the scale of y, and
-    the cost r·r can neither underflow nor overflow.
+    the cost r·r can neither underflow nor overflow. Likewise θ is in
+    units of 2^``x_exp``, the units of the grid that ``basis`` is built
+    on, and θ and its stderrs are scaled back by it. A result that is not
+    finite once scaled back raises NumericalError.
     """
-    e = int(np.frexp(np.max(np.abs(y)))[1])
+    e = _binade(y)
     y = np.ldexp(y, -e)
 
     def evaluate(theta):
@@ -146,9 +154,16 @@ def _projected_fit(what, y, theta0, basis, accept_fn, max_iter):
             err = np.sqrt(np.clip(np.diag(cov), 0.0, None)) / norms
         except np.linalg.LinAlgError:
             err = np.full(len(norms), np.nan)
-    err[len(theta):] = np.ldexp(err[len(theta):], e)
-    return (np.concatenate([theta, np.ldexp(c, e)]), err,
-            float(np.ldexp(np.sqrt(cost), e)), it)
+    with np.errstate(over="ignore"):
+        p = np.concatenate([np.ldexp(theta, x_exp), np.ldexp(c, e)])
+        err[:len(theta)] = np.ldexp(err[:len(theta)], x_exp)
+        err[len(theta):] = np.ldexp(err[len(theta):], e)
+        norm = float(np.ldexp(np.sqrt(cost), e))
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(err))
+            and np.isfinite(norm)):
+        raise NumericalError(f"{what} fit gives a non-finite parameter, "
+                             "standard error or residual norm")
+    return p, err, norm, it
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +180,7 @@ def _log_linear_tau(t, y):
     # in units of 2**e, the binade of the span, where 1e-3 * span cannot
     # underflow to 0 as it can for subnormal counts; a power of two scales
     # exactly, so normal counts give the same start
-    e = int(np.frexp(span)[1])
+    e = _binade(span)
     span = np.ldexp(span, -e)
     pos = np.ldexp(y - floor, -e)
     pos += 1e-3 * span
@@ -182,17 +197,25 @@ def fit_single_exponential(time_ns, counts, window_ns=None) -> FitResult:
     ``window_ns`` is a (start, stop) pair; when omitted it defaults to
     [t_peak, t_peak + 5*tau_guess] with tau_guess from a log-linear
     regression. Needs at least 10 points inside the window.
+
+    Times are taken in units of the binade of max|t|, and tau is
+    scaled back: a power of two scales exactly, so tau does not depend on
+    the units of t, and tau**2 can neither underflow nor overflow.
     """
     t = increasing_grid(time_ns, "time grid", y=counts)
     y = np.asarray(counts, dtype=float)
     if y.max() == y.min():
         raise NumericalError("trace is flat, nothing to fit")
+    x_exp = _binade(t)
 
     i_peak = int(np.argmax(y))
     if window_ns is None:
         tail = slice(i_peak, len(t))
-        tau_guess = _log_linear_tau(t[tail], y[tail])
-        window_ns = (t[i_peak], t[i_peak] + 5.0 * tau_guess)
+        tau_guess = _log_linear_tau(np.ldexp(t[tail], -x_exp), y[tail])
+        # a window end past the largest double is inf
+        with np.errstate(over="ignore"):
+            window_ns = (t[i_peak],
+                         t[i_peak] + 5.0 * np.ldexp(tau_guess, x_exp))
     lo, hi = float(window_ns[0]), float(window_ns[1])
     # t increases, so the points with lo <= t <= hi are one slice of it
     start = int(np.searchsorted(t, lo))
@@ -202,7 +225,7 @@ def fit_single_exponential(time_ns, counts, window_ns=None) -> FitResult:
         raise ValidationError(
             f"fit window [{lo:g}, {hi:g}] ns holds {held} points, "
             "need at least 10")
-    tw, yw = t[start:stop], y[start:stop]
+    tw, yw = np.ldexp(t[start:stop], -x_exp), y[start:stop]
     if yw.max() == yw.min():
         raise NumericalError("trace is flat inside the fit window")
 
@@ -220,7 +243,8 @@ def fit_single_exponential(time_ns, counts, window_ns=None) -> FitResult:
 
     p, err, norm, n_iter = _projected_fit(
         "exponential", yw, [_log_linear_tau(tw, yw)], basis,
-        accept_fn=lambda theta, c=None: theta[0] > 0, max_iter=200)
+        accept_fn=lambda theta, c=None: theta[0] > 0, max_iter=200,
+        x_exp=x_exp)
     return FitResult(
         parameters={"amplitude": p[1], "tau_ns": p[0], "baseline": p[2]},
         stderr={"amplitude": err[1], "tau_ns": err[0], "baseline": err[2]},
@@ -287,7 +311,9 @@ def fit_peaks(wavelength_nm, intensity, n_peaks: int) -> FitResult:
     maximum; no width may fall below the finest step of the grid. Peaks
     are numbered k = 0, 1, ... by ascending center, and the parameters
     are ``center_k_nm``, ``fwhm_k_nm`` and ``amplitude_k`` (height above
-    baseline) for each peak in turn, then ``baseline``.
+    baseline) for each peak in turn, then ``baseline``. Wavelengths are
+    taken in units of the binade of their largest magnitude, as times are
+    in :func:`fit_single_exponential`.
     """
     x = increasing_grid(wavelength_nm, "wavelength grid", min_points=5,
                         y=intensity)
@@ -296,6 +322,8 @@ def fit_peaks(wavelength_nm, intensity, n_peaks: int) -> FitResult:
         raise ValidationError("n_peaks must be >= 1")
     if y.max() == y.min():
         raise NumericalError("spectrum is flat, no peak to fit")
+    x_exp = _binade(x)
+    x = np.ldexp(x, -x_exp)
 
     theta0 = _pick_initial_peaks(x, y, n_peaks)
     cols = np.repeat(np.arange(n_peaks), 2)
@@ -317,7 +345,8 @@ def fit_peaks(wavelength_nm, intensity, n_peaks: int) -> FitResult:
                     and (c is None or np.all(c[:-1] >= 0)))
 
     p, err, norm, n_iter = _projected_fit(
-        "peak", y, theta0, basis, accept_fn=accept, max_iter=300)
+        "peak", y, theta0, basis, accept_fn=accept, max_iter=300,
+        x_exp=x_exp)
 
     index = {}
     for rank, k in enumerate(np.argsort(p[0:2 * n_peaks:2])):
@@ -395,9 +424,15 @@ def fit_power_law(fluence_cm2, intensity) -> FitResult:
         inter_err = np.sqrt(s2 * (1.0 / n + lx.mean() ** 2 / sxx))
     else:
         slope_err = inter_err = 0.0
-    prefactor = float(np.exp(intercept))
+    with np.errstate(over="ignore"):
+        prefactor = float(np.exp(intercept))
+    prefactor_err = prefactor * float(inter_err)
+    # an overflowing prefactor is inf, and inf times a zero stderr NaN
+    if not prefactor_err < np.inf:
+        raise NumericalError(
+            f"power-law prefactor exp({intercept:.6g}) or its standard "
+            "error overflows")
     return FitResult(
         parameters={"exponent": float(slope), "prefactor": prefactor},
-        stderr={"exponent": float(slope_err),
-                "prefactor": prefactor * float(inter_err)},
+        stderr={"exponent": float(slope_err), "prefactor": prefactor_err},
         residual_norm=float(np.sqrt(ssr)), n_iterations=1)

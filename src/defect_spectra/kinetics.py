@@ -461,6 +461,9 @@ class DamageParams:
                 "formation_enhancement_exponent", "destruction_coefficient_cm2",
                 "trap_formation_per_proton", "dynamic_annealing_rate_s",
                 "trap_clustering_exponent", "trap_lifetime_coupling_cm2_ns"))
+        if not KB_EV_K * self.temperature_k > 0:
+            raise ValidationError(f"temperature_k = {self.temperature_k:g} "
+                                  "underflows k_B*T to zero")
 
     def formation_rate_s(self, flux: float) -> float:
         enh = 1.0 + (flux / self.formation_enhancement_flux) \
@@ -468,8 +471,10 @@ class DamageParams:
         return self.formation_coefficient_cm2 * flux * enh
 
     def destruction_rate_s(self, flux: float) -> float:
-        arrhenius = np.exp(-self.destruction_activation_energy_ev
-                           / (KB_EV_K * self.temperature_k))
+        # a Python float: an overflowing product is inf, and inf * 0 NaN,
+        # without a warning; the caller refuses both
+        arrhenius = float(np.exp(-self.destruction_activation_energy_ev
+                                 / (KB_EV_K * self.temperature_k)))
         suppression = 1.0 + flux / self.destruction_suppression_flux
         return self.destruction_coefficient_cm2 * flux * arrhenius / suppression
 
@@ -479,8 +484,11 @@ class DamageParams:
         return self.trap_formation_per_proton * flux * excess
 
     def tau_eff_ns(self, n_trap_cm2) -> np.ndarray:
-        rate = (1.0 / self.tau_r_ns + 1.0 / self.background_tau_nr_ns
-                + self.trap_lifetime_coupling_cm2_ns * np.asarray(n_trap_cm2))
+        # a rate that overflows gives 0, the underflow of the true lifetime
+        with np.errstate(over="ignore"):
+            rate = (1.0 / self.tau_r_ns + 1.0 / self.background_tau_nr_ns
+                    + self.trap_lifetime_coupling_cm2_ns
+                    * np.asarray(n_trap_cm2))
         return 1.0 / rate
 
 
@@ -502,16 +510,23 @@ class DamageHistory:
         return self.n_g_cm2 * self.qe
 
 
+# A loss over a step below one rounding unit changes no density by more
+# than its last bit, so such a step is integrated as lossless.
+_LOSSLESS = 2.0 ** -53
+
+
 def _linear_update(value, source, loss_rate, dt):
     """Advance dy/dt = source - loss_rate*y exactly over dt.
 
     A sum of two nonnegative terms, with expm1 for the relaxed part, so
     both a tiny loss_rate*dt (a ns pulse) and a decay over many loss
-    times (a long train) keep full double precision.
+    times (a long train) keep full double precision. Below ``_LOSSLESS``
+    the step is value + source*dt, so source/loss_rate cannot overflow
+    at a tiny loss rate.
     """
-    if loss_rate > 0:
-        return (value * np.exp(-loss_rate * dt)
-                - source / loss_rate * np.expm1(-loss_rate * dt))
+    x = loss_rate * dt
+    if x >= _LOSSLESS:
+        return value * np.exp(-x) - source / loss_rate * np.expm1(-x)
     return value + source * dt
 
 
@@ -524,7 +539,8 @@ def integrate_damage(schedule: IrradiationSchedule,
     coexist without step-size trouble. All periods T of a run but the
     last advance at once: traps map y -> q*y + c per period, and n such
     maps are one linear update over n*T with the source scaled by
-    r = expm1(-a*tau)*exp(-a*gap)/expm1(-a*T), or tau/T when a*T = 0.
+    r = expm1(-a*tau)*exp(-a*gap)/expm1(-a*T), or tau/T when a*T is below
+    ``_LOSSLESS``.
     """
     rows = [(0.0, 0.0, 0.0, 0.0)]
     t = fluence = n_g = n_trap = 0.0
@@ -537,14 +553,14 @@ def integrate_damage(schedule: IrradiationSchedule,
             source = params.trap_source_cm2_s(seg.flux_cm2_s)
         except OverflowError:   # a float ** that overflows raises
             form = destr = source = np.inf
-        if not form + destr + source < np.inf:
+        if not form * c0 + destr + source < np.inf:
             raise NumericalError(f"damage rates overflow at a flux of "
                                  f"{seg.flux_cm2_s:g} cm^-2 s^-1")
         copies, period = seg.repeat - 1, seg.duration_s + seg.gap_s
         if copies and period > 0:
             x = anneal * period
             r = (np.expm1(-anneal * seg.duration_s) / np.expm1(-x)
-                 * np.exp(-anneal * seg.gap_s) if x > 0
+                 * np.exp(-anneal * seg.gap_s) if x >= _LOSSLESS
                  else seg.duration_s / period)
             n_trap = _linear_update(n_trap, source * r, anneal, copies * period)
             t += copies * period

@@ -336,6 +336,8 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 CW_TEMPLATE ="flux_cm2_s,duration_s,gap_s\n8e11,{duration},0\n"
+PULSED_TEMPLATE = ("flux_cm2_s,duration_s,gap_s,repeat\n"
+                   "1e17,1e-9,0.000999999,{pulses}\n")
 DECAY = ["simulate-decay", "--config", "k.ini", "--seed", "1", "--out", "out"]
 SPECTRUM = ["simulate-spectrum", "--config", "s.ini", "--seed", "1",
             "--samples", "200", "--out", "out"]
@@ -520,6 +522,9 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     ({"s.ini": "[sampler]\nseparation_nm = 0.26\n"},
      [*SPECTRUM, "--mode", "defect-field"],
      "no samples retained: 200 of 200 raw draws were out of table range"),
+    # k_B*T underflows to 0, and the Arrhenius factor would divide by it
+    ({"s.ini": "[damage]\ntemperature_k = 5e-324\n", "t.csv": CW_TEMPLATE},
+     [*SWEEP, "--fluences", "1e11,1e13"], "temperature_k"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
@@ -541,7 +546,8 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "fit-power-law-one-fluence", "grid-too-large",
         "flux-zero-duration", "duration-zero-flux", "repeat-abc-duration-row",
         "fit-not-utf8", "fit-cell-too-long", "template-not-utf8",
-        "table-not-utf8", "separation-all-rejected"])
+        "table-not-utf8", "separation-all-rejected",
+        "temperature-underflows-kt"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)
@@ -562,16 +568,51 @@ def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
     {"t.csv": CW_TEMPLATE, "s.ini": "[damage]\nformation_enhancement_"
                                     "exponent = 400\nformation_enhancement_"
                                     "flux = 1\n"},
-], ids=["flux-1e300", "trap-clustering-400", "formation-enhancement-400"])
+    # an overflowing coefficient times an Arrhenius factor of 0, or over a
+    # suppression of inf, and the formation rate times the carbon density
+    {"t.csv": CW_TEMPLATE, "s.ini": "[damage]\ndestruction_coefficient_cm2 "
+                                    "= 1e300\ndestruction_activation_"
+                                    "energy_ev = 1e300\n"},
+    {"t.csv": CW_TEMPLATE, "s.ini": "[damage]\ndestruction_coefficient_cm2 "
+                                    "= 1e300\ndestruction_suppression_flux "
+                                    "= 5e-324\n"},
+    {"t.csv": CW_TEMPLATE, "s.ini": "[damage]\ncarbon_areal_density_cm2 = "
+                                    "1e300\nformation_coefficient_cm2 = 1\n"},
+], ids=["flux-1e300", "trap-clustering-400", "formation-enhancement-400",
+        "destruction-inf-times-zero", "destruction-inf-over-inf",
+        "formation-times-carbon"])
 def test_overflowing_damage_rates_are_numerical_errors(tmp_path, monkeypatch,
                                                        capsys, files):
-    # rates that overflow a float would leave nan and inf densities
+    # rates that overflow a float would leave nan and inf densities; they
+    # are refused without a RuntimeWarning on the way
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    assert main([*SWEEP, "--fluences", "1e11,1e14"]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*SWEEP, "--fluences", "1e11,1e14"]) == 3
     assert "damage rates overflow at a flux of" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == sorted(files)
+
+
+@pytest.mark.parametrize("rate", ["1e-300", "5e-324"])
+@pytest.mark.parametrize("template", [CW_TEMPLATE, PULSED_TEMPLATE],
+                         ids=["cw", "pulsed"])
+def test_tiny_annealing_rate_is_lossless(tmp_path, monkeypatch, template,
+                                         rate):
+    # a loss below one rounding unit per run changes no density, so the
+    # sweep is the one without annealing, where source / rate overflowed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.csv").write_text(template)
+    sweeps = []
+    for value in (rate, "0"):
+        (tmp_path / "s.ini").write_text(
+            f"[damage]\ndynamic_annealing_rate_s = {value}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*SWEEP, "--fluences", "1e11,1e13"]) == 0
+        sweeps.append((tmp_path / "out" / "sweep.csv").read_bytes())
+    assert sweeps[0] == sweeps[1]
 
 
 @pytest.mark.parametrize("section, key, value, argv, named", [
@@ -1182,6 +1223,31 @@ def test_run_bytes_are_pinned(tmp_path, capsys, run):
     assert capsys.readouterr().out == stdout.replace("{tmp}", str(tmp_path))
 
 
+def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the fits' least-squares solves run in OpenBLAS, whose thread count
+    # moves the last bits of some stderrs; %.10g rounds them away, so the
+    # pinned decay, spectrum and two-peak fit come out the same on one
+    # thread and on two
+    runs = RUN_PINS["decay"][0] + RUN_PINS["fit-peaks"][0]
+    code = ("import sys; from defect_spectra import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    argv = [a.replace('{tmp}', '.') for a in argv]\n"
+            "    assert cli.main(argv) == 0\n")
+    digests = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = dict(os.environ, PYTHONPATH=os.path.join(PKG_ROOT, "src"),
+                   OPENBLAS_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, cwd=tmp_path / threads)
+        assert res.returncode == 0, res.stderr
+        out = tmp_path / threads / "out"
+        digests.append({name: hashlib.sha256((out / name).read_bytes())
+                        .hexdigest() for name in sorted(os.listdir(out))})
+    assert digests[0] == digests[1]
+    assert digests[0] == {**RUN_PINS["decay"][2], **RUN_PINS["fit-peaks"][2]}
+
+
 @pytest.mark.parametrize("name", ["report", "report.txt", "report.CSV"])
 def test_fit_report_of_any_name_is_a_csv(tmp_path, name):
     assert main(["simulate-decay", "--seed", "1", "--out", str(tmp_path)]) == 0
@@ -1253,30 +1319,98 @@ _kinetics_configs = st.lists(st.sampled_from(_DRAWN_KINETICS_KEYS),
         {key: st.sampled_from(_kinetics_extremes(key)) for key in keys}))
 
 
+def _assert_exit_code_contract(argv, out):
+    """Run ``argv`` in process: it runs (0), is refused (2) or fails in an
+    integration or a fit (3); a run that does not finish writes nothing to
+    ``out``, a finished one writes only finite numbers, and none warns."""
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert _csv_numbers_are_finite(out)
+    else:
+        assert not os.path.exists(out)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_kinetics_configs)
 def test_simulate_decay_exit_code_contract(values):
-    # any config of extreme [kinetics] values runs (0), is refused (2) or
-    # fails in the integration or the fit (3); a run that does not finish
-    # writes nothing, and none warns
+    # any config of extreme [kinetics] values keeps the contract
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "k.ini")
         with open(config, "w") as fh:
             fh.write("[kinetics]\nt_max_ns = 20\nn_points = 801\n"
                      + "".join(f"{k} = {v!r}\n" for k, v in values.items()))
         out = os.path.join(tmp, "out")
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            warnings.simplefilter("always")
-            code = main(["simulate-decay", "--config", config, "--seed", "1",
-                         "--out", out])
-        assert [str(w.message) for w in caught] == []
-        assert code in (0, 2, 3)
-        if code == 0:
-            assert _csv_numbers_are_finite(out)
-        else:
-            assert not os.path.exists(out)
+        _assert_exit_code_contract(["simulate-decay", "--config", config,
+                                    "--seed", "1", "--out", out], out)
+
+
+def _damage_extremes(key):
+    """The values a [damage] key is drawn from: the ends of the float range
+    and 1, with 0 where the key allows it."""
+    try:
+        DamageParams(**{key: 0.0})
+    except ValidationError:
+        return [5e-324, 1e-300, 1.0, 1e300]
+    return [5e-324, 1e-300, 1.0, 1e300, 0.0]
+
+
+_damage_configs = st.lists(st.sampled_from(sorted(cli._SCHEMA["damage"])),
+                           unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {key: st.sampled_from(_damage_extremes(key)) for key in keys}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_damage_configs, st.sampled_from([CW_TEMPLATE, PULSED_TEMPLATE]))
+def test_sweep_fluence_exit_code_contract(values, template):
+    # any config of extreme [damage] values, on a cw or a pulsed template
+    # (1e3 and 1e5 pulses), keeps the contract
+    with tempfile.TemporaryDirectory() as tmp:
+        config, schedule = (os.path.join(tmp, name)
+                            for name in ("d.ini", "t.csv"))
+        with open(config, "w") as fh:
+            fh.write("[damage]\n" + "".join(f"{k} = {v!r}\n"
+                                             for k, v in values.items()))
+        with open(schedule, "w") as fh:
+            fh.write(template)
+        out = os.path.join(tmp, "out")
+        _assert_exit_code_contract(
+            ["sweep-fluence", "--config", config, "--template", schedule,
+             "--fluences", "1e11,1e13", "--out", out], out)
+
+
+_FIT_SHAPES = {
+    "decay": lambda i, n: np.exp(-i / 8.0),
+    "lorentzian": lambda i, n: 1.0 / (1.0 + ((i - n / 2) / 3.0) ** 2),
+    "power-law": lambda i, n: np.sqrt(i + 1.0),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(cli._FIT_HEADERS)), st.integers(10, 40),
+       st.sampled_from([5e-324, 1e-300, 1.0, 1e300]),
+       st.sampled_from(sorted(_FIT_SHAPES)),
+       st.sampled_from([5e-324, 1e-300, 1.0, 1e300, 0.0, -1.0]))
+def test_fit_exit_code_contract(header, n_rows, spacing, shape, scale):
+    # any of the three inputs, on x at an extreme spacing, holding a decay,
+    # a line or a power law at an extreme scale, keeps the contract
+    i = np.arange(n_rows)
+    x, y = spacing * (i + 1.0), scale * _FIT_SHAPES[shape](i, n_rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "d.csv")
+        with open(data, "w") as fh:
+            fh.write(",".join(header) + "\n" + "".join(
+                f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        out = os.path.join(tmp, "out")
+        _assert_exit_code_contract(
+            ["fit", "--input", data, "--report",
+             os.path.join(out, "report.csv")], out)
 
 
 def test_subcommands_neither_write_nor_print():

@@ -296,18 +296,19 @@ def test_stderr_matches_curve_fit(case):
             assert fit.parameters[name] == pytest.approx(value, rel=1e-7)
 
 
-def _scaled_fits(k):
+def _scaled_fits(k, unit=0):
     # a 200-point noisy decay (default window) and a noisy single line,
-    # each scaled by 2**k; at this seed a log-linear start taken on the
-    # unscaled counts would move the decay time's last bits with k
+    # each scaled by 2**k, on times and wavelengths scaled by 2**unit; at
+    # this seed a log-linear start taken on the unscaled counts would move
+    # the decay time's last bits with k
     rng = np.random.default_rng(17)
     t = np.linspace(0.0, 40.0, 200)
     decay = np.exp(-t / 8.0) * (1.0 + 0.01 * rng.standard_normal(t.size))
     x = np.arange(1278.0, 1279.0, 0.002)
     line = (lorentzian(x, 1278.5, 0.02, 1.0) + 0.01
             + 0.01 * rng.standard_normal(x.size))
-    return (fit_single_exponential(t, np.ldexp(decay, k)),
-            fit_peaks(x, np.ldexp(line, k), 1))
+    return (fit_single_exponential(np.ldexp(t, unit), np.ldexp(decay, k)),
+            fit_peaks(np.ldexp(x, unit), np.ldexp(line, k), 1))
 
 
 @pytest.mark.parametrize("k", [-600, -540, -200, 0, 37, 540, 600])
@@ -324,6 +325,32 @@ def test_fits_are_scale_free(k):
             assert fit.stderr[name] == ref.stderr[name] * times, name
         assert fit.residual_norm == ref.residual_norm * 2.0 ** k
         assert fit.n_iterations == ref.n_iterations
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -37, 0, 37, 600, 1000])
+def test_fits_are_free_of_the_units_of_x(k):
+    # scaling times or wavelengths by a power of two that keeps every cell
+    # a normal double scales decay times, centers, widths and their
+    # stderrs by it, bit for bit, and changes nothing else; at |k| = 600
+    # tau**2 or a squared width would underflow or overflow unscaled
+    for fit, ref in zip(_scaled_fits(0, unit=k), _scaled_fits(0)):
+        for name in ref.parameters:
+            times = (2.0 ** k if name.startswith(("tau", "center", "fwhm"))
+                     else 1.0)
+            assert fit.parameters[name] == ref.parameters[name] * times, name
+            assert fit.stderr[name] == ref.stderr[name] * times, name
+        assert fit.residual_norm == ref.residual_norm
+        assert fit.n_iterations == ref.n_iterations
+
+
+def test_non_finite_fit_result_is_refused():
+    # a steep rise fitted as one line on counts near the largest double:
+    # the baseline's stderr, scaled back, overflows
+    x = np.arange(1.0, 11.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="peak fit gives a non-finite"):
+            fit_peaks(x, 1e300 * np.sqrt(x), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +460,19 @@ def test_power_law_constant_series():
 def test_power_law_refuses_non_finite_values(x, y):
     with pytest.raises(ValidationError, match="needs positive values, no inf"):
         fit_power_law(x, y)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([5e-324, 1e-323, 1.5e-323], [5e298, 1e299, 1e300]),
+    ([1e300, 2e300, 3e300], [1.0, 0.5, 0.25]),
+], ids=["prefactor", "prefactor-stderr"])
+def test_power_law_prefactor_overflow_is_refused(x, y):
+    # exp(intercept), or the prefactor times its relative stderr, is past
+    # the largest double; no inf reaches the report and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="prefactor"):
+            fit_power_law(x, y)
 
 
 def test_power_law_validation():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from math import factorial
 
 import numpy as np
@@ -403,6 +404,15 @@ def test_destruction_rate_thermally_activated():
     cold = DamageParams(temperature_k=150.0)
     warm = DamageParams(temperature_k=600.0)
     assert warm.destruction_rate_s(1e12) > cold.destruction_rate_s(1e12)
+
+
+def test_tau_eff_of_an_overflowing_trap_rate_is_zero():
+    # the trap term overflows to inf, so the lifetime is the 0 it
+    # underflows to, without a warning
+    params = DamageParams(trap_lifetime_coupling_cm2_ns=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert params.tau_eff_ns(np.array([1e10])).tolist() == [0.0]
 
 
 def test_damage_against_step_integration():

@@ -6,9 +6,10 @@ the chunks are stitched in index order, so a longer run re-yields a shorter
 one with the same seed as an exact prefix. Every mode collects its chunks
 into one preallocated samples-by-6 array of zeros, dropping the samples
 outside the response table's range as it goes, and evaluates the shifts of
-the retained prefix in one call. A chunk may carry only the leading
-components of its samples: the normal-strain modes draw the three normal
-components, and their shears stay zero.
+the retained prefix ``CHUNK`` rows at a time into one preallocated array. A
+chunk may carry only the leading components of its samples: the
+normal-strain modes draw the three normal components, and their shears stay
+zero.
 
 A spectrum is a sum of one Lorentzian per sample over a wavelength grid,
 taken by a fast multipole method over a binary tree of equal wavelength
@@ -69,9 +70,9 @@ MAX_HISTOGRAM_BINS = 10**6
 # 2**17 leaves.
 MAX_GRID_POINTS = 10**6
 # Most samples a sampler may be asked for, refused before any draw. A run
-# holds about 73 bytes per sample at its peak (the collected strains and
-# shifts, and the shift evaluation's working columns), so 10**7 samples
-# need about 0.73 GB.
+# holds about 73 bytes per sample at its peak: the collected strains and
+# shifts (56), then the line centers and their sorted copy in synthesis, so
+# 10**7 samples need about 0.73 GB.
 MAX_SAMPLES = 10**7
 _MODE_IDS = {"uniform": 1, "biased-z": 2, "defect-field": 3}
 
@@ -120,6 +121,7 @@ class SingleDefectSpec:
     def __post_init__(self):
         relaxation_volume(self.defect_kind)  # refuses an unknown kind
         check_fields(self, positive=("separation_nm",))
+        _check_cube(self, "separation_nm")
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,16 @@ class DefectDensitySpec:
             "vacancy_density_cm3", "interstitial_density_cm3"))
         if not 0 < self.r_min_nm < self.r_max_nm:
             raise ValidationError("need 0 < r_min_nm < r_max_nm")
+        _check_cube(self, "r_max_nm")
+
+
+def _check_cube(spec, key):
+    """Refuse a defect distance whose cube, which the strain kernel and the
+    shell volume take, overflows a float."""
+    r = getattr(spec, key)
+    if not r * r * r < np.inf:
+        raise ValidationError(f"{key} {r:g} is too large: its cube "
+                              "overflows a float")
 
 
 @dataclass
@@ -190,8 +202,9 @@ def _ensemble(blocks, n_samples, table) -> ShiftEnsemble:
     A block of width ``w`` < 6 holds the leading ``w`` components of its
     rows; the others are zero. Rows with a component outside its table axis
     range count as range rejections and are dropped; the retained prefix
-    gets its shifts in one call. No block is drawn after the first
-    ``n_samples`` rows.
+    gets its shifts ``CHUNK`` rows at a time, so the shift evaluation's
+    working columns do not grow with the run. No block is drawn after the
+    first ``n_samples`` rows.
     """
     low, high = component_ranges(table)
     strains = np.zeros((n_samples, 6))
@@ -208,11 +221,13 @@ def _ensemble(blocks, n_samples, table) -> ShiftEnsemble:
         if n_seen == n_samples:
             break
     strains = strains[:n_kept]
+    shifts = np.empty(n_kept)
+    for start in range(0, n_kept, CHUNK):
+        part = slice(start, start + CHUNK)
+        shifts[part] = shift_for_strain(table, strains[part])
     prov = EnsembleProvenance(n_retained=n_kept, n_raw_draws=n_raw,
                               n_range_rejections=n_seen - n_kept)
-    return ShiftEnsemble(
-        shifts_mev=np.asarray(shift_for_strain(table, strains)),
-        strains=strains, provenance=prov)
+    return ShiftEnsemble(shifts_mev=shifts, strains=strains, provenance=prov)
 
 
 def sample_uniform(spec: UniformSpec, n_samples: int, seed: int,
@@ -394,20 +409,37 @@ def sample_defect_field(spec, n_samples: int, seed: int,
 
 def _lines(shifts_mev, emitter: EmitterParams):
     """Line centers of the samples, and the half-width around the reference
-    line that a grid must cover: the largest shift plus ten FWHM."""
+    line that a grid must cover: the largest shift plus ten FWHM. Lines
+    that reach beyond the largest float are refused."""
     shifts_mev = np.atleast_1d(np.asarray(shifts_mev, dtype=float))
     if shifts_mev.size == 0:
         raise ValidationError("no samples to place lines for")
-    dl = delta_lambda_from_delta_e(shifts_mev, emitter.zpl_wavelength_nm)
-    margin = float(np.max(np.abs(dl))) + 10.0 * emitter.homogeneous_fwhm_nm
-    return emitter.zpl_wavelength_nm + dl, margin
+    lam0, fwhm = emitter.zpl_wavelength_nm, emitter.homogeneous_fwhm_nm
+    # a numpy scalar overflows to inf where a Python float raises; inf
+    # times a zero shift is NaN, and both are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        dl = delta_lambda_from_delta_e(shifts_mev, np.float64(lam0))
+    margin = max(float(dl.max()), -float(dl.min())) + 10.0 * fwhm
+    if not lam0 + margin < np.inf:
+        largest = max(float(shifts_mev.max()), -float(shifts_mev.min()))
+        raise ValidationError(
+            f"zpl_wavelength_nm {lam0:g} with homogeneous_fwhm_nm {fwhm:g} "
+            f"and largest shift {largest:.4g} meV places lines beyond the "
+            "largest float")
+    dl += lam0
+    return dl, margin
 
 
 def default_wavelength_grid(shifts_mev, emitter: EmitterParams) -> np.ndarray:
     """Grid covering every shifted line plus ten homogeneous widths, eight
     points per homogeneous FWHM."""
+    return _grid_for(_lines(shifts_mev, emitter)[1], shifts_mev, emitter)
+
+
+def _grid_for(margin, shifts_mev, emitter: EmitterParams) -> np.ndarray:
+    """The default grid of half-width ``margin``, the margin that
+    ``_lines`` gives for ``shifts_mev``."""
     step = emitter.homogeneous_fwhm_nm / 8
-    margin = _lines(shifts_mev, emitter)[1]
     if margin > step * ((MAX_GRID_POINTS - 1) // 2):
         raise ValidationError(
             f"homogeneous_fwhm_nm {emitter.homogeneous_fwhm_nm:g} with "
@@ -427,7 +459,7 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
     """
     centers, margin = _lines(shifts_mev, emitter)
     if wavelength_grid is None:
-        wavelength_grid = default_wavelength_grid(shifts_mev, emitter)
+        wavelength_grid = _grid_for(margin, shifts_mev, emitter)
     grid = increasing_grid(wavelength_grid, "wavelength grid")
 
     fwhm = emitter.homogeneous_fwhm_nm
@@ -442,8 +474,15 @@ def synthesize_spectrum(shifts_mev, emitter: EmitterParams,
             "homogeneous widths")
 
     # The area factor fwhm/(2*pi) is constant, and the peak normalization
-    # below cancels it, so each term is 1/((x - c)^2 + (fwhm/2)^2).
-    intensity = _fmm_sum(grid, centers, fwhm / 2.0)
+    # below cancels it, so each term is 1/((x - c)^2 + (fwhm/2)^2). The sum
+    # is taken in units of 2**e, the binade of fwhm/2, so that no term over-
+    # or underflows; a power of two scales every operation exactly while
+    # the values stay normal floats, so the normalized bits are those of the
+    # sum in nm.
+    e = int(np.frexp(fwhm / 2.0)[1])
+    intensity = _fmm_sum(np.ldexp(grid, -e),
+                         np.ldexp(centers, -e, out=centers),
+                         np.ldexp(fwhm / 2.0, -e))
     peak = float(intensity.max())
     if peak > 0:
         intensity = intensity / peak
@@ -496,8 +535,9 @@ def _fmm_sum(grid, centers, half):
     (M2L), shifted down (L2L) and summed by Horner's rule in
     (z - middle) / width at each grid point (L2P). Centers and grid points
     belong to the leaf that ``leaf_of`` gives them, so the near and far
-    parts cover each pair once. Memory is one block plus about 1 KB per
-    leaf, 0.13 GB on a default grid of 10**6 points.
+    parts cover each pair once. Memory is the sorted copy of the centers,
+    one ``CHUNK`` of their leaves and offsets, one block, and about 1 KB
+    per leaf, 0.13 GB on a default grid of 10**6 points.
     """
     g0 = grid[0]
     depth = max(2, int(np.ceil(np.log2((grid[-1] - g0) / (3.0 * half)))))
@@ -511,10 +551,9 @@ def _fmm_sum(grid, centers, half):
         return leaf, t - (leaf + 0.5)
 
     c = np.sort(centers)
-    leaf, u = leaf_of(c)
     moments = np.zeros((FMM_TERMS, n))
     for a in range(0, len(c), CHUNK):
-        lc, uc = leaf[a:a + CHUNK], u[a:a + CHUNK]
+        lc, uc = leaf_of(c[a:a + CHUNK])
         first = np.flatnonzero(np.diff(lc, prepend=-1))
         power = np.ones_like(uc)
         for row in moments:
@@ -548,7 +587,8 @@ def _fmm_sum(grid, centers, half):
         q += row[gleaf]
     intensity = q.imag / (width * half)
 
-    bounds = np.searchsorted(leaf, np.arange(n + 1))
+    # the zeroth moments are the leaves' center counts, exact in a double
+    bounds = np.r_[0, np.cumsum(moments[0].astype(np.intp))]
     near = np.searchsorted(gleaf, np.arange(n + 1))
     filled = np.flatnonzero(np.diff(bounds))
     lo, hi = near[np.maximum(filled - 2, 0)], near[np.minimum(filled + 3, n)]

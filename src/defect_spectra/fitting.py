@@ -11,7 +11,6 @@ least squares in log-log space.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,18 +275,21 @@ def _wing_baseline(y):
 
 def _pick_initial_peaks(x, y, n_peaks):
     """Starting [center_0, fwhm_0, center_1, ...] from the maxima of the
-    residual above the wing baseline."""
+    residual above the wing baseline. A peak must rise above the baseline,
+    and at least as far as the spectrum falls below it: the amplitudes are
+    nonnegative, so a dip is no peak. Fewer peaks than requested raise
+    NumericalError."""
     peaks = []
     resid = y - _wing_baseline(y)
+    depth = -float(resid.min())
     step = float(_median(np.diff(x)))
     for k in range(n_peaks):
         i = int(np.argmax(resid))
         amp = float(resid[i])
-        if amp <= 0:
-            warnings.warn(
+        if amp <= 0 or amp < depth:
+            raise NumericalError(
                 f"only {k} of {n_peaks} requested peaks stand above the "
-                "baseline; remaining starts are degenerate")
-            amp = max(abs(amp), 1e-12)
+                "wing baseline")
         # walk outward to the half-amplitude crossings of the residual
         j = i
         while j + 1 < len(x) and resid[j + 1] > amp / 2:

@@ -9,7 +9,8 @@ one format from its dtype: integers as ``%d``, floats as that float
 format, anything else (names, kinds, elements) as ``%s``. No
 cell or header the toolkit writes holds a comma, quote or newline, so no
 cell is quoted. Rows are formatted and written in blocks of ``CSV_BLOCK``
-(4096) rows, so the memory a write takes does not grow with the file. A
+(1024) rows, so the memory a write takes does not grow with the file: a
+block of eight columns of ``%.10g`` floats peaks at about 0.5 MB. A
 block is one ``%``: the row format repeated once per row, applied to the
 block's cells interleaved row by row. A column whose every cell has the
 first cell's bits (floats compared as unsigned integers of their size, so
@@ -35,7 +36,7 @@ from .core import ValidationError
 _COLUMN_FORMATS = {"i": "%d", "u": "%d"}
 # Rows per block of a CSV write: each block's cells are converted, formatted
 # and written before the next is touched.
-CSV_BLOCK = 4096
+CSV_BLOCK = 1024
 
 
 def write_atomic(path: str, text):

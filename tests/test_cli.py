@@ -525,6 +525,17 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
     # k_B*T underflows to 0, and the Arrhenius factor would divide by it
     ({"s.ini": "[damage]\ntemperature_k = 5e-324\n", "t.csv": CW_TEMPLATE},
      [*SWEEP, "--fluences", "1e11,1e13"], "temperature_k"),
+    # the squared line position overflows, and so would the cube of a
+    # defect distance in the strain kernel and the shell volume
+    ({"s.ini": "[emitter]\nzpl_wavelength_nm = 1e300\n"}, SPECTRUM,
+     "zpl_wavelength_nm 1e+300 with homogeneous_fwhm_nm 0.073 and largest "
+     "shift"),
+    ({"s.ini": "[sampler]\nseparation_nm = 1e300\n"},
+     [*SPECTRUM, "--mode", "defect-field"],
+     "separation_nm 1e+300 is too large: its cube overflows a float"),
+    ({"s.ini": "[sampler]\nr_max_nm = 1e300\nvacancy_density_cm3 = 1\n"},
+     [*SPECTRUM, "--mode", "defect-field"],
+     "r_max_nm 1e+300 is too large: its cube overflows a float"),
 ], ids=["repeat", "placeholder-flux", "fluences", "window-stop",
         "window-one-end", "window-no-stop", "window-no-start",
         "window-reversed", "bin-width-zero", "fit-ragged-row", "fwhm-nan",
@@ -547,7 +558,8 @@ TRACE = "time_ns,counts\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n"
         "flux-zero-duration", "duration-zero-flux", "repeat-abc-duration-row",
         "fit-not-utf8", "fit-cell-too-long", "template-not-utf8",
         "table-not-utf8", "separation-all-rejected",
-        "temperature-underflows-kt"])
+        "temperature-underflows-kt", "zpl-squared-overflows",
+        "separation-cubed-overflows", "shell-cubed-overflows"])
 def test_bad_user_value_is_usage_error(tmp_path, monkeypatch, capsys, files,
                                        argv, field):
     monkeypatch.chdir(tmp_path)
@@ -1411,6 +1423,93 @@ def test_fit_exit_code_contract(header, n_rows, spacing, shape, scale):
         _assert_exit_code_contract(
             ["fit", "--input", data, "--report",
              os.path.join(out, "report.csv")], out)
+
+
+_SPECTRUM_SPECS = {"uniform": (UniformSpec,), "biased-z": (BiasedZSpec,),
+                   "defect-field": (SingleDefectSpec, DefectDensitySpec)}
+
+
+def _spectrum_keys(mode):
+    """The [emitter] keys, and the [sampler] keys that ``mode`` reads."""
+    fields = {f.name for cls in _SPECTRUM_SPECS[mode]
+              for f in dataclasses.fields(cls)} | {"bin_width_mev"}
+    return ([("emitter", key) for key in cli._SCHEMA["emitter"]]
+            + [("sampler", key) for key in cli._SCHEMA["sampler"]
+               if key in fields])
+
+
+def _spectrum_extremes(mode, section, key):
+    """The values a key of ``mode`` is drawn from: the ends of the float
+    range and 1, negated too for a strain bound, with 0 where the key
+    allows it; a defect kind is one of the two kinds."""
+    if key == "defect_kind":
+        return ["vacancy", "interstitial"]
+    values = [5e-324, 1e-300, 1.0, 1e300]
+    if key.startswith("strain_"):
+        values += [-v for v in values]
+    classes = (EmitterParams,) if section == "emitter" else \
+        _SPECTRUM_SPECS[mode]
+    for cls in classes:
+        if key in {f.name for f in dataclasses.fields(cls)}:
+            try:
+                cls(**{key: 0.0})
+            except ValidationError:
+                continue
+            return values + [0.0]
+    return values
+
+
+_spectrum_runs = st.sampled_from(sorted(_SPECTRUM_SPECS)).flatmap(
+    lambda mode: st.tuples(st.just(mode), st.lists(
+        st.sampled_from(_spectrum_keys(mode)), unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries(
+            {key: st.sampled_from(_spectrum_extremes(mode, *key))
+             for key in keys}))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spectrum_runs)
+def test_simulate_spectrum_exit_code_contract(run):
+    # any config of extreme [emitter] and [sampler] values, in any mode,
+    # keeps the contract
+    mode, values = run
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "s.ini")
+        with open(config, "w") as fh:
+            for section in ("emitter", "sampler"):
+                fh.write(f"[{section}]\n" + "".join(
+                    f"{key} = {value}\n"
+                    for (s, key), value in values.items() if s == section))
+        out = os.path.join(tmp, "out")
+        _assert_exit_code_contract(
+            ["simulate-spectrum", "--mode", mode, "--samples", "200",
+             "--seed", "1", "--config", config, "--out", out,
+             "--dump-samples"], out)
+
+
+@pytest.mark.parametrize("sign, n_peaks, message", [
+    (1.0, 2, "only 1 of 2 requested peaks stand above the wing baseline"),
+    (-1.0, 1, "only 0 of 1 requested peaks stand above the wing baseline"),
+], ids=["one-line-two-peaks", "dip"])
+def test_missing_peaks_are_numerical_errors(tmp_path, capsys, sign, n_peaks,
+                                            message):
+    # a noise-free line of FWHM 0.02 nm asked for two peaks, or the same
+    # line upside down: no start is left to fit, so the run exits 3 without
+    # a warning and writes nothing; the dip's highest sample, at the grid's
+    # end, stands only 1e-5 above the wing median
+    x = np.arange(1277.5, 1279.5, 0.002)
+    y = sign / (1.0 + ((x - 1278.5) / 0.01) ** 2)
+    data = tmp_path / "line.csv"
+    data.write_text("wavelength_nm,intensity\n" + "".join(
+        f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    report = tmp_path / "out" / "report.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--input", str(data), "--model", "peaks",
+                     "--peaks", str(n_peaks), "--report", str(report)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not report.parent.exists()
 
 
 def test_subcommands_neither_write_nor_print():

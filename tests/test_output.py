@@ -192,7 +192,9 @@ def test_write_csv_memory_does_not_grow_with_the_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < path.stat().st_size / 4
+    # one block of CSV_BLOCK rows: 1024-row blocks peak at 1/32 of this
+    # 6.3 MB file, 4096-row blocks at 1/8
+    assert peak < path.stat().st_size / 24
 
 
 def test_write_atomic_failing_stream_keeps_the_old_file(tmp_path):

@@ -167,7 +167,8 @@ def test_written_files_get_the_mode_of_a_plain_open(tmp_path, umask, mode):
 
 
 @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK - 1, CSV_BLOCK,
-                               CSV_BLOCK + 1])
+                               CSV_BLOCK + 1, 4 * CSV_BLOCK - 1,
+                               4 * CSV_BLOCK, 4 * CSV_BLOCK + 1])
 def test_write_csv_block_boundaries(tmp_path, n):
     rng = np.random.default_rng(n)
     ints = rng.integers(-2**62, 2**62, n)
